@@ -7,7 +7,8 @@ radical in the supported regimes.
 
 Loop algebras keep their permutation structure (basis products are basis
 elements), so multiplication and the ideal-closure actions are index
-gathers; general algebras carry a dense structure-constant tensor.
+gathers; general algebras carry a dense structure-constant tensor and
+multiply through the field's one product kernel, ``field.matmul``.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .fields import PrimeField
 from .linalg import Subspace
-from .loops import DEFAULT_SEED, Loop, SubloopSet
+from .loops import DEFAULT_SEED, CheckOutcome, Loop, SubloopSet
 
 LOOP_ALGEBRA_DIM_BOUND = 2048
 CIRCLE_TABLE_BOUND = 4096
@@ -68,7 +69,9 @@ class Algebra:
 
     def mul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """All pairwise products of rows of a with rows of b, row-major."""
-        raise NotImplementedError
+        a = np.atleast_2d(np.asarray(a))
+        b = np.atleast_2d(np.asarray(b))
+        return self.mul_pairwise(np.repeat(a, b.shape[0], axis=0), np.tile(b, (a.shape[0], 1)))
 
     def mul_pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Row-by-row products: out[k] = a[k] * b[k]."""
@@ -115,20 +118,10 @@ class LoopAlgebra(Algebra):
         self.names = loop.names
         self.unit = self.basis_vec(0)
 
-    def mul_rows(self, a, b):
-        a = self.field.canon(np.atleast_2d(np.asarray(a)))
-        b = self.field.canon(np.atleast_2d(np.asarray(b)))
-        t = self.loop.table
-        blocks = []
-        for i in range(a.shape[0]):
-            u = a[i]
-            block = _zeros(self.field, (b.shape[0], self.dim))
-            for j in np.flatnonzero(u != 0):
-                block[:, t[j]] = block[:, t[j]] + u[j] * b
-            blocks.append(self.field.canon(block))
-        return np.vstack(blocks) if blocks else a[:0]
-
     def mul_pairwise(self, a, b):
+        # the structure tensor is a permutation (dense, it would have n^3
+        # entries), so the product is a table gather; each output entry adds
+        # n products below p^2, which the PrimeField cap keeps inside int64
         a = self.field.canon(np.atleast_2d(np.asarray(a)))
         b = self.field.canon(np.atleast_2d(np.asarray(b)))
         t = self.loop.table
@@ -170,49 +163,43 @@ class TensorAlgebra(Algebra):
             raise DimensionMismatch("structure tensor must be cubic")
         self.names = tuple(names)
         self.unit = None if unit is None else field.canon(np.asarray(unit))
+        self._c = field.operand(self.c)
 
     def mul_rows(self, a, b):
-        a = self.field.canon(np.atleast_2d(np.asarray(a)))
-        b = self.field.canon(np.atleast_2d(np.asarray(b)))
-        ac = self.field.canon(np.tensordot(a, self.c, axes=([1], [0])))   # [u, j, k]
-        if self.field.dtype != object:
-            out = np.einsum("vj,ujk->uvk", b, ac)
-        else:
-            out = np.empty((a.shape[0], b.shape[0], self.dim), dtype=object)
-            for u in range(a.shape[0]):
-                out[u] = np.dot(b, ac[u])
-        return self.field.canon(out.reshape(a.shape[0] * b.shape[0], self.dim))
+        f, d = self.field, self.dim
+        a = f.canon(np.atleast_2d(np.asarray(a)))
+        b = f.canon(np.atleast_2d(np.asarray(b)))
+        # two stages, a.C then b.(a.C), cost |a| d^3 + |a| |b| d^2; a
+        # Kronecker product over all pairs would cost |a| |b| d^3
+        ac = f.canon(f.matmul(a, self._c.reshape(d, d * d)))           # [u, (j, k)]
+        ac = ac.reshape(a.shape[0], d, d).transpose(1, 0, 2).reshape(d, -1)   # [j, (u, k)]
+        out = f.matmul(b, ac).reshape(b.shape[0], a.shape[0], d)      # [v, u, k]
+        return f.canon(out.transpose(1, 0, 2).reshape(-1, d))
 
     def mul_pairwise(self, a, b):
-        a = self.field.canon(np.atleast_2d(np.asarray(a)))
-        b = self.field.canon(np.atleast_2d(np.asarray(b)))
-        chunks = []
-        step = max(1, 2_000_000 // max(self.dim * self.dim, 1))
-        for s in range(0, a.shape[0], step):
-            ac = self.field.canon(np.tensordot(a[s:s + step], self.c, axes=([1], [0])))
-            bs = b[s:s + step]
-            if self.field.dtype != object:
-                chunks.append(self.field.canon(np.einsum("uj,ujk->uk", bs, ac)))
-            else:
-                block = np.empty((bs.shape[0], self.dim), dtype=object)
-                for u in range(bs.shape[0]):
-                    block[u] = np.dot(bs[u], ac[u])
-                chunks.append(self.field.canon(block))
-        return np.vstack(chunks) if chunks else a[:0]
+        f, d = self.field, self.dim
+        a = f.canon(np.atleast_2d(np.asarray(a)))
+        b = f.canon(np.atleast_2d(np.asarray(b)))
+        c = self._c.reshape(d * d, d)
+        step = max(1, 2**20 // max(d * d, 1))  # row-wise Kronecker chunk, <= 2^20 entries
+        chunks = [f.matmul(f.canon(a[s:s + step, :, None] * b[s:s + step, None, :])
+                           .reshape(-1, d * d), c)
+                  for s in range(0, a.shape[0], step)]
+        return f.canon(np.vstack(chunks)) if chunks else a[:0]
 
     def mul_basis(self, i: int, j: int) -> np.ndarray:
         return self.c[i, j].copy()
 
     def left_actions(self):
-        return [_matrix_action(self.field, self.c[g]) for g in range(self.dim)]
+        return [_matrix_action(self.field, self._c[g]) for g in range(self.dim)]
 
     def right_actions(self):
-        return [_matrix_action(self.field, self.c[:, g]) for g in range(self.dim)]
+        return [_matrix_action(self.field, self._c[:, g]) for g in range(self.dim)]
 
 
 def _matrix_action(field, w):
     def act(m):
-        return field.canon(np.dot(m, w))
+        return field.canon(field.matmul(m, w))
     return act
 
 
@@ -374,17 +361,6 @@ class QuotientAlgebra(TensorAlgebra):
         out[:, self.section_cols] = m
         return out
 
-    def mul_rows(self, a, b):
-        if isinstance(self.parent, LoopAlgebra):
-            return self.project_rows(self.parent.mul_rows(self.lift_rows(a), self.lift_rows(b)))
-        return super().mul_rows(a, b)
-
-    def mul_pairwise(self, a, b):
-        if isinstance(self.parent, LoopAlgebra):
-            return self.project_rows(
-                self.parent.mul_pairwise(self.lift_rows(a), self.lift_rows(b)))
-        return super().mul_pairwise(a, b)
-
 
 def quotient_algebra(parent: Algebra, ideal: Subspace, verify: bool = True) -> QuotientAlgebra:
     return QuotientAlgebra(parent, ideal, verify=verify)
@@ -447,26 +423,8 @@ def _first_duplicate_rows(m: np.ndarray) -> Optional[tuple]:
 
 # -- alternativity checks ----------------------------------------------------
 
-@dataclass
-class AlternativeReport:
-    ok: bool
-    mode: str
-    witness: Optional[tuple] = None
-    samples: Optional[int] = None
-    seed: Optional[int] = None
-
-    def to_json(self):
-        return {
-            "ok": self.ok,
-            "mode": self.mode,
-            "samples": self.samples,
-            "seed": self.seed,
-            "witness": None if self.witness is None else list(self.witness),
-        }
-
-
 def alternative_check(alg: Algebra, mode: str = "auto", samples: int = 10**4,
-                      seed: int = DEFAULT_SEED) -> AlternativeReport:
+                      seed: int = DEFAULT_SEED) -> CheckOutcome:
     """Check the alternative laws (x,x,y) = (y,x,x) = 0.
 
     Exhaustive mode verifies the linearised alternators on basis triples and
@@ -489,10 +447,10 @@ def alternative_check(alg: Algebra, mode: str = "auto", samples: int = 10**4,
                 block = alg.field.canon(block)
                 bad = np.flatnonzero(block.any(axis=1))
                 if bad.size:
-                    return AlternativeReport(ok=False, mode="exhaustive",
-                                             witness=("generator", offset + int(bad[0])))
+                    return CheckOutcome(ok=False, mode="exhaustive",
+                                        witness=("generator", offset + int(bad[0])))
                 offset += block.shape[0]
-            return AlternativeReport(ok=True, mode="exhaustive")
+            return CheckOutcome(ok=True, mode="exhaustive")
         if isinstance(alg, TensorAlgebra) and not isinstance(alg, QuotientAlgebra):
             basis = _eye(alg.field, alg.dim)
             for a in range(alg.dim):
@@ -502,16 +460,16 @@ def alternative_check(alg: Algebra, mode: str = "auto", samples: int = 10**4,
                                           + _assoc_rows(alg, basis[b], ea, basis))
                     if sym.any():
                         c = int(np.flatnonzero(sym.any(axis=1))[0])
-                        return AlternativeReport(ok=False, mode="exhaustive", witness=(a, b, c))
+                        return CheckOutcome(ok=False, mode="exhaustive", witness=(a, b, c))
                 diag = _assoc_rows(alg, ea, ea, basis)
                 if diag.any():
                     c = int(np.flatnonzero(diag.any(axis=1))[0])
-                    return AlternativeReport(ok=False, mode="exhaustive", witness=(a, a, c))
+                    return CheckOutcome(ok=False, mode="exhaustive", witness=(a, a, c))
                 tail = _assoc_tail(alg, basis, ea)
                 if tail.any():
                     c = int(np.flatnonzero(tail.any(axis=1))[0])
-                    return AlternativeReport(ok=False, mode="exhaustive", witness=(c, a, a))
-            return AlternativeReport(ok=True, mode="exhaustive")
+                    return CheckOutcome(ok=False, mode="exhaustive", witness=(c, a, a))
+            return CheckOutcome(ok=True, mode="exhaustive")
         raise DimensionBoundExceeded("exhaustive alternativity check unsupported here")
     rng = np.random.default_rng(seed)
     xs = _random_rows(alg, rng, samples)
@@ -521,17 +479,15 @@ def alternative_check(alg: Algebra, mode: str = "auto", samples: int = 10**4,
     rhs = alg.field.canon(alg.mul_pairwise(ys, xx) - alg.mul_pairwise(alg.mul_pairwise(ys, xs), xs))
     bad = np.flatnonzero(lhs.any(axis=1) | rhs.any(axis=1))
     if bad.size:
-        return AlternativeReport(ok=False, mode="sampled", witness=(int(bad[0]),),
-                                 samples=samples, seed=seed)
-    return AlternativeReport(ok=True, mode="sampled", samples=samples, seed=seed)
+        return CheckOutcome(ok=False, mode="sampled", witness=(int(bad[0]),),
+                            samples=samples, seed=seed)
+    return CheckOutcome(ok=True, mode="sampled", samples=samples, seed=seed)
 
 
 def _assoc_rows(alg: TensorAlgebra, ea, eb, basis):
     """Associator (a, b, c) for all basis c, as rows."""
-    ab = alg.mul(ea, eb)
-    lhs = alg.field.canon(np.tensordot(ab, alg.c, axes=([0], [0])))     # (ab)c over c
-    bc = alg.field.canon(np.tensordot(eb, alg.c, axes=([0], [0])))      # b*c over c
-    rhs = alg.mul_rows(ea.reshape(1, -1), bc).reshape(alg.dim, alg.dim)
+    lhs = alg.mul_rows(alg.mul(ea, eb), basis)                           # (ab)c over c
+    rhs = alg.mul_rows(ea, alg.mul_rows(eb, basis))                      # a(bc) over c
     return alg.field.canon(lhs - rhs)
 
 
@@ -556,7 +512,7 @@ def _random_rows(alg: Algebra, rng, k: int) -> np.ndarray:
 
 
 def associative_check_sampled(alg: Algebra, samples: int = 10**4,
-                              seed: int = DEFAULT_SEED) -> AlternativeReport:
+                              seed: int = DEFAULT_SEED) -> CheckOutcome:
     """Sampled check of full associativity (x,y,z) = 0 on random triples."""
     rng = np.random.default_rng(seed)
     xs = _random_rows(alg, rng, samples)
@@ -566,9 +522,9 @@ def associative_check_sampled(alg: Algebra, samples: int = 10**4,
     rhs = alg.mul_pairwise(xs, alg.mul_pairwise(ys, zs))
     bad = np.flatnonzero(alg.field.canon(lhs - rhs).any(axis=1))
     if bad.size:
-        return AlternativeReport(ok=False, mode="sampled", witness=(int(bad[0]),),
-                                 samples=samples, seed=seed)
-    return AlternativeReport(ok=True, mode="sampled", samples=samples, seed=seed)
+        return CheckOutcome(ok=False, mode="sampled", witness=(int(bad[0]),),
+                            samples=samples, seed=seed)
+    return CheckOutcome(ok=True, mode="sampled", samples=samples, seed=seed)
 
 
 # -- augmentation ideals ----------------------------------------------------
@@ -714,10 +670,11 @@ def enumerate_carrier(alg: Algebra, carrier: Subspace):
     if p ** carrier.dim > CIRCLE_ENUM_BOUND:
         raise DimensionBoundExceeded(
             f"carrier has {p}^{carrier.dim} elements, beyond the enumeration bound")
-    basis = carrier.basis_matrix()
+    f = alg.field
+    basis = f.operand(carrier.basis_matrix())
     for coeffs in itertools.product(range(p), repeat=carrier.dim):
         cv = np.asarray(coeffs, dtype=np.int64)
-        v = alg.field.canon(cv @ basis) if carrier.dim else alg.field.zeros(alg.dim)
+        v = f.canon(f.matmul(cv, basis)) if carrier.dim else f.zeros(alg.dim)
         yield cv, v
 
 
@@ -736,14 +693,8 @@ class CircleOracleLoop(Loop):
             raise UnsupportedRadical("oracle circle loop needs a finite field")
         self.alg = alg
         self.carrier = carrier
-        self.order = alg.field.p ** carrier.dim
-        self.name = name
-        self.names = None
-        self.table = None
-        self._props = {}
-        self._ncl_cache = {}
-        self._normal_lattice = None
-        self._basis = carrier.basis_matrix()
+        self._init_common(alg.field.p ** carrier.dim, name)
+        self._basis = alg.field.operand(carrier.basis_matrix())
         self._pivot_cols = np.asarray(carrier.pivot_cols, dtype=np.int64)
 
     def _decode(self, i: int) -> np.ndarray:
@@ -753,7 +704,7 @@ class CircleOracleLoop(Loop):
         for k in range(self.carrier.dim - 1, -1, -1):
             i, r = divmod(i, p)
             coeffs[k] = r
-        return self.alg.field.canon(coeffs @ self._basis)
+        return self.alg.field.canon(self.alg.field.matmul(coeffs, self._basis))
 
     def _encode(self, v: np.ndarray) -> int:
         out = 0
@@ -858,11 +809,11 @@ def circle_iso_check(alg: Algebra, carrier: Subspace, samples: int = 10**5,
         mode, pairs, used_seed = "exhaustive", k * k, None
     else:
         rng = np.random.default_rng(seed)
-        basis = carrier.basis_matrix()
+        basis = alg.field.operand(carrier.basis_matrix())
         ca = rng.integers(0, alg.field.p, size=(samples, carrier.dim), dtype=np.int64)
         cb = rng.integers(0, alg.field.p, size=(samples, carrier.dim), dtype=np.int64)
-        a = alg.field.canon(ca @ basis)
-        b = alg.field.canon(cb @ basis)
+        a = alg.field.canon(alg.field.matmul(ca, basis))
+        b = alg.field.canon(alg.field.matmul(cb, basis))
         mode, pairs, used_seed = "sampled", samples, seed
     ab = alg.mul_pairwise(a, b)
     circ = alg.field.canon(a + b - ab)

@@ -111,7 +111,7 @@ def cmd_radical(args) -> int:
     field = field_from_spec(args.field)
     bundle = algebras.alternative_loop_algebra(field, loop)
     result = radicals.in_class_s(loop, field, bundle=bundle)
-    srad = radicals.loop_radical(loop, field)
+    srad = radicals.loop_radical(loop, field, bundle=bundle)
     doc = {
         "loop": loop.name,
         "field": field.spec,

@@ -21,6 +21,10 @@ class LatinSquareViolation(LoopforgeError):
         super().__init__(f"{axis} {index} repeats value {value}")
 
 
+class MalformedCayley(LoopforgeError):
+    """A Cayley document lacks the shape {"order", "elements": [...], "table": [[...]]}."""
+
+
 class NoIdentityAtZero(LoopforgeError):
     """The table has no two-sided identity at index 0."""
 

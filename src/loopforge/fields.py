@@ -2,9 +2,9 @@
 
 Scalars are plain Python values in canonical form: residues 0..p-1 (ints)
 for GF(p), reduced ``fractions.Fraction`` for the rationals.  Each field
-object also provides an array layer (``vector``/``zeros``/``canon``) used by
-the linear-algebra module; GF(p) vectors are int64 numpy arrays, rational
-vectors are object arrays of Fractions.
+object also provides an array layer (``vector``/``zeros``/``canon``, and
+``matmul``, the one dense product kernel); GF(p) vectors are int64 numpy
+arrays, rational vectors are object arrays of Fractions.
 """
 from __future__ import annotations
 
@@ -13,6 +13,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EnumerationUnsupported
+
+# Largest modulus accepted.  Below it every kernel is exact: field.matmul
+# blocks its float64 sums (see PrimeField.matmul), and a loop algebra's int64
+# gather adds at most LOOP_ALGEBRA_DIM_BOUND products, n*(p-1)^2 < 2^51.
+MAX_PRIME = 2**20
 
 
 def is_prime(n: int) -> bool:
@@ -33,18 +38,19 @@ def is_prime(n: int) -> bool:
 class PrimeField:
     """GF(p) for a prime p, residues stored as machine integers."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "_block")
 
     dtype = np.int64
     finite = True
 
     def __init__(self, p: int):
         p = int(p)
-        if p < 2 or p > 2**31:
-            raise ValueError(f"prime field modulus out of range: {p}")
+        if p < 2 or p > MAX_PRIME:
+            raise ValueError(f"prime field modulus out of range 2..{MAX_PRIME}: {p}")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
+        self._block = (2**53 - 1) // (p - 1) ** 2   # see matmul
 
     # -- scalar layer ------------------------------------------------
     @property
@@ -99,6 +105,31 @@ class PrimeField:
 
     def canon(self, arr: np.ndarray) -> np.ndarray:
         return arr % self.p
+
+    def operand(self, arr: np.ndarray) -> np.ndarray:
+        """``arr`` in the form ``matmul`` consumes; convert a reused operand once."""
+        return np.asarray(arr, dtype=np.float64)
+
+    def matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """x @ y for matrices with entries of absolute value below p.
+
+        Returns int64 entries congruent mod p to the exact product and below
+        2^53 in absolute value; the caller reduces once with ``canon``.
+        float64 BLAS is exact while every partial sum stays below 2^53, so
+        the contraction runs in blocks of K terms with K*(p-1)^2 < 2^53, each
+        block reduced mod p before the blocks are added (the delayed
+        reduction of FFLAS-FFPACK: Dumas, Giorgi & Pernet, ACM TOMS 35(3),
+        2008).
+        """
+        x = self.operand(x)
+        y = self.operand(y)
+        k, n = x.shape[-1], self._block
+        if k <= n:
+            return np.matmul(x, y).astype(np.int64)
+        out = np.matmul(x[..., :n], y[..., :n, :]).astype(np.int64) % self.p
+        for s in range(n, k, n):
+            out += np.matmul(x[..., s:s + n], y[..., s:s + n, :]).astype(np.int64) % self.p
+        return out
 
     @property
     def spec(self) -> str:
@@ -165,6 +196,12 @@ class RationalField:
 
     def canon(self, arr: np.ndarray) -> np.ndarray:
         return arr
+
+    def operand(self, arr: np.ndarray) -> np.ndarray:
+        return arr
+
+    def matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.matmul(x, y)
 
     @property
     def spec(self) -> str:

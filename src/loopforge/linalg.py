@@ -75,28 +75,12 @@ class Subspace:
             raise DimensionMismatch(f"expected width {self.ambient_dim}, got {m.shape[1]}")
         if not self._pivots:
             return m
-        p = getattr(self.field, "p", 0)
-        if p > 1 << 20:
-            # giant modulus: per-pivot reduction to keep the arithmetic exact
-            for col, row in zip(self._pivots, self._rows):
-                c = m[:, col]
-                if c.any():
-                    m = self.field.canon(m - c[:, None] * row[None, :])
-            return m
         # one matmul reduces against the whole echelon basis: every basis row
         # is zero at the other pivot columns, so the pivot-column coefficients
         # act independently
-        cols = np.asarray(self._pivots, dtype=np.int64)
-        coeff = m[:, cols]
+        coeff = m[:, self._pivots]
         if coeff.any():
-            basis = self.basis_matrix()
-            if p:
-                # canonical entries are < p, so every product and the row sums
-                # stay far below 2^53: the BLAS float path is exact
-                prod = np.dot(coeff.astype(np.float64), basis.astype(np.float64))
-                m = self.field.canon(m - prod.astype(np.int64))
-            else:
-                m = self.field.canon(m - np.dot(coeff, basis))
+            m = self.field.canon(m - self.field.matmul(coeff, self.basis_matrix()))
         return m
 
     def contains(self, v: np.ndarray) -> bool:

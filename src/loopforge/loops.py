@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     LatinSquareViolation,
+    MalformedCayley,
     NoIdentityAtZero,
     NotCommutativeMoufang,
     NotNormal,
@@ -65,13 +66,17 @@ class Loop:
             raise ValueError("names/table size mismatch")
         if not _validated:
             validate_table(table)
-        self.names = tuple(str(x) for x in names)
-        self.table = table
-        self.order = table.shape[0]
-        self.name = name
+        self._init_common(table.shape[0], name, tuple(str(x) for x in names), table)
         self._ld: Optional[np.ndarray] = None
         self._rd: Optional[np.ndarray] = None
         self._inv: Optional[np.ndarray] = None
+
+    def _init_common(self, order: int, name: str, names=None, table=None) -> None:
+        """Attributes and empty caches of every loop; loops without a table call only this."""
+        self.order = order
+        self.name = name
+        self.names = names
+        self.table = table
         self._props: dict = {}
         self._ncl_cache: dict = {}
         self._normal_lattice = None
@@ -149,13 +154,7 @@ class ProductLoop(Loop):
     def __init__(self, left: Loop, right: Loop, name: Optional[str] = None):
         self.left = left
         self.right = right
-        self.order = left.order * right.order
-        self.name = name or f"product({left.name},{right.name})"
-        self.names = None
-        self.table = None
-        self._props = {}
-        self._ncl_cache = {}
-        self._normal_lattice = None
+        self._init_common(left.order * right.order, name or f"product({left.name},{right.name})")
 
     def _split(self, i):
         return i // self.right.order, i % self.right.order
@@ -222,6 +221,15 @@ def loop_to_cayley(loop: Loop) -> dict:
 
 
 def loop_from_cayley(doc: dict, name: str = "loop") -> Loop:
+    """Loop from a Cayley JSON document ``{"order", "elements", "table"}``."""
+    if not isinstance(doc, dict):
+        raise MalformedCayley(f"expected a JSON object, got {type(doc).__name__}")
+    for key in ("elements", "table"):
+        if not isinstance(doc.get(key), list):
+            raise MalformedCayley(f"{key!r} must be a list")
+    if "order" in doc and doc["order"] != len(doc["table"]):
+        raise MalformedCayley(f"order {doc['order']} disagrees with a table of "
+                              f"{len(doc['table'])} rows")
     return loop_from_table(doc["elements"], doc["table"], name=name)
 
 

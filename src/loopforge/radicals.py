@@ -166,17 +166,19 @@ def in_class_s(loop: Loop, field, bundle: Optional[AlternativeLoopAlgebra] = Non
                         collision=bundle.collision)
 
 
-def loop_radical(loop: Loop, field, bound: int = RADICAL_ORDER_BOUND) -> SubloopSet:
+def loop_radical(loop: Loop, field, bundle: Optional[AlternativeLoopAlgebra] = None,
+                 bound: int = RADICAL_ORDER_BOUND) -> SubloopSet:
     """The largest normal subloop in the radical class.
 
     Computed as the group-type radical, confirmed on the algebra side for the
     radical subloop itself, and verified idempotent: the radical of the
-    quotient by the radical is trivial.
+    quotient by the radical is trivial.  ``bundle`` (the loop's alternative
+    loop algebra) is reused when the radical is the whole loop.
     """
     _require_moufang(loop)
     gr = group_type_radical(loop, bound)
-    sub = loop if gr.is_full() else gr.as_loop()
-    confirmation = in_class_s(sub, field, bound=bound)
+    sub, sub_bundle = (loop, bundle) if gr.is_full() else (gr.as_loop(), None)
+    confirmation = in_class_s(sub, field, bundle=sub_bundle, bound=bound)
     if not confirmation.value:
         raise CrossCheckMismatch(f"radical subloop of {loop.name} is not in the radical class")
     if not gr.is_full() and not gr.is_trivial():
@@ -368,7 +370,7 @@ def wedderburn_report(loop: Loop, field, bundle: Optional[AlternativeLoopAlgebra
     _require_moufang(loop)
     if bundle is None:
         bundle = alternative_loop_algebra(field, loop)
-    srad = loop_radical(loop, field, bound)
+    srad = loop_radical(loop, field, bundle=bundle, bound=bound)
     quot_alg = bundle.algebra
     ideal = augmentation_ideal(quot_alg, srad)
     qdim = quot_alg.dim - ideal.dim

@@ -1,3 +1,4 @@
+import functools
 from itertools import product
 
 import numpy as np
@@ -120,6 +121,82 @@ def test_mul_rows_matches_mul():
     pair = alg.mul_pairwise(a[:3], b[:3])
     for i in range(3):
         assert np.array_equal(pair[i], alg.mul(a[i], b[i]))
+
+
+# -- exactness at the modulus cap ----------------------------------------------
+
+P_CAP = 1048573   # largest prime <= 2^20, the PrimeField cap
+GF_CAP = lf.PrimeField(P_CAP)
+
+
+def cap_rows(n):
+    entry = st.integers(0, P_CAP - 1) | st.just(P_CAP - 1)
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=3, max_size=3)
+
+
+def assert_products(alg, a, b, expected):
+    """mul_rows and mul_pairwise of alg against expected(u, v) on every pair."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    rows = alg.mul_rows(a, b).reshape(len(a), len(b), alg.dim)
+    pair = alg.mul_pairwise(a, b)
+    for i in range(len(a)):
+        assert pair[i].tolist() == list(expected(a[i], b[i]))
+        for j in range(len(b)):
+            assert rows[i, j].tolist() == list(expected(a[i], b[j]))
+
+
+def tensor_oracle(c):
+    """Python-int product from structure constants c[i][j][k]."""
+    c = c.tolist()
+    n = len(c)
+
+    def oracle(u, v):
+        u, v = u.tolist(), v.tolist()
+        return [sum(u[i] * v[j] * c[i][j][k] for i in range(n) for j in range(n)) % P_CAP
+                for k in range(n)]
+    return oracle
+
+
+@given(cap_rows(16), cap_rows(16))
+@settings(max_examples=25, deadline=None)
+def test_loop_algebra_exact_at_cap(a, b):
+    alg = lf.loop_algebra(GF_CAP, lf.cyclic(16))
+    t = alg.loop.table.tolist()
+
+    def oracle(u, v):
+        out = [0] * 16
+        for i, x in enumerate(u.tolist()):
+            for j, y in enumerate(v.tolist()):
+                out[t[i][j]] += x * y
+        return [o % P_CAP for o in out]
+    assert_products(alg, a, b, oracle)
+
+
+@given(cap_rows(8), cap_rows(8))
+@settings(max_examples=25, deadline=None)
+def test_zorn_algebra_exact_at_cap(a, b):
+    z = lf.zorn_algebra(GF_CAP)
+    assert_products(z, a, b, tensor_oracle(z.c))
+
+
+@functools.cache
+def chein12_at_cap():
+    return lf.alternative_loop_algebra(GF_CAP, lf.chein12())
+
+
+@given(cap_rows(4), cap_rows(4))
+@settings(max_examples=25, deadline=None)
+def test_quotient_algebra_exact_at_cap(a, b):
+    bundle = chein12_at_cap()
+    quot, fq = bundle.algebra, bundle.fq
+    assert quot.dim == 4
+
+    # the lift-multiply-project path through FQ is the reference
+    def oracle(u, v):
+        return quot.project_rows(fq.mul_rows(quot.lift_rows(u), quot.lift_rows(v)))[0].tolist()
+    assert_products(quot, a, b, oracle)
+    assert_products(quot, a, b, tensor_oracle(quot.c))
 
 
 # -- alternator ideal -----------------------------------------------------------

@@ -114,6 +114,14 @@ def test_usage_errors(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"order": 2, "elements": ["a","b"], "table": [[1,0],[0,1]]}')
     assert main(["check", "--loop", str(bad), "--property", "moufang"]) == 2
+    assert main(["embed", "--loop", "cml81", "--field", "gf:2147483647"]) == 2
+    c2 = {"order": 2, "elements": ["e", "a"], "table": [[0, 1], [1, 0]]}
+    for name, doc in (("no_elements", {"order": 2, "table": c2["table"]}),
+                      ("top_level_list", c2["table"]),
+                      ("wrong_order", dict(c2, order=3))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", "--loop", str(path), "--property", "moufang"]) == 2
 
 
 def test_byte_stable_reports(capsys):

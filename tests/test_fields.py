@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -25,9 +26,21 @@ def test_rational_halves():
 
 
 def test_nonprime_rejected():
-    for bad in (1, 4, 9, 15, 2**31 + 1):
+    # 1048583 and 2^31 - 1 are primes above the 2^20 cap
+    for bad in (1, 4, 9, 15, 2**31 + 1, 1048583, 2**31 - 1):
         with pytest.raises(ValueError):
             lf.PrimeField(bad)
+
+
+def test_matmul_exact_across_blocks():
+    # largest prime under the cap; 20000 terms span three float64 blocks
+    f = lf.PrimeField(1048573)
+    rng = np.random.default_rng(5)
+    x = rng.integers(f.p - 3, f.p, size=(2, 20000), dtype=np.int64)
+    y = rng.integers(f.p - 3, f.p, size=(20000, 3), dtype=np.int64)
+    got = f.canon(f.matmul(x, y))
+    xs, ys = x.tolist(), y.T.tolist()
+    assert got.tolist() == [[sum(a * b for a, b in zip(r, c)) % f.p for c in ys] for r in xs]
 
 
 def test_inverse_of_zero():

@@ -60,6 +60,26 @@ def test_rref_matches_naive_oracle(data):
     assert [r.tolist() for r in s.rows] == expected
 
 
+P_CAP = 1048573   # largest prime <= 2^20, the PrimeField cap
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_reduce_rows_exact_at_cap(data):
+    f = lf.PrimeField(P_CAP)
+    n = data.draw(st.integers(1, 12))
+    entry = st.integers(0, P_CAP - 1) | st.just(P_CAP - 1)
+    rows = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=6)
+    s = span_rows(f, n, np.asarray(data.draw(rows), dtype=np.int64))
+    m = data.draw(rows)
+    got = s.reduce_rows(np.asarray(m, dtype=np.int64))
+    # Python-int oracle: subtract each pivot coefficient times its basis row
+    basis = [r.tolist() for r in s.rows]
+    expected = [[(v[k] - sum(v[c] * b[k] for c, b in zip(s.pivot_cols, basis))) % P_CAP
+                 for k in range(n)] for v in m]
+    assert got.tolist() == expected
+
+
 def test_insert_examples():
     f = lf.QQ
     s = Subspace(f, 2)

@@ -1,6 +1,7 @@
 import numpy as np
 
 import loopforge as lf
+from loopforge import radicals
 from loopforge.radicals import embedding_promised, in_class_s
 
 
@@ -179,6 +180,19 @@ def test_wedderburn_cml81(cml81, cml81_gf3):
     assert rep.quotient_dim == 1 and rep.quotient_is_field
     assert rep.radical_ideal_dim == cml81_gf3.omega.dim
     assert rep.dim_cross_check
+
+
+def test_wedderburn_reuses_bundle(cml81, cml81_gf3, monkeypatch):
+    built = []
+    real = radicals.alternative_loop_algebra
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(radicals, "alternative_loop_algebra", counting)
+    rep = lf.wedderburn_report(cml81, GF3, bundle=cml81_gf3)
+    assert rep.radical_subloop.is_full()
+    assert built == []
 
 
 def test_wedderburn_s3():
