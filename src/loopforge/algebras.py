@@ -209,96 +209,88 @@ def loop_algebra(field, loop: Loop) -> LoopAlgebra:
 
 # -- alternator ideal and the alternative quotient --------------------------
 
-def _alternator_seed_stream(alg: LoopAlgebra, include_diagonal: bool, pair_block: int = 64):
-    """Deterministic generator stream for the alternator ideal.
+# each alternator family is a sum of associators (x, y, z) of basis elements,
+# written as positions in the triple (a, b, c); families 2 and 3 are spanned
+# by 0 and 1 except in characteristic 2
+_ALTERNATOR_FORMS = (
+    ((0, 1, 2), (1, 0, 2)),     # (a,b,c) + (b,a,c)
+    ((0, 1, 2), (0, 2, 1)),     # (a,b,c) + (a,c,b)
+    ((0, 0, 2),),               # (a,a,c)
+    ((2, 0, 0),),               # (c,a,a)
+)
+ALTERNATOR_SEED_PAIRS = 4
+_SCAN_ENTRIES = 2**18
 
-    Yields row-matrix blocks of the linearised alternators
-    (a,b,c)+(b,a,c) over a <= b (rows indexed by c) and (a,b,c)+(a,c,b) over
-    b <= c (rows indexed by a), plus the diagonal alternators (a,a,c) and
-    (c,a,a) that make the quotient alternative in characteristic 2 (they are
-    spanned by the linearised ones otherwise).  Each yielded block covers
-    pair_block symmetric pairs with the inner index fully vectorised.
+
+def _alternators(t, img, fam: int, a, b, c) -> np.ndarray:
+    """Alternators of family ``fam`` on loop triples (a, b, c), one row each.
+
+    Row x of ``img`` is the image of the basis element e_x, so the identity
+    gives alternators in FQ and a quotient's ``basis_images`` gives them in
+    that quotient: products of loop elements are table lookups and the
+    projection is a homomorphism.  Index arrays broadcast; rows are not
+    reduced.
     """
-    t = alg.loop.table
-    n = alg.dim
-
-    def take(rows_of, along):
-        return np.take_along_axis(rows_of, along, axis=1)
-
-    pairs_upper = [(a, b) for a in range(n) for b in range(a, n)]
-    for s in range(0, len(pairs_upper), pair_block):
-        chunk = pairs_upper[s:s + pair_block]
-        a = np.asarray([x for x, _ in chunk], dtype=np.int64)
-        b = np.asarray([y for _, y in chunk], dtype=np.int64)
-        # rows over c: (a,b,c)+(b,a,c)
-        pos = (t[t[a, b]],                 # (ab)c
-               take(t[a], t[b]),           # a(bc)
-               t[t[b, a]],                 # (ba)c
-               take(t[b], t[a]))           # b(ac)
-        yield _scatter_block(n, pos, (1, -1, 1, -1))
-    for s in range(0, len(pairs_upper), pair_block):
-        chunk = pairs_upper[s:s + pair_block]
-        b = np.asarray([x for x, _ in chunk], dtype=np.int64)
-        c = np.asarray([y for _, y in chunk], dtype=np.int64)
-        # rows over a: (a,b,c)+(a,c,b)
-        pos = (t[t[:, b].T, c[:, None]],   # (ab)c
-               t[:, t[b, c]].T,            # a(bc)
-               t[t[:, c].T, b[:, None]],   # (ac)b
-               t[:, t[c, b]].T)            # a(cb)
-        yield _scatter_block(n, pos, (1, -1, 1, -1))
-    if include_diagonal:
-        idx = np.arange(n, dtype=np.int64)
-        for s in range(0, n, pair_block):
-            a = idx[s:s + pair_block]
-            pos = (t[t[a, a]], take(t[a], t[a]))            # (a,a,c) over c
-            yield _scatter_block(n, pos, (1, -1))
-        for s in range(0, n, pair_block):
-            a = idx[s:s + pair_block]
-            pos = (t[t[:, a].T, a[:, None]],                # (ca)a over c
-                   t[:, t[a, a]].T)                         # c(aa)
-            yield _scatter_block(n, pos, (1, -1))
+    abc = (a, b, c)
+    out = 0
+    for i, j, k in _ALTERNATOR_FORMS[fam]:
+        x, y, z = abc[i], abc[j], abc[k]
+        out = out + img[t[t[x, y], z]] - img[t[x, t[y, z]]]
+    return out
 
 
-def _scatter_block(n: int, positions, signs) -> np.ndarray:
-    """Signed basis hits, one generator row per (pair, inner index) slot."""
-    k, width = positions[0].shape
-    rows = k * width
-    base = np.arange(rows, dtype=np.int64) * n
-    total = np.zeros(rows * n, dtype=np.int64)
-    for pos, sign in zip(positions, signs):
-        counts = np.bincount(base + pos.ravel(), minlength=rows * n)
-        total = total + sign * counts
-    return total.reshape(rows, n)
+def _alternator_failures(t, img, elems, field):
+    """Yield (fam, a, b, c) position arrays of the nonzero basis alternators.
 
-
-def _accumulated(stream, rows_target: int):
-    buf, count = [], 0
-    for block in stream:
-        buf.append(block)
-        count += block.shape[0]
-        if count >= rows_target:
-            yield np.vstack(buf)
-            buf, count = [], 0
-    if buf:
-        yield np.vstack(buf)
-
-
-def alternator_ideal(alg: LoopAlgebra, include_diagonal: bool = True) -> Subspace:
-    """Ideal of FQ generated by the (linearised + diagonal) alternators.
-
-    By trilinearity of the associator the basis triples span all alternator
-    values, so closing their span under left/right multiplication by basis
-    elements yields the full ideal.  Zero output (associative loop) is valid.
+    Scans every family on every triple of ``elems`` (positions index it) in
+    blocks of pairs (a, b) over all c.  A block holds at most 2^18 entries
+    counted at the loop algebra's width n >= d, so a block of failures
+    lifted into FQ is no larger than the block scanned.
     """
-    if alg.field.dtype == object:
-        stream = (alg.field.canon(b.astype(object))
-                  for b in _alternator_seed_stream(alg, include_diagonal))
-    else:
-        stream = (alg.field.canon(b) for b in _alternator_seed_stream(alg, include_diagonal))
-    return linalg.ideal_closure(
-        _accumulated(stream, rows_target=2048),
-        alg.left_actions(), alg.right_actions(),
-        field=alg.field, ambient_dim=alg.dim)
+    m = len(elems)
+    step = max(1, _SCAN_ENTRIES // (m * t.shape[0]))
+    first, second = np.divmod(np.arange(m * m), m)
+    diag = np.arange(m)
+    c = diag[None, :]
+    for fam in range(len(_ALTERNATOR_FORMS)):
+        pa, pb = (first, second) if fam < 2 else (diag, diag)
+        for s in range(0, len(pa), step):
+            a, b = pa[s:s + step, None], pb[s:s + step, None]
+            vals = field.canon(_alternators(t, img, fam, elems[a], elems[b], elems[c]))
+            rows, cols = np.nonzero((vals != 0).any(axis=-1))
+            if rows.size:
+                yield fam, a[rows, 0], b[rows, 0], c[0, cols]
+
+
+def alternator_ideal(alg: LoopAlgebra) -> Subspace:
+    """The alternator ideal I(Q): the least ideal of FQ with alternative quotient.
+
+    Seeds the linearised alternators (a,b,c)+(b,a,c) and (a,b,c)+(a,c,b)
+    of a few seeded pairs (a, b) over every c, closes under the 2n
+    translations, then checks every alternator family on the quotient
+    basis.  Failures lift to alternators of FQ and the closure is rerun with
+    them until the quotient is alternative or the unit lies in the ideal.  Only alternators are added, so the result lies in
+    I(Q); the final check makes FQ/I alternative, so it contains I(Q).
+    Zero output (associative loop) is valid.
+    """
+    f, t, n = alg.field, alg.loop.table, alg.dim
+    eye = _eye(f, n)
+    pairs = np.random.default_rng(DEFAULT_SEED).integers(0, n, size=(ALTERNATOR_SEED_PAIRS, 2))
+    seeds = [f.canon(_alternators(t, eye, fam, a, b, np.arange(n)))
+             for a, b in pairs for fam in (0, 1)]
+    left, right = alg.left_actions(), alg.right_actions()
+    while True:
+        ideal = linalg.ideal_closure(seeds, left, right, field=f, ambient_dim=n)
+        if ideal.contains(alg.unit):
+            return ideal
+        quot = QuotientAlgebra(alg, ideal, verify=False)
+        cols = quot.section_cols
+        lifts = (f.canon(_alternators(t, eye, fam, cols[a], cols[b], cols[c]))
+                 for fam, a, b, c in _alternator_failures(t, quot.basis_images, cols, f))
+        head = next(lifts, None)
+        if head is None:
+            return ideal
+        seeds = itertools.chain([ideal.basis_matrix(), head], lifts)
 
 
 class QuotientAlgebra(TensorAlgebra):
@@ -379,7 +371,6 @@ class AlternativeLoopAlgebra:
     canonical_injective: bool
     collision: Optional[tuple]    # (q, q') with equal images, if any
     omega: Subspace               # augmentation ideal inside the quotient
-    diagonal_alternators: bool = True
 
     @property
     def dim(self) -> int:
@@ -394,11 +385,10 @@ class AlternativeLoopAlgebra:
         return self.algebra.dim - self.omega.dim
 
 
-def alternative_loop_algebra(field, loop: Loop,
-                             include_diagonal: bool = True) -> AlternativeLoopAlgebra:
+def alternative_loop_algebra(field, loop: Loop) -> AlternativeLoopAlgebra:
     """Build F[Q] = FQ / I(Q), its augmentation ideal, and injectivity data."""
     fq = loop_algebra(field, loop)
-    ideal = alternator_ideal(fq, include_diagonal=include_diagonal)
+    ideal = alternator_ideal(fq)
     if ideal.contains(fq.unit):
         raise AlternatorIdealFull(
             f"alternator ideal of {loop.name} over {field!r} contains the unit")
@@ -408,7 +398,7 @@ def alternative_loop_algebra(field, loop: Loop,
     return AlternativeLoopAlgebra(
         loop=loop, field=field, fq=fq, alternator=ideal, algebra=quot,
         images=quot.basis_images, canonical_injective=collision is None,
-        collision=collision, omega=omega, diagonal_alternators=include_diagonal)
+        collision=collision, omega=omega)
 
 
 def _first_duplicate_rows(m: np.ndarray) -> Optional[tuple]:
@@ -430,8 +420,10 @@ def alternative_check(alg: Algebra, mode: str = "auto", samples: int = 10**4,
     Exhaustive mode verifies the linearised alternators on basis triples and
     the diagonal ones on basis pairs, which implies the laws for arbitrary
     elements by bilinear expansion in every characteristic.  Loop algebras
-    use their alternator generator stream; dense tensors are checked directly
-    up to a size bound; everything else is sampled on random vectors.
+    and their quotients scan the alternator families through the Cayley
+    table (the witness is the first associator of the failing form, in
+    basis indices); other dense tensors are checked directly, up to a size
+    bound in auto mode; everything else is sampled on random vectors.
     """
     if mode == "auto":
         if isinstance(alg, LoopAlgebra) and alg.dim ** 3 <= 10**7:
@@ -441,17 +433,19 @@ def alternative_check(alg: Algebra, mode: str = "auto", samples: int = 10**4,
         else:
             mode = "sampled"
     if mode == "exhaustive":
-        if isinstance(alg, LoopAlgebra):
-            offset = 0
-            for block in _alternator_seed_stream(alg, include_diagonal=True):
-                block = alg.field.canon(block)
-                bad = np.flatnonzero(block.any(axis=1))
-                if bad.size:
-                    return CheckOutcome(ok=False, mode="exhaustive",
-                                        witness=("generator", offset + int(bad[0])))
-                offset += block.shape[0]
-            return CheckOutcome(ok=True, mode="exhaustive")
-        if isinstance(alg, TensorAlgebra) and not isinstance(alg, QuotientAlgebra):
+        if getattr(alg, "loop", None) is not None:
+            if isinstance(alg, LoopAlgebra):
+                img, elems = _eye(alg.field, alg.dim), np.arange(alg.dim)
+            else:
+                img, elems = alg.basis_images, alg.section_cols
+            failure = next(_alternator_failures(alg.loop.table, img, elems, alg.field), None)
+            if failure is None:
+                return CheckOutcome(ok=True, mode="exhaustive")
+            fam, a, b, c = failure
+            abc = (a[0], b[0], c[0])
+            return CheckOutcome(ok=False, mode="exhaustive",
+                                witness=tuple(int(abc[i]) for i in _ALTERNATOR_FORMS[fam][0]))
+        if isinstance(alg, TensorAlgebra):
             basis = _eye(alg.field, alg.dim)
             for a in range(alg.dim):
                 ea = basis[a]

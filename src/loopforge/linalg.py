@@ -3,9 +3,8 @@
 Subspace bases are kept in reduced row echelon form at all times, which makes
 the basis of a given span canonical: membership tests, equality and golden
 outputs do not depend on insertion order or batch boundaries.  The insert path
-accepts whole matrices of candidate rows so that multi-million generator
-streams (alternator ideals of order-120 loops) stay inside vectorised numpy
-sweeps.
+accepts whole matrices of candidate rows, so seed blocks and the images of a
+whole basis under an action are reduced in vectorised numpy sweeps.
 """
 from __future__ import annotations
 
@@ -30,13 +29,6 @@ class Subspace:
         self.ambient_dim = int(ambient_dim)
         self._rows: list[np.ndarray] = []
         self._pivots: list[int] = []
-
-    @classmethod
-    def spanned_by(cls, field, ambient_dim: int, rows) -> "Subspace":
-        s = cls(field, ambient_dim)
-        for r in rows:
-            s._insert(field.vector(r))
-        return s
 
     # -- read API -----------------------------------------------------
     @property

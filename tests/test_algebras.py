@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loopforge as lf
+from loopforge import algebras
 from loopforge.algebras import (
     associative_check_sampled,
     enumerate_carrier,
@@ -21,16 +23,20 @@ from loopforge.errors import (
 from loopforge.linalg import span_rows
 
 
-def naive_alternator_ideal_dim(loop, p):
+def assoc_vec(loop, a, b, c):
+    """The associator (e_a, e_b, e_c) in ZQ, straight from the Cayley table."""
+    t = loop.table
+    v = np.zeros(loop.order, dtype=np.int64)
+    v[t[t[a, b], c]] += 1
+    v[t[a, t[b, c]]] -= 1
+    return v
+
+
+def naive_alternator_ideal(loop, p):
     """Independent: dense elimination over GF(p), no symmetry shortcuts."""
     n, t = loop.order, loop.table
 
-    def assoc(a, b, c):
-        v = np.zeros(n, dtype=np.int64)
-        v[t[t[a, b], c]] += 1
-        v[t[a, t[b, c]]] -= 1
-        return v
-
+    assoc = functools.partial(assoc_vec, loop)
     basis = []
 
     def add(v):
@@ -64,7 +70,7 @@ def naive_alternator_ideal_dim(loop, p):
                     changed = True
                 if add(right):
                     changed = True
-    return len(basis)
+    return span_rows(lf.PrimeField(p), n, np.asarray(basis, dtype=np.int64).reshape(-1, n))
 
 
 # -- loop algebras ------------------------------------------------------------
@@ -203,8 +209,51 @@ def test_quotient_algebra_exact_at_cap(a, b):
 
 def test_alternator_ideal_matches_naive_oracle(chein12):
     for p in (2, 3, 7):
-        fast = lf.alternator_ideal(lf.loop_algebra(lf.PrimeField(p), chein12)).dim
-        assert fast == naive_alternator_ideal_dim(chein12, p)
+        fast = lf.alternator_ideal(lf.loop_algebra(lf.PrimeField(p), chein12))
+        assert fast == naive_alternator_ideal(chein12, p)
+
+
+def test_alternator_ideal_from_lifts_only(monkeypatch, chein12, cml81):
+    # with no seed pairs every generator comes from lifting quotient failures
+    cases = [(chein12, lf.PrimeField(3)), (chein12, lf.PrimeField(7)),
+             (chein12, lf.QQ), (cml81, lf.PrimeField(3))]
+    seeded = [lf.alternator_ideal(lf.loop_algebra(f, loop)) for loop, f in cases]
+    assert all(ideal.dim for ideal in seeded)
+    monkeypatch.setattr(algebras, "ALTERNATOR_SEED_PAIRS", 0)
+    for (loop, f), want in zip(cases, seeded):
+        alg = lf.loop_algebra(f, loop)
+        tracemalloc.start()
+        try:
+            got = lf.alternator_ideal(alg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+    assert peak < 100 * 2**20      # the cml81 run: lifted failures are streamed
+
+
+def test_alternator_scan_matches_table():
+    # an order-5 loop that is not left alternative: (11)2 = 2 but 1(12) = 4,
+    # so the diagonal families fail too (in characteristic 2 they are the
+    # only witnesses of (a,a,c) != 0)
+    loop = lf.Loop("01234", [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                             [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+    n = loop.order
+    for p in (2, 3):
+        f = lf.PrimeField(p)
+        eye, elems = np.eye(n, dtype=np.int64), np.arange(n)
+        failures = algebras._alternator_failures(loop.table, eye, elems, f)
+        scanned = {(fam, int(a), int(b), int(c))
+                   for fam, *abc in failures for a, b, c in zip(*abc)}
+        forms = [lambda a, b, c: assoc_vec(loop, a, b, c) + assoc_vec(loop, b, a, c),
+                 lambda a, b, c: assoc_vec(loop, a, b, c) + assoc_vec(loop, a, c, b),
+                 lambda a, b, c: assoc_vec(loop, a, a, c),
+                 lambda a, b, c: assoc_vec(loop, c, a, a)]
+        expected = {(fam, a, b, c) for fam, form in enumerate(forms)
+                    for a, b, c in product(range(n), repeat=3)
+                    if (fam < 2 or a == b) and (form(a, b, c) % p).any()}
+        assert {fam for fam, *_ in expected} == {0, 1, 2, 3}
+        assert scanned == expected
 
 
 def test_alternator_ideal_zero_for_groups(s3):
@@ -216,15 +265,25 @@ def test_alternator_ideal_cml81_proper(cml81_gf3):
     assert not cml81_gf3.alternator.contains(cml81_gf3.fq.unit)
 
 
-def test_quotient_is_alternative_sampled(cml81_gf3):
-    report = lf.alternative_check(cml81_gf3.algebra, mode="sampled", samples=2000)
-    assert report.ok
+@pytest.mark.parametrize("mode", ["sampled", "exhaustive"])
+@pytest.mark.parametrize("bundle", ["cml81_gf3", "cml81_gf5", "chein12_gf7", "paige2_gf11"])
+def test_quotient_is_alternative_sampled(bundle, mode, request):
+    alg = request.getfixturevalue(bundle).algebra
+    report = lf.alternative_check(alg, mode=mode, samples=2000)
+    assert report.ok and report.mode == mode
 
 
 def test_fq_of_cml81_not_alternative(cml81):
     alg = lf.loop_algebra(lf.PrimeField(3), cml81)
     report = lf.alternative_check(alg)
     assert not report.ok and report.mode == "exhaustive"
+    # the witness is the first associator of a failing alternator form
+    x, y, z = report.witness
+    forms = [assoc_vec(cml81, x, y, z) + assoc_vec(cml81, y, x, z),
+             assoc_vec(cml81, x, y, z) + assoc_vec(cml81, x, z, y)]
+    if x == y or y == z:
+        forms.append(assoc_vec(cml81, x, y, z))
+    assert any((v % 3).any() for v in forms)
 
 
 def test_gf5_quotient_associative(cml81_gf5):
