@@ -3,11 +3,13 @@
     python scripts/cli_golden.py OUTDIR
 
 Runs ``algebra``, ``radical``, ``embed`` and ``report`` on each loop/field
-case, plus ``embed`` on paige:2 over GF(11), each in a fresh process against
-the ``src/`` tree next to this script.  ``OUTDIR/<cmd>_<loop>_<field>.json``
-holds the command's stdout followed by a line with its exit code.  Outputs
-of two trees are byte-identical when ``diff -r OUTDIR_A OUTDIR_B`` prints
-nothing.
+case, ``embed`` and ``radical`` on paige:2 over GF(11), and ``series --kind
+lower`` and ``--kind upper`` on cml81, chein12, s3 and paige:2, each in a
+fresh process against the ``src/`` tree next to this script.
+``OUTDIR/<cmd>_<loop>_<field>.json`` (``series_<kind>_<loop>.json`` for the
+series) holds the command's stdout followed by a line with its exit code.
+Outputs of two trees are byte-identical when ``diff -r OUTDIR_A OUTDIR_B``
+prints nothing.
 """
 from __future__ import annotations
 
@@ -20,8 +22,17 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 COMMANDS = ("algebra", "radical", "embed", "report")
 CASES = (("chein12", "gf:7"), ("chein12", "gf:2"), ("cml81", "gf:3"),
          ("cml81", "gf:5"), ("s3", "gf:7"), ("chein12", "q"))
-RUNS = [(cmd, loop, field) for loop, field in CASES for cmd in COMMANDS] \
-    + [("embed", "paige:2", "gf:11")]
+SERIES_LOOPS = ("cml81", "chein12", "s3", "paige:2")
+
+
+def _field_run(cmd: str, loop: str, field: str) -> tuple[str, list[str]]:
+    return f"{cmd}_{loop}_{field}", [cmd, "--loop", loop, "--field", field]
+
+
+RUNS = [_field_run(cmd, loop, field) for loop, field in CASES for cmd in COMMANDS] \
+    + [_field_run(cmd, "paige:2", "gf:11") for cmd in ("embed", "radical")] \
+    + [(f"series_{kind}_{loop}", ["series", "--loop", loop, "--kind", kind])
+       for loop in SERIES_LOOPS for kind in ("lower", "upper")]
 
 
 def main(argv: list[str]) -> int:
@@ -32,11 +43,10 @@ def main(argv: list[str]) -> int:
     out.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    for cmd, loop, field in RUNS:
-        proc = subprocess.run(
-            [sys.executable, "-m", "loopforge.cli", cmd, "--loop", loop, "--field", field],
-            env=env, capture_output=True, text=True)
-        name = f"{cmd}_{loop}_{field}".replace(":", "")
+    for name, args in RUNS:
+        proc = subprocess.run([sys.executable, "-m", "loopforge.cli", *args],
+                              env=env, capture_output=True, text=True)
+        name = name.replace(":", "")
         (out / f"{name}.json").write_text(f"{proc.stdout}{proc.returncode}\n")
         print(f"{name}: exit {proc.returncode}", file=sys.stderr)
     return 0

@@ -78,7 +78,7 @@ class Loop:
         self.names = names
         self.table = table
         self._props: dict = {}
-        self._ncl_cache: dict = {}
+        self._orbit_labels: Optional[np.ndarray] = None
         self._normal_lattice = None
 
     # -- basic operations ------------------------------------------------
@@ -490,6 +490,29 @@ class SubloopSet:
         return hash((id(self.parent), self.members))
 
 
+def _mul_closure(loop: Loop, mask: np.ndarray, fresh: Optional[np.ndarray] = None,
+                 max_order: Optional[int] = None) -> Optional[np.ndarray]:
+    """Closure of a boolean element mask under multiplication.
+
+    Each round multiplies the members added last round (at first those in
+    fresh, by default all) by every member, on both sides.  Returns None
+    once the closure exceeds max_order.
+    """
+    mask = mask.copy()
+    frontier = np.flatnonzero(mask if fresh is None else fresh)
+    while frontier.size:
+        current = np.flatnonzero(mask)
+        new = np.zeros_like(mask)
+        new[loop.mul_array(frontier[:, None], current[None, :])] = True
+        new[loop.mul_array(current[:, None], frontier[None, :])] = True
+        new &= ~mask
+        mask |= new
+        if max_order is not None and np.count_nonzero(mask) > max_order:
+            return None
+        frontier = np.flatnonzero(new)
+    return mask
+
+
 def subloop_generated(loop: Loop, gens: Iterable[int],
                       max_order: Optional[int] = None) -> Optional[SubloopSet]:
     """Closure of gens ∪ {e} under multiplication (hence under division).
@@ -498,93 +521,77 @@ def subloop_generated(loop: Loop, gens: Iterable[int],
     divisions, because translations restrict to bijections of the subset.
     Returns None if the closure exceeds max_order.
     """
-    members = {0}
-    members.update(int(g) for g in gens)
-    frontier = sorted(members)
-    while frontier:
-        new = set()
-        current = sorted(members)
-        for a in frontier:
-            for b in current:
-                p = loop.mul(a, b)
-                if p not in members:
-                    new.add(p)
-                q = loop.mul(b, a)
-                if q not in members:
-                    new.add(q)
-        members.update(new)
-        if max_order is not None and len(members) > max_order:
-            return None
-        frontier = sorted(new)
-    return SubloopSet(loop, tuple(sorted(members)))
+    mask = np.zeros(loop.order, dtype=bool)
+    mask[[0, *map(int, gens)]] = True
+    mask = _mul_closure(loop, mask, max_order=max_order)
+    return None if mask is None else SubloopSet(loop, tuple(np.flatnonzero(mask).tolist()))
 
 
 def is_subloop(loop: Loop, members: Sequence[int]) -> bool:
     mem = np.asarray(sorted(set(int(m) for m in members)), dtype=np.int64)
     if mem[0] != 0:
         return False
-    prod = loop.mul_array(mem[:, None], mem[None, :])
-    if not np.isin(prod, mem).all():
-        return False
-    if loop.has_table():
-        ld = loop.ld_table[np.ix_(mem, mem)]
-        rd = loop.rd_table[np.ix_(mem, mem)]
-        return bool(np.isin(ld, mem).all() and np.isin(rd, mem).all())
-    return True
+    # closed under multiplication implies closed under division (finite loop)
+    return bool(np.isin(loop.mul_array(mem[:, None], mem[None, :]), mem).all())
 
 
-def _inner_map_images(loop: Loop, m: int) -> np.ndarray:
-    """Images of m under the inner mappings T(x), L(x,y), R(x,y)."""
+def inner_orbit_labels(loop: Loop) -> np.ndarray:
+    """Least element of each element's orbit under the inner mapping group.
+
+    Inn(Q) is generated by T(x), L(x,y), R(x,y).  Each pass lowers every
+    label to the least label of its images, one x at a time in (n × n)
+    slices, then pointer-jumps; passes repeat until one changes nothing.
+    Labels stay in their element's orbit, and at the fixpoint
+    lab[φ(m)] >= lab[m] for each generator φ; going round φ's cycle through m
+    forces equality, so each label is its orbit's least element.  Cached.
+    """
+    if loop._orbit_labels is not None:
+        return loop._orbit_labels
+    if not loop.has_table():
+        raise OrderBoundExceeded("normal closure needs a dense table")
     t, ld, rd = loop.table, loop.ld_table, loop.rd_table
-    n = loop.order
-    ar = np.arange(n, dtype=np.int64)
-    t_imgs = ld[ar, t[m]]                       # x \ (m x)
-    xm = t[:, m]
-    l_imgs = ld[t, t[:, xm]]                    # (yx) \ (y (x m)), over [y, x]
-    h = t[t[m]]                                 # [x, y] = (m x) y
-    r_imgs = rd[h, t]                           # ((m x) y) / (x y)
-    return np.unique(np.concatenate([t_imgs.ravel(), l_imgs.ravel(), r_imgs.ravel()]))
+    lab = np.arange(loop.order, dtype=np.int64)
+    t_maps = ld[lab[:, None], t.T]                                # [x, m]: x \ (m x)
+    while True:
+        before = lab
+        lab = np.minimum(lab, lab[t_maps].min(axis=0))
+        for x in range(loop.order):
+            l_maps = ld[t[:, x, None], t[:, t[x]]]               # [y, m]: (yx) \ (y (x m))
+            lab = np.minimum(lab, lab[l_maps].min(axis=0))
+            r_maps = rd[t[t[:, x]], t[x]]                         # [m, y]: ((m x) y) / (x y)
+            lab = np.minimum(lab, lab[r_maps].min(axis=1))
+        lab = lab[lab]
+        if np.array_equal(lab, before):
+            loop._orbit_labels = lab
+            return lab
 
 
 def normal_closure(loop: Loop, gens: Iterable[int]) -> SubloopSet:
     """Smallest normal subloop containing gens.
 
-    Fixpoint over inner-mapping images plus multiplicative closure; the three
-    normality equations xN = Nx, x(yN) = (xy)N, (Nx)y = N(xy) are precisely
-    invariance under the maps T, L, R used here.
+    A subloop is normal iff it is a union of Inn(Q)-orbits: xN = Nx,
+    x(yN) = (xy)N and (Nx)y = N(xy) say that T, L and R fix it.  From
+    gens ∪ {e} the mask alternates orbit union and multiplicative closure
+    until neither adds an element: a subloop and a union of orbits, hence
+    normal, and each step stays inside any normal subloop holding gens.
     """
-    if not loop.has_table():
-        raise OrderBoundExceeded("normal closure needs a dense table")
-    key = tuple(sorted({int(g) for g in gens} - {0}))
-    cached = loop._ncl_cache.get(key)
-    if cached is not None:
-        return cached
-    t = loop.table
-    member = np.zeros(loop.order, dtype=bool)
-    member[0] = True
-    count = 1
-    queue: list[int] = []
-    for g in key:
-        if not member[g]:
-            member[g] = True
-            count += 1
-            queue.append(g)
-    # every member is enqueued exactly once and processed unless the set
-    # already fills the loop, in which case the closure is decided
-    qi = 0
-    while qi < len(queue) and count < loop.order:
-        m = queue[qi]
-        qi += 1
-        current = np.flatnonzero(member)
-        fresh = np.unique(np.concatenate([
-            t[m, current], t[current, m], _inner_map_images(loop, m)]))
-        fresh = fresh[~member[fresh]]
-        member[fresh] = True
-        count += fresh.size
-        queue.extend(int(p) for p in fresh)
-    result = SubloopSet(loop, tuple(int(i) for i in np.flatnonzero(member)))
-    loop._ncl_cache[key] = result
-    return result
+    lab = inner_orbit_labels(loop)
+    mask = np.zeros(loop.order, dtype=bool)
+    mask[[0, *map(int, gens)]] = True
+    closed = np.zeros_like(mask)
+    while True:
+        seen = np.zeros_like(mask)
+        seen[lab[mask]] = True
+        mask = seen[lab]
+        fresh = mask & ~closed
+        if not fresh.any():
+            return SubloopSet(loop, tuple(np.flatnonzero(closed).tolist()))
+        mask = closed = _mul_closure(loop, mask, fresh)
+
+
+def _element_closures(loop: Loop):
+    """Normal closures of single elements, one per nontrivial Inn(Q)-orbit."""
+    return (normal_closure(loop, [x]) for x in np.unique(inner_orbit_labels(loop))[1:])
 
 
 def verify_normal(loop: Loop, sub: SubloopSet) -> Optional[tuple]:
@@ -811,8 +818,7 @@ def is_simple(loop: Loop) -> tuple[bool, Optional[SubloopSet]]:
     """True iff every nonidentity element normally generates the whole loop."""
     if loop.order == 1:
         return False, None
-    for x in range(1, loop.order):
-        n = normal_closure(loop, [x])
+    for n in _element_closures(loop):
         if not n.is_full():
             return False, n
     return True, None
@@ -835,8 +841,7 @@ def normal_subloops(loop: Loop, bound: int = 2000) -> list[SubloopSet]:
     if loop._normal_lattice is not None:
         return loop._normal_lattice
     seen = {(0,): SubloopSet(loop, (0,))}
-    for x in range(1, loop.order):
-        n = normal_closure(loop, [x])
+    for n in _element_closures(loop):
         seen.setdefault(n.members, n)
     frontier = list(seen.values())
     while frontier:
@@ -886,20 +891,13 @@ def group_type_radical(loop: Loop, bound: int = 2000) -> SubloopSet:
     """
     if loop.order > bound:
         raise OrderBoundExceeded(f"order {loop.order} exceeds radical bound {bound}")
-    distinct: dict[tuple, SubloopSet] = {}
-    for x in range(1, loop.order):
-        n = normal_closure(loop, [x])
-        distinct.setdefault(n.members, n)
+    distinct = {n.members: n for n in _element_closures(loop)}
     good: set[int] = {0}
-    for members in sorted(distinct):
-        sub = distinct[members]
+    for members, sub in sorted(distinct.items()):
         target = loop if sub.is_full() else sub.as_loop()
         if is_group_type(target, bound):
             good.update(members)
-    if len(good) == loop.order:
-        result = SubloopSet(loop, tuple(range(loop.order)))
-    else:
-        result = normal_closure(loop, good)
+    result = normal_closure(loop, good)
     if not is_group_type(loop if result.is_full() else result.as_loop(), bound):
         raise SeriesMismatch("join of group-type closures is not group-type")
     # idempotence: the quotient must have trivial radical (tautological when

@@ -33,6 +33,18 @@ def paige2_x_c2(paige2):
     return lf.direct_product(paige2, lf.cyclic(2))
 
 
+@pytest.fixture(scope="session")
+def order5():
+    # not left alternative: (11)2 = 2 but 1(12) = 4
+    return lf.Loop("01234", [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                             [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+
+
+@pytest.fixture(scope="session")
+def order5_x_s3(order5, s3):
+    return lf.direct_product(order5, s3)
+
+
 # alternative loop algebra bundles are the expensive objects; build each once
 @pytest.fixture(scope="session")
 def cml81_gf3(cml81):

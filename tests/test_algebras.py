@@ -232,12 +232,10 @@ def test_alternator_ideal_from_lifts_only(monkeypatch, chein12, cml81):
     assert peak < 100 * 2**20      # the cml81 run: lifted failures are streamed
 
 
-def test_alternator_scan_matches_table():
-    # an order-5 loop that is not left alternative: (11)2 = 2 but 1(12) = 4,
-    # so the diagonal families fail too (in characteristic 2 they are the
-    # only witnesses of (a,a,c) != 0)
-    loop = lf.Loop("01234", [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
-                             [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+def test_alternator_scan_matches_table(order5):
+    # order5 is not left alternative, so the diagonal families fail too (in
+    # characteristic 2 they are the only witnesses of (a,a,c) != 0)
+    loop = order5
     n = loop.order
     for p in (2, 3):
         f = lf.PrimeField(p)

@@ -1,3 +1,4 @@
+import functools
 import json
 from itertools import product
 
@@ -11,6 +12,7 @@ from loopforge.errors import (
     NotCommutativeMoufang,
     NotNormal,
 )
+from loopforge.loops import inner_orbit_labels
 
 
 # -- independent naive predicates (the oracles) -----------------------------
@@ -32,8 +34,32 @@ def naive_associative(loop):
     return True
 
 
-def naive_normal_closure(loop, gens):
+@functools.cache
+def naive_inner_images(loop, m):
+    """Images of m under every T(x), L(x,y), R(x,y), through mul/ldiv/rdiv."""
     n = loop.order
+    images = set()
+    for x in range(n):
+        images.add(loop.rdiv(loop.mul(x, m), x))                          # xN = Nx
+        for y in range(n):
+            images.add(loop.ldiv(loop.mul(x, y), loop.mul(x, loop.mul(y, m))))  # x(yN)=(xy)N
+            images.add(loop.rdiv(loop.mul(loop.mul(m, x), y), loop.mul(x, y)))   # (Nx)y=N(xy)
+    return frozenset(images)
+
+
+def naive_orbit_labels(loop):
+    labels = []
+    for m in range(loop.order):
+        orbit, todo = {m}, [m]
+        while todo:
+            fresh = naive_inner_images(loop, todo.pop()) - orbit
+            orbit |= fresh
+            todo.extend(fresh)
+        labels.append(min(orbit))
+    return labels
+
+
+def naive_normal_closure(loop, gens):
     members = {0} | set(gens)
     changed = True
     while changed:
@@ -43,16 +69,19 @@ def naive_normal_closure(loop, gens):
             for b in snapshot:
                 members.add(loop.mul(a, b))
         for m in snapshot:
-            for x in range(n):
-                members.add(loop.rdiv(loop.mul(x, m), x))           # xN = Nx
-                for y in range(n):
-                    members.add(loop.ldiv(loop.mul(x, y),
-                                          loop.mul(x, loop.mul(y, m))))   # x(yN)=(xy)N
-                    members.add(loop.rdiv(loop.mul(loop.mul(m, x), y),
-                                          loop.mul(x, y)))                # (Nx)y=N(xy)
+            members |= naive_inner_images(loop, m)
         if len(members) != len(snapshot):
             changed = True
     return tuple(sorted(members))
+
+
+def naive_subloop(loop, gens):
+    members = {0} | set(gens)
+    while True:
+        grown = members | {loop.mul(a, b) for a in members for b in members}
+        if grown == members:
+            return tuple(sorted(members))
+        members = grown
 
 
 # -- validation ---------------------------------------------------------------
@@ -149,6 +178,18 @@ def test_subloop_generated(s3):
     assert lf.is_subloop(s3, sub.members)
 
 
+def test_subloop_generated_without_table(cml81):
+    big = lf.direct_product(cml81, cml81)
+    assert not big.has_table()
+    rng = np.random.default_rng(lf.DEFAULT_SEED)
+    for _ in range(4):
+        g = [int(v) for v in rng.integers(1, big.order, 2)]
+        sub = lf.subloop_generated(big, g)
+        assert sub.members == naive_subloop(big, g)
+        assert lf.subloop_generated(big, g, max_order=sub.order()) == sub
+        assert lf.subloop_generated(big, g, max_order=sub.order() - 1) is None
+
+
 def test_two_generated_subloops_associative(cml81, paige2):
     rng = np.random.default_rng(lf.DEFAULT_SEED)
     for loop in (cml81, paige2):
@@ -173,10 +214,20 @@ def test_normal_closure_s3(s3):
     assert naive_normal_closure(s3, [3]) == tuple(range(6))
 
 
-def test_normal_closure_matches_naive_on_chein12(chein12):
-    for x in range(1, 12):
-        fast = lf.normal_closure(chein12, [x]).members
-        assert fast == naive_normal_closure(chein12, [x])
+@pytest.mark.parametrize("name", ["s3", "cml81", "order5_x_s3"])
+def test_inner_orbit_labels_match_brute_force(name, request):
+    loop = request.getfixturevalue(name)
+    assert inner_orbit_labels(loop).tolist() == naive_orbit_labels(loop)
+
+
+@pytest.mark.parametrize("name", ["chein12", "cml81", "order5_x_s3"])
+def test_normal_closure_matches_naive(name, request):
+    loop = request.getfixturevalue(name)
+    rng = np.random.default_rng(lf.DEFAULT_SEED)
+    gen_sets = [[x] for x in range(1, loop.order)] + \
+        [[int(v) for v in rng.integers(1, loop.order, 2)] for _ in range(10)]
+    for gens in gen_sets:
+        assert lf.normal_closure(loop, gens).members == naive_normal_closure(loop, gens)
 
 
 def test_normal_closure_output_is_normal(s3, chein12, cml81):
@@ -189,6 +240,13 @@ def test_normal_closure_output_is_normal(s3, chein12, cml81):
 def test_paige2_normal_closures_full(paige2):
     for x in (1, 17, 119):
         assert lf.normal_closure(paige2, [x]).is_full()
+
+
+def test_paige2_x_c2_closures_are_normal(paige2_x_c2):
+    closures = {lf.normal_closure(paige2_x_c2, [x]) for x in range(paige2_x_c2.order)}
+    assert sorted(s.order() for s in closures) == [1, 2, 120, 240]
+    for sub in closures:
+        assert lf.verify_normal(paige2_x_c2, sub) is None
 
 
 # -- quotients ------------------------------------------------------------------
