@@ -94,14 +94,6 @@ class Algebra:
     def commutator(self, a, b) -> np.ndarray:
         return self.field.canon(self.mul(a, b) - self.mul(b, a))
 
-    def power(self, v: np.ndarray, k: int) -> np.ndarray:
-        if k < 1:
-            raise ValueError("power must be >= 1")
-        out = np.asarray(v)
-        for _ in range(k - 1):
-            out = self.mul(out, v)
-        return out
-
 
 class LoopAlgebra(Algebra):
     """The loop algebra FQ: free module on the loop, table-driven products."""
@@ -167,14 +159,15 @@ class TensorAlgebra(Algebra):
 
     def mul_rows(self, a, b):
         f, d = self.field, self.dim
-        a = f.canon(np.atleast_2d(np.asarray(a)))
+        a = np.atleast_2d(np.asarray(a))
         b = f.canon(np.atleast_2d(np.asarray(b)))
-        # two stages, a.C then b.(a.C), cost |a| d^3 + |a| |b| d^2; a
-        # Kronecker product over all pairs would cost |a| |b| d^3
-        ac = f.canon(f.matmul(a, self._c.reshape(d, d * d)))           # [u, (j, k)]
-        ac = ac.reshape(a.shape[0], d, d).transpose(1, 0, 2).reshape(d, -1)   # [j, (u, k)]
-        out = f.matmul(b, ac).reshape(b.shape[0], a.shape[0], d)      # [v, u, k]
-        return f.canon(out.transpose(1, 0, 2).reshape(-1, d))
+        # two stages, a.C then (a.C).b, cost |a| d^3 + |a| |b| d^2; a
+        # Kronecker product over all pairs would cost |a| |b| d^3.  a.C stays
+        # unreduced: it is the first operand of the second matmul
+        ac = f.matmul(a, self._c.reshape(d, d * d))                          # [u, (j, k)]
+        ac = ac.reshape(a.shape[0], d, d).transpose(0, 2, 1).reshape(-1, d)  # [(u, k), j]
+        out = f.matmul(ac, b.T).reshape(a.shape[0], d, b.shape[0])          # [u, k, v]
+        return f.canon(out.transpose(0, 2, 1).reshape(-1, d))
 
     def mul_pairwise(self, a, b):
         f, d = self.field, self.dim
@@ -182,9 +175,11 @@ class TensorAlgebra(Algebra):
         b = f.canon(np.atleast_2d(np.asarray(b)))
         c = self._c.reshape(d * d, d)
         step = max(1, 2**20 // max(d * d, 1))  # row-wise Kronecker chunk, <= 2^20 entries
-        chunks = [f.matmul(f.canon(a[s:s + step, :, None] * b[s:s + step, None, :])
-                           .reshape(-1, d * d), c)
-                  for s in range(0, a.shape[0], step)]
+
+        def kron(s):   # rows of canonical operands, built in float64, left unreduced
+            fa, fb = f.operand(a[s:s + step]), f.operand(b[s:s + step])
+            return (fa[:, :, None] * fb[:, None, :]).reshape(-1, d * d)
+        chunks = [f.matmul(kron(s), c) for s in range(0, a.shape[0], step)]
         return f.canon(np.vstack(chunks)) if chunks else a[:0]
 
     def mul_basis(self, i: int, j: int) -> np.ndarray:
@@ -900,16 +895,6 @@ def _all_quasiregular(alg: Algebra, sub: Subspace) -> bool:
 
 # -- nil subalgebra identities ----------------------------------------------
 
-def _geometric_unit_sum(alg: Algebra, x: np.ndarray, m: int) -> np.ndarray:
-    # e + x + x^2 + ... + x^{m-1}; the inverse of e - x when x^m = 0
-    out = alg.unit.copy()
-    acc = None
-    for _ in range(1, m):
-        acc = x if acc is None else alg.mul(acc, x)
-        out = alg.field.canon(out + acc)
-    return out
-
-
 def nil_closed_form_check(alg: Algebra, u, v, w, m: int) -> bool:
     """Closed forms for the loop associator/commutator of e-u, e-v, e-w.
 
@@ -921,13 +906,21 @@ def nil_closed_form_check(alg: Algebra, u, v, w, m: int) -> bool:
     (u,v,w), (u,v) are the algebra associator and commutator.
     """
     f = alg.field
-    u, v, w = (f.canon(np.asarray(t)) for t in (u, v, w))
-    for t in (u, v, w):
-        if alg.power(t, m).any():
-            raise NotNil("input power does not vanish")
+    if m < 1:
+        raise ValueError("power must be >= 1")
+    x = f.canon(np.vstack([np.asarray(t) for t in (u, v, w)]))
+    # left-normed powers x^k = x^{k-1} x of all three rows at once; the sums
+    # S_x and the test x^m = 0 share them
+    sums, power = np.repeat(alg.unit[None, :], 3, axis=0), x
+    for _ in range(1, m):
+        sums = sums + power
+        power = alg.mul_pairwise(power, x)
+    if power.any():
+        raise NotNil("input power does not vanish")
+    u, v, w = x
+    su, sv, sw = f.canon(sums)
     e = alg.unit
     a, b, c = f.canon(e - u), f.canon(e - v), f.canon(e - w)
-    su, sv, sw = (_geometric_unit_sum(alg, t, m) for t in (u, v, w))
     p = alg.mul(a, alg.mul(b, c))
     p_inv = invert(alg, p)
     if p_inv is None:

@@ -38,7 +38,7 @@ def is_prime(n: int) -> bool:
 class PrimeField:
     """GF(p) for a prime p, residues stored as machine integers."""
 
-    __slots__ = ("p", "_block")
+    __slots__ = ("p",)
 
     dtype = np.int64
     finite = True
@@ -50,7 +50,6 @@ class PrimeField:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-        self._block = (2**53 - 1) // (p - 1) ** 2   # see matmul
 
     # -- scalar layer ------------------------------------------------
     @property
@@ -111,24 +110,30 @@ class PrimeField:
         return np.asarray(arr, dtype=np.float64)
 
     def matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """x @ y for matrices with entries of absolute value below p.
+        """x @ y for a matrix x of integers (int64, or exact in float64) and |y| < p.
 
         Returns int64 entries congruent mod p to the exact product and below
         2^53 in absolute value; the caller reduces once with ``canon``.
-        float64 BLAS is exact while every partial sum stays below 2^53, so
-        the contraction runs in blocks of K terms with K*(p-1)^2 < 2^53, each
-        block reduced mod p before the blocks are added (the delayed
-        reduction of FFLAS-FFPACK: Dumas, Giorgi & Pernet, ACM TOMS 35(3),
-        2008).
+        float64 BLAS is exact while every partial sum stays below 2^53.  With
+        top = max |x|, measured here, the contraction runs in blocks of K
+        terms with K*top*(p-1) < 2^53, each block reduced mod p before the
+        blocks are added (the delayed reduction of FFLAS-FFPACK: Dumas,
+        Giorgi & Pernet, ACM TOMS 35(3), 2008).  So x may be an unreduced
+        product; only when top*(p-1) >= 2^53 is x reduced first, making
+        top = p-1.
         """
+        p, x = self.p, np.asarray(x)
+        top = max(int(x.max()), -int(x.min())) if x.size else 0
+        if top * (p - 1) >= 2**53:
+            x, top = x % p, p - 1
         x = self.operand(x)
         y = self.operand(y)
-        k, n = x.shape[-1], self._block
+        k, n = x.shape[-1], (2**53 - 1) // max(top * (p - 1), 1)
         if k <= n:
             return np.matmul(x, y).astype(np.int64)
-        out = np.matmul(x[..., :n], y[..., :n, :]).astype(np.int64) % self.p
+        out = np.matmul(x[..., :n], y[..., :n, :]).astype(np.int64) % p
         for s in range(n, k, n):
-            out += np.matmul(x[..., s:s + n], y[..., s:s + n, :]).astype(np.int64) % self.p
+            out += np.matmul(x[..., s:s + n], y[..., s:s + n, :]).astype(np.int64) % p
         return out
 
     @property

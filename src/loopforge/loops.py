@@ -80,6 +80,7 @@ class Loop:
         self._props: dict = {}
         self._orbit_labels: Optional[np.ndarray] = None
         self._normal_lattice = None
+        self._subloops: dict = {}   # SubloopSet.as_loop copies
 
     # -- basic operations ------------------------------------------------
     def mul(self, a: int, b: int) -> int:
@@ -472,6 +473,14 @@ class SubloopSet:
         return frozenset(self.members)
 
     def as_loop(self, name: Optional[str] = None) -> Loop:
+        """The subloop relabelled 0..k-1 in member order.
+
+        Cached on the parent per members and name, so the copy's own caches
+        (properties, orbit labels, lattice) are computed once.
+        """
+        cache, key = self.parent._subloops, (self.members, name)
+        if key in cache:
+            return cache[key]
         mem = np.asarray(self.members, dtype=np.int64)
         pos = {int(m): i for i, m in enumerate(mem)}
         if self.parent.has_table():
@@ -480,7 +489,8 @@ class SubloopSet:
             sub = np.asarray([[self.parent.mul(int(a), int(b)) for b in mem] for a in mem])
         table = np.vectorize(pos.__getitem__, otypes=[np.int64])(sub)
         names = [self.parent.element_name(int(m)) for m in mem]
-        return Loop(names, table, name=name or f"{self.parent.name}<{len(mem)}>")
+        cache[key] = Loop(names, table, name=name or f"{self.parent.name}<{len(mem)}>")
+        return cache[key]
 
     def __eq__(self, other):
         return (isinstance(other, SubloopSet) and other.parent is self.parent
@@ -718,15 +728,15 @@ def _commutator_associator_values(loop: Loop, sources: Iterable[int],
     (n,x,y) (the inductive weight definition).
     """
     t, ld = loop.table, loop.ld_table
-    vals = []
+    seen = np.zeros(loop.order, dtype=bool)
     for m in sources:
-        vals.append(ld[t[:, m], t[m, :]])                     # commutators (m, x)
-        vals.append(ld[t[m][t], t[t[m]]].ravel())             # (m, x, y)
+        seen[ld[t[:, m], t[m, :]]] = True                     # commutators (m, x)
+        seen[ld[t[m][t], t[t[m]]]] = True                     # (m, x, y)
         if slots == "all":
-            vals.append(ld[t[:, t[m]], t[t[:, m]]].ravel())   # (x, m, y)
+            seen[ld[t[:, t[m]], t[t[:, m]]]] = True           # (x, m, y)
             u = t[:, m]
-            vals.append(ld[t[:, u], u[t]].ravel())            # (x, y, m)
-    return np.unique(np.concatenate(vals))
+            seen[ld[t[:, u], u[t]]] = True                    # (x, y, m)
+    return np.flatnonzero(seen)
 
 
 def _lower_central_series_terms(loop: Loop) -> list[SubloopSet]:

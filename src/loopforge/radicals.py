@@ -111,6 +111,7 @@ class ClassSResult:
     embedding_promised: bool
     witness: Optional[SubloopSet] = None
     collision: Optional[tuple] = None
+    obstruction_contradicted: bool = False   # injective, verified, yet a simple subloop
 
     @property
     def field_collapse(self) -> bool:
@@ -118,9 +119,13 @@ class ClassSResult:
         return bool(self.value and self.r1 is False)
 
     def checks_json(self):
-        return {"r1": self.r1, "r2": self.r2, "r3": self.r3,
-                "embedding_promised": self.embedding_promised,
-                "field_collapse": self.field_collapse}
+        out = {"r1": self.r1, "r2": self.r2, "r3": self.r3,
+               "embedding_promised": self.embedding_promised,
+               "field_collapse": self.field_collapse}
+        if self.obstruction_contradicted:   # only then, so other outputs keep their bytes
+            out["obstruction_contradicted"] = True
+            out["simple_subloop_order"] = self.witness.order()
+        return out
 
 
 def in_class_s(loop: Loop, field, bundle: Optional[AlternativeLoopAlgebra] = None,
@@ -132,12 +137,16 @@ def in_class_s(loop: Loop, field, bundle: Optional[AlternativeLoopAlgebra] = Non
     routes must agree, always.  Algebra side: injectivity of the canonical
     map into FQ/I(Q) over the given field, which by the factoring argument is
     exactly embeddability into the invertible elements of *any* unital
-    alternative algebra over that field.  Fatal disagreements: an injective
-    map on a loop with a simple nonassociative subloop (the known
-    non-embeddability obstruction would be falsified), or a collapse where
-    the embedding is provably promised.  A collapse of a radical-class loop
-    over an unpromising field is a recorded fact, not an error; the collision
-    pair documents it.
+    alternative algebra over that field.  An injective map on a loop with a
+    simple nonassociative subloop contradicts the obstruction stated for
+    such loops; it is accepted only when the images verify concretely
+    (distinct, invertible, multiplicative on all pairs) and is then recorded
+    as ``obstruction_contradicted``.  Paige's M*(2) = paige:2 does embed over
+    GF(2), as the det-1 Zorn vector matrices it is built from.  Fatal
+    disagreements: such a map whose images fail that verification, or a
+    collapse where the embedding is provably promised.  A collapse of a
+    radical-class loop over an unpromising field is a recorded fact, not an
+    error; the collision pair documents it.
     """
     _require_moufang(loop)
     if loop.order > bound:
@@ -153,17 +162,18 @@ def in_class_s(loop: Loop, field, bundle: Optional[AlternativeLoopAlgebra] = Non
         bundle = alternative_loop_algebra(field, loop)
     r1 = bundle.canonical_injective
     promised = embedding_promised(loop, field)
-    if r1 and not (r2 and r3):
+    contradicted = r1 and not (r2 and r3)
+    if contradicted and not all(_verify_embedding(bundle)):
         raise CrossCheckMismatch(
-            f"{loop.name} has a simple nonassociative subloop yet embeds over "
-            f"{field!r}: obstruction falsified")
+            f"{loop.name} has a simple nonassociative subloop and an injective "
+            f"canonical map over {field!r} whose images fail verification")
     if promised and (r2 and r3) and not r1:
         raise CrossCheckMismatch(
             f"promised embedding of {loop.name} over {field!r} collapsed: "
             f"collision {bundle.collision}")
     return ClassSResult(value=r2 and r3, r1=r1, r2=r2, r3=r3,
                         embedding_promised=promised, witness=witness,
-                        collision=bundle.collision)
+                        collision=bundle.collision, obstruction_contradicted=contradicted)
 
 
 def loop_radical(loop: Loop, field, bundle: Optional[AlternativeLoopAlgebra] = None,
@@ -229,11 +239,19 @@ class EmbeddabilityVerdict:
 
 
 def _verify_embedding(bundle: AlternativeLoopAlgebra) -> tuple[bool, bool, bool]:
-    """Injectivity, invertibility and multiplicativity of q -> image(q)."""
+    """Injectivity, invertibility and multiplicativity of q -> image(q).
+
+    An image with a two-sided inverse, the image of q^-1, is invertible;
+    only the images failing that check are solved for an inverse.
+    """
     quot = bundle.algebra
     images = bundle.images
     distinct = algebras._first_duplicate_rows(images) is None
-    all_invertible = all(invert(quot, images[i]) is not None for i in range(images.shape[0]))
+    inv_images = images[bundle.loop.inverses()]
+    e = quot.unit
+    two_sided = ((quot.mul_pairwise(images, inv_images) == e).all(axis=1)
+                 & (quot.mul_pairwise(inv_images, images) == e).all(axis=1))
+    all_invertible = all(invert(quot, images[i]) is not None for i in np.flatnonzero(~two_sided))
     t = bundle.loop.table
     prods = quot.mul_rows(images, images).reshape(images.shape[0], images.shape[0], quot.dim)
     expected = images[t]
@@ -248,13 +266,22 @@ def embeddability(loop: Loop, field, bundle: Optional[AlternativeLoopAlgebra] = 
     The embeds branch verifies the claim concretely (distinct invertible
     images, multiplicative on all pairs) without leaning on any theorem; the
     obstructed branch carries a verified simple nonassociative subloop and
-    the collision actually realised in the quotient.
+    the collision actually realised in the quotient.  A verified simple
+    subloop next to verified images (paige:2 over GF(2)) gives ``embeds``
+    with ``obstruction_contradicted`` in its checks.
     """
     _require_moufang(loop)
     if bundle is None:
         bundle = alternative_loop_algebra(field, loop)
     result = in_class_s(loop, field, bundle=bundle, bound=bound)
     checks = result.checks_json()
+    witness = result.witness
+    if witness is not None:
+        sub = loop if witness.is_full() else witness.as_loop()   # a full copy is the loop itself
+        wprops = check_properties(sub)
+        simple, _ = loops_mod.is_simple(sub)
+        if wprops.associative.ok or not wprops.moufang.ok or not simple:
+            raise CrossCheckMismatch("obstruction witness failed verification")
     if bundle.canonical_injective:
         distinct, invertible, multiplicative = _verify_embedding(bundle)
         if not (distinct and invertible and multiplicative):
@@ -265,20 +292,12 @@ def embeddability(loop: Loop, field, bundle: Optional[AlternativeLoopAlgebra] = 
             checks=checks, seed=seed, embedding=bundle.images,
             images_distinct=distinct, all_invertible=invertible,
             multiplicative=multiplicative)
-    witness = result.witness
-    if witness is None:
-        # in the radical class but the map collapsed: characteristic effect
-        witness_members, witness_order = None, None
-    else:
-        wprops = check_properties(witness.as_loop())
-        simple, _ = loops_mod.is_simple(witness.as_loop())
-        if wprops.associative.ok or not wprops.moufang.ok or not simple:
-            raise CrossCheckMismatch("obstruction witness failed verification")
-        witness_members, witness_order = witness.members, witness.order()
+    # no witness: in the radical class but the map collapsed, a characteristic effect
+    members, order = (None, None) if witness is None else (witness.members, witness.order())
     return EmbeddabilityVerdict(
         loop_name=loop.name, field_spec=field.spec, outcome="obstructed",
-        checks=checks, seed=seed, witness_members=witness_members,
-        witness_order=witness_order, collision=bundle.collision)
+        checks=checks, seed=seed, witness_members=members, witness_order=order,
+        collision=bundle.collision)
 
 
 @dataclass

@@ -135,8 +135,14 @@ P_CAP = 1048573   # largest prime <= 2^20, the PrimeField cap
 GF_CAP = lf.PrimeField(P_CAP)
 
 
-def cap_rows(n):
-    entry = st.integers(0, P_CAP - 1) | st.just(P_CAP - 1)
+# an unreduced Kronecker row of 8-dim operands has 64 terms of up to (p-1)^2,
+# and 64 (p-1)^3 > 2^53: the kernel must split it into float64 blocks
+P_MID = 65521
+GF_MID = lf.PrimeField(P_MID)
+
+
+def cap_rows(n, p=P_CAP):
+    entry = st.integers(0, p - 1) | st.just(p - 1)
     return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=3, max_size=3)
 
 
@@ -152,14 +158,14 @@ def assert_products(alg, a, b, expected):
             assert rows[i, j].tolist() == list(expected(a[i], b[j]))
 
 
-def tensor_oracle(c):
+def tensor_oracle(c, p=P_CAP):
     """Python-int product from structure constants c[i][j][k]."""
     c = c.tolist()
     n = len(c)
 
     def oracle(u, v):
         u, v = u.tolist(), v.tolist()
-        return [sum(u[i] * v[j] * c[i][j][k] for i in range(n) for j in range(n)) % P_CAP
+        return [sum(u[i] * v[j] * c[i][j][k] for i in range(n) for j in range(n)) % p
                 for k in range(n)]
     return oracle
 
@@ -203,6 +209,43 @@ def test_quotient_algebra_exact_at_cap(a, b):
         return quot.project_rows(fq.mul_rows(quot.lift_rows(u), quot.lift_rows(v)))[0].tolist()
     assert_products(quot, a, b, oracle)
     assert_products(quot, a, b, tensor_oracle(quot.c))
+
+
+@given(cap_rows(8, P_MID), cap_rows(8, P_MID))
+@settings(max_examples=25, deadline=None)
+def test_zorn_algebra_exact_in_split_blocks(a, b):
+    z = lf.zorn_algebra(GF_MID)
+    assert_products(z, a, b, tensor_oracle(z.c, P_MID))
+
+
+def test_dense_tensor_exact_in_split_blocks():
+    # the Zorn and quotient tensors above are sparse, so their sums stay far
+    # below 2^53; constants and operands near p-1 make every Kronecker sum
+    # about 64 (p-1)^3 ~ 2^54, exact only blockwise
+    rng = np.random.default_rng(P_MID)
+    alg = algebras.TensorAlgebra(GF_MID, rng.integers(P_MID - 64, P_MID, size=(8, 8, 8)),
+                                 [f"x{i}" for i in range(8)])
+    a = rng.integers(P_MID - 64, P_MID, size=(3, 8))
+    b = rng.integers(P_MID - 64, P_MID, size=(3, 8))
+    assert_products(alg, a, b, tensor_oracle(alg.c, P_MID))
+
+
+@functools.cache
+def chein12_x_c2_mid():
+    return lf.alternative_loop_algebra(GF_MID, lf.direct_product(lf.chein12(), lf.cyclic(2)))
+
+
+@given(cap_rows(8, P_MID), cap_rows(8, P_MID))
+@settings(max_examples=25, deadline=None)
+def test_quotient_algebra_exact_in_split_blocks(a, b):
+    bundle = chein12_x_c2_mid()
+    quot, fq = bundle.algebra, bundle.fq
+    assert quot.dim == 8
+
+    def oracle(u, v):
+        return quot.project_rows(fq.mul_rows(quot.lift_rows(u), quot.lift_rows(v)))[0].tolist()
+    assert_products(quot, a, b, oracle)
+    assert_products(quot, a, b, tensor_oracle(quot.c, P_MID))
 
 
 # -- alternator ideal -----------------------------------------------------------
@@ -626,6 +669,21 @@ def test_nil_closed_forms_rejects_non_nil():
     g = alg.basis_vec(1)
     with pytest.raises(NotNil):
         lf.nil_closed_form_check(alg, g, g, g, 2)
+
+
+def test_nil_closed_forms_edge_exponents():
+    # in GF(2)[C2], u = e + g has u^2 = 0 while g^2 = e
+    f2 = lf.PrimeField(2)
+    alg = lf.loop_algebra(f2, lf.cyclic(2))
+    zero, g = alg.field.zeros(2), alg.basis_vec(1)
+    u = f2.canon(alg.unit + g)
+    assert lf.nil_closed_form_check(alg, zero, zero, zero, 1)
+    assert lf.nil_closed_form_check(alg, u, u, u, 2)
+    for args in ((u, zero, zero, 1), (zero, zero, u, 1), (u, u, g, 2), (g, u, u, 2)):
+        with pytest.raises(NotNil):
+            lf.nil_closed_form_check(alg, *args)
+    with pytest.raises(ValueError):
+        lf.nil_closed_form_check(alg, zero, zero, zero, 0)
 
 
 # -- two-generated subalgebras of alternative algebras are associative ----------------

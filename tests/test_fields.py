@@ -43,6 +43,26 @@ def test_matmul_exact_across_blocks():
     assert got.tolist() == [[sum(a * b for a, b in zip(r, c)) % f.p for c in ys] for r in xs]
 
 
+@pytest.mark.parametrize("p", [2, 65521, 1048573])
+def test_matmul_unreduced_x(p):
+    # x may be any int64 matrix: with top = max |x| the kernel sums blocks of
+    # K terms, K*top*(p-1) < 2^53, and reduces x first when top*(p-1) >= 2^53
+    f = lf.PrimeField(p)
+    rng = np.random.default_rng(p)
+    forced = [2**53 // (p - 1) + 1, 2**62]
+    blocks = [(2**53 - 1) // ((p - 1) * n) for n in (1, 2, 3)]   # blocks of n terms
+    for top in forced + blocks:
+        x = rng.integers(-top, top, size=(3, 7), endpoint=True)
+        x[0, 0], x[1, 3], x[2, 6] = top, -top, top
+        y = rng.integers(1 - p, p - 1, size=(7, 2), endpoint=True)
+        y[0, 0], y[6, 1] = p - 1, 1 - p
+        got = f.matmul(x, y)
+        assert np.abs(got).max() < 2**53
+        xs, ys = x.tolist(), y.T.tolist()
+        assert f.canon(got).tolist() == [[sum(a * b for a, b in zip(r, c)) % p for c in ys]
+                                         for r in xs]
+
+
 def test_inverse_of_zero():
     with pytest.raises(ZeroDivisionError):
         lf.PrimeField(7).inv(0)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 import loopforge as lf
 from loopforge import radicals
@@ -26,6 +27,37 @@ def test_paige2_not_in_class_s(paige2, paige2_gf11):
     assert res.r1 is False and not res.r2 and not res.r3
     assert res.witness is not None and res.witness.is_full()
     assert res.collision is not None
+
+
+def test_paige2_embeds_over_gf2_as_zorn_matrices(paige2):
+    # independent oracle: over GF(2), -1 = 1, so paige:2 is the group of
+    # det-1 vector matrices itself; its element names are Zorn coordinates
+    f2 = lf.PrimeField(2)
+    coords = np.asarray([[int(c) for c in name] for name in paige2.names], dtype=np.int64)
+    n = paige2.order
+    assert len({tuple(r) for r in coords.tolist()}) == n
+    assert (f2.canon(lf.zorn_det(coords)) == 1).all()
+    prods = lf.zorn_algebra(f2).mul_rows(coords, coords).reshape(n, n, 8)
+    assert np.array_equal(prods, coords[paige2.table])
+    # the verdict agrees, and records the contradicted obstruction
+    verdict = radicals.embeddability(paige2, f2)
+    assert verdict.outcome == "embeds"
+    assert verdict.images_distinct and verdict.all_invertible and verdict.multiplicative
+    assert verdict.checks["obstruction_contradicted"] is True
+    assert verdict.checks["simple_subloop_order"] == 120
+    assert not verdict.checks["r3"]
+
+
+@pytest.mark.parametrize("p", [3, 5, 11])
+def test_paige2_obstructed_in_odd_characteristic(paige2, p):
+    verdict = radicals.embeddability(paige2, lf.PrimeField(p))
+    assert verdict.outcome == "obstructed"
+    assert "obstruction_contradicted" not in verdict.checks
+    assert verdict.witness_order == 120 and verdict.collision is not None
+    wit = lf.SubloopSet(paige2, verdict.witness_members).as_loop()
+    assert lf.is_simple(wit)[0]
+    props = lf.check_properties(wit)
+    assert props.moufang.ok and not props.associative.ok
 
 
 def test_chein12_class_s_with_field_collapse(chein12, chein12_gf7):
