@@ -293,7 +293,8 @@ class QuotientAlgebra(TensorAlgebra):
 
     Coordinates are the non-pivot columns of the ideal's echelon basis: the
     reduction of a vector modulo the ideal is supported exactly there, so
-    reduce-then-restrict is a well-defined projection with a linear section.
+    reduce-then-restrict (``Subspace.residues``) is a well-defined projection
+    with a linear section.
     """
 
     def __init__(self, parent: Algebra, ideal: Subspace, verify: bool = True):
@@ -301,20 +302,16 @@ class QuotientAlgebra(TensorAlgebra):
             raise DimensionMismatch("ideal does not live in the parent algebra")
         if parent.unit is not None and ideal.contains(parent.unit):
             raise IdealNotProper("the unit lies in the ideal")
-        if verify and ideal.dim:
-            basis = ideal.basis_matrix()
-            for g, act in enumerate(parent.left_actions()):
-                if not ideal.contains_rows(act(basis)):
-                    raise IdealNotStable(("left", g))
-            for g, act in enumerate(parent.right_actions()):
-                if not ideal.contains_rows(act(basis)):
-                    raise IdealNotStable(("right", g))
+        if verify:
+            left = parent.left_actions()
+            bad = linalg.unstable_action(ideal, left + parent.right_actions())
+            if bad is not None:
+                k = len(left)
+                raise IdealNotStable(("left", bad) if bad < k else ("right", bad - k))
         self.parent = parent
         self.ideal = ideal
-        pivots = set(ideal.pivot_cols)
-        self.section_cols = np.asarray(
-            [j for j in range(parent.dim) if j not in pivots], dtype=np.int64)
-        self.basis_images = ideal.reduce_rows(_eye(parent.field, parent.dim))[:, self.section_cols]
+        self.section_cols = ideal.free_cols
+        self.basis_images = ideal.residues(_eye(parent.field, parent.dim))
         qdim = parent.dim - ideal.dim
         if isinstance(parent, LoopAlgebra):
             t = parent.loop.table
@@ -323,7 +320,7 @@ class QuotientAlgebra(TensorAlgebra):
         else:
             reps = _eye(parent.field, parent.dim)[self.section_cols]
             prods = parent.mul_rows(reps, reps)
-            tensor = ideal.reduce_rows(prods)[:, self.section_cols].reshape(qdim, qdim, qdim)
+            tensor = ideal.residues(prods).reshape(qdim, qdim, qdim)
             names = tuple(f"q{int(j)}" for j in self.section_cols)
         unit = None
         if parent.unit is not None:
@@ -335,7 +332,7 @@ class QuotientAlgebra(TensorAlgebra):
         return self.ideal.reduce(v)[self.section_cols]
 
     def project_rows(self, m: np.ndarray) -> np.ndarray:
-        return self.ideal.reduce_rows(m)[:, self.section_cols]
+        return self.ideal.residues(m)
 
     def lift(self, v: np.ndarray) -> np.ndarray:
         out = self.field.zeros(self.parent.dim)

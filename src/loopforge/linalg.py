@@ -1,52 +1,76 @@
 """Exact linear algebra: row-reduced subspaces, solving, ideal closures, powers.
 
-Subspace bases are kept in reduced row echelon form at all times, which makes
-the basis of a given span canonical: membership tests, equality and golden
-outputs do not depend on insertion order or batch boundaries.  The insert path
-accepts whole matrices of candidate rows, so seed blocks and the images of a
-whole basis under an action are reduced in vectorised numpy sweeps.
+A ``Subspace`` holds its reduced row echelon basis as one read-only
+(dim x n) array ``B`` with an ascending pivot array, so the basis of a span
+is canonical: membership, equality and golden outputs do not depend on
+insertion order or batch boundaries.  Because B is the identity on the
+pivot columns, the reduction of rows m is zero there and equals
+``m[:, free] - m[:, piv] @ B[:, free]`` on the d = n - dim free columns,
+which is the projection to the quotient.  Every reduction computes only
+that: O(rows * dim * d) work and one ``canon`` on rows x d entries, so a
+membership screen of a nearly full subspace is cheap.  Insertion reduces a
+whole block with one ``field.matmul``, echelonises only the surviving rows
+(at most n at a time), clears the new pivot columns from the old rows with
+one rank-k product and merges the rows by pivot.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _live(m: np.ndarray) -> np.ndarray:
+    """Mask of the nonzero rows (``!= 0`` also works on object arrays)."""
+    return (m != 0).any(axis=1)
+
+
 class Subspace:
     """A linear subspace held as a row-reduced echelon basis.
 
     Treat instances as immutable values; the underscore methods that grow a
-    basis in place are reserved for the construction routines in this module.
+    basis are reserved for the construction routines in this module.  They
+    replace the arrays rather than write into them, so copies share them.
     """
 
-    __slots__ = ("field", "ambient_dim", "_rows", "_pivots")
+    __slots__ = ("field", "ambient_dim", "_basis", "_pivots", "_free")
 
     def __init__(self, field, ambient_dim: int):
         self.field = field
         self.ambient_dim = int(ambient_dim)
-        self._rows: list[np.ndarray] = []
-        self._pivots: list[int] = []
+        self._basis = _frozen(np.zeros((0, self.ambient_dim), dtype=field.dtype))
+        self._pivots = _frozen(np.zeros(0, dtype=np.int64))
+        self._free = _frozen(np.arange(self.ambient_dim, dtype=np.int64))
 
     # -- read API -----------------------------------------------------
     @property
     def dim(self) -> int:
-        return len(self._rows)
+        return self._basis.shape[0]
 
     @property
     def pivot_cols(self) -> tuple[int, ...]:
-        return tuple(self._pivots)
+        return tuple(self._pivots.tolist())
+
+    @property
+    def free_cols(self) -> np.ndarray:
+        """The non-pivot columns, ascending (read-only)."""
+        return self._free.view()
 
     @property
     def rows(self) -> tuple[np.ndarray, ...]:
-        return tuple(self._rows)
+        """The echelon rows, as read-only views of the basis."""
+        return tuple(self._basis)
 
     def basis_matrix(self) -> np.ndarray:
-        if not self._rows:
-            return np.zeros((0, self.ambient_dim), dtype=self.field.dtype)
-        return np.vstack([r.reshape(1, -1) for r in self._rows])
+        """The (dim x n) echelon basis, as a read-only view."""
+        return self._basis.view()
 
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
@@ -62,38 +86,40 @@ class Subspace:
         return self.reduce_rows(v.reshape(1, -1))[0]
 
     def reduce_rows(self, m: np.ndarray) -> np.ndarray:
-        m = self.field.canon(np.atleast_2d(np.asarray(m)))
+        return self._full_width(self.residues(m))
+
+    def residues(self, m: np.ndarray) -> np.ndarray:
+        """The rows of m reduced modulo this subspace, on the free columns only.
+
+        This is the projection to the quotient; the reduced rows are zero on
+        the pivot columns.  Over GF(p) the entries of m are integers of
+        absolute value below 2^62 (the product subtracted is below 2^53, see
+        ``field.matmul``); they need not be reduced.
+        """
+        m = np.atleast_2d(np.asarray(m))
         if m.shape[1] != self.ambient_dim:
             raise DimensionMismatch(f"expected width {self.ambient_dim}, got {m.shape[1]}")
-        if not self._pivots:
-            return m
-        # one matmul reduces against the whole echelon basis: every basis row
-        # is zero at the other pivot columns, so the pivot-column coefficients
-        # act independently
-        coeff = m[:, self._pivots]
-        if coeff.any():
-            m = self.field.canon(m - self.field.matmul(coeff, self.basis_matrix()))
-        return m
+        out = m[:, self._free]
+        if self.dim:
+            out = out - self.field.matmul(m[:, self._pivots], self._basis[:, self._free])
+        return self.field.canon(out)
 
     def contains(self, v: np.ndarray) -> bool:
         return not self.reduce(v).any()
 
     def contains_rows(self, m: np.ndarray) -> bool:
-        return not self.reduce_rows(m).any()
+        return not self.residues(m).any()
 
     def coords(self, v: np.ndarray) -> np.ndarray:
         """Coefficients of v over the echelon basis (v must be a member)."""
         v = self.field.canon(np.asarray(v))
         if not self.contains(v):
             raise ValueError("vector is not in the subspace")
-        if not self._pivots:
-            return self.field.zeros(0)
-        return v[np.asarray(self._pivots)]
+        return v[self._pivots]
 
     def copy(self) -> "Subspace":
         s = Subspace(self.field, self.ambient_dim)
-        s._rows = [r.copy() for r in self._rows]
-        s._pivots = list(self._pivots)
+        s._basis, s._pivots, s._free = self._basis, self._pivots, self._free
         return s
 
     def __eq__(self, other):
@@ -101,68 +127,85 @@ class Subspace:
             return NotImplemented
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
             return False
-        if self._pivots != other._pivots:
-            return False
-        return all(np.array_equal(a, b) for a, b in zip(self._rows, other._rows))
+        return np.array_equal(self._pivots, other._pivots) and \
+            np.array_equal(self._basis, other._basis)
 
     def __le__(self, other: "Subspace") -> bool:
         if self.dim == 0:
             return True
-        return other.contains_rows(self.basis_matrix())
+        return other.contains_rows(self._basis)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, field={self.field!r})"
 
     # -- construction API (mutating) ------------------------------------
-    def _raw_insert(self, v: np.ndarray, lead: int) -> None:
-        # v is normalised with pivot 1 at `lead` and already reduced against
-        # the current rows; clear column `lead` from them and splice v in.
-        for i, row in enumerate(self._rows):
-            c = row[lead]
-            if c:
-                self._rows[i] = self.field.canon(row - c * v)
-        pos = int(np.searchsorted(np.asarray(self._pivots, dtype=np.int64), lead)) if self._pivots else 0
-        self._rows.insert(pos, v)
-        self._pivots.insert(pos, lead)
+    def _full_width(self, res: np.ndarray) -> np.ndarray:
+        out = np.full((res.shape[0], self.ambient_dim), self.field.zero, dtype=self.field.dtype)
+        out[:, self._free] = res
+        return out
 
-    def _insert(self, v: np.ndarray) -> bool:
-        v = self.reduce(v)
-        nz = np.flatnonzero(v != 0)
-        if nz.size == 0:
-            return False
-        lead = int(nz[0])
-        v = self.field.canon(v * self.field.inv(v[lead]))
-        self._raw_insert(v, lead)
-        return True
+    def _survivors(self, m: np.ndarray) -> np.ndarray:
+        """The rows of m outside this subspace, reduced; screened on the free columns."""
+        res = self.residues(m)
+        return self._full_width(res[_live(res)])
 
-    def _insert_batch(self, m: np.ndarray) -> list[np.ndarray]:
-        """Insert every row of m; returns the newly created basis rows."""
-        m = self.reduce_rows(m)
-        new_rows: list[np.ndarray] = []
-        while True:
-            nonzero = m.any(axis=1)
-            idxs = np.flatnonzero(nonzero)
-            if idxs.size == 0:
-                break
-            leads = (m[idxs] != 0).argmax(axis=1)
-            # deterministic choice: smallest leading column, then smallest row
-            k = int(np.lexsort((idxs, leads))[0])
-            ridx, lead = int(idxs[k]), int(leads[k])
-            v = self.field.canon(m[ridx] * self.field.inv(m[ridx, lead]))
-            self._raw_insert(v.copy(), lead)
-            new_rows.append(v.copy())
-            c = m[:, lead]
-            if c.any():
-                m = self.field.canon(m - c[:, None] * v[None, :])
-            if self.is_full():
-                break
-        return new_rows
+    def _insert_batch(self, m: np.ndarray) -> np.ndarray:
+        """Insert every row of m; returns the echelon rows that grew the basis."""
+        n, found = self.ambient_dim, []
+        m = self._survivors(m)
+        while m.shape[0]:
+            rows, pivots = _echelon(self.field, m[:n])
+            self._merge(rows, pivots)
+            found.append(rows)
+            m = self._survivors(m[n:])
+        return np.concatenate(found) if found else m
+
+    def _merge(self, rows: np.ndarray, pivots: np.ndarray) -> None:
+        # rows are in echelon form and zero on the current pivot columns:
+        # clear their pivot columns from the old rows, then sort by pivot
+        f, basis = self.field, self._basis
+        coeff = basis[:, pivots]
+        if (coeff != 0).any():
+            basis = f.canon(basis - f.matmul(coeff, rows))
+        pivots = np.concatenate([self._pivots, pivots])
+        order = np.argsort(pivots)
+        self._basis = _frozen(np.concatenate([basis, rows])[order])
+        self._pivots = _frozen(pivots[order])
+        free = np.ones(self.ambient_dim, dtype=bool)
+        free[pivots] = False
+        self._free = _frozen(np.flatnonzero(free))
+
+
+def _echelon(field, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced echelon form of the nonzero canonical rows m: (rows, pivots) by pivot."""
+    m = m.copy()
+    out = np.empty_like(m[:m.shape[1]])
+    pivots: list[int] = []
+    while m.shape[0]:
+        lead = int(np.flatnonzero(m[0])[0])
+        v = field.canon(m[0] * field.inv(m[0, lead]))
+        m = m[1:]
+        _clear(field, m, lead, v)
+        _clear(field, out[:len(pivots)], lead, v)
+        out[len(pivots)] = v
+        pivots.append(lead)
+        m = m[_live(m)]
+    order = np.argsort(pivots)
+    return out[:len(pivots)][order], np.asarray(pivots, dtype=np.int64)[order]
+
+
+def _clear(field, a: np.ndarray, col: int, v: np.ndarray) -> None:
+    """Subtract multiples of v (1 at col) from the rows of a, in place, to zero col."""
+    c = a[:, col]
+    hit = np.flatnonzero(c)
+    if hit.size:
+        a[hit] = field.canon(a[hit] - c[hit, None] * v)
 
 
 def subspace_insert(s: Subspace, v) -> tuple[Subspace, bool]:
     """Pure insert: returns (subspace spanning S ∪ {v}, grew flag)."""
     t = s.copy()
-    grew = t._insert(s.field.vector(v))
+    grew = t._insert_batch(s.field.vector(v).reshape(1, -1)).shape[0] > 0
     return t, grew
 
 
@@ -170,7 +213,7 @@ def span_rows(field, ambient_dim: int, rows) -> Subspace:
     s = Subspace(field, ambient_dim)
     m = np.atleast_2d(np.asarray(rows))
     if m.size:
-        s._insert_batch(field.canon(m))
+        s._insert_batch(m)
     return s
 
 
@@ -232,6 +275,43 @@ def solve_matrix(a: np.ndarray, rhs: np.ndarray, field) -> Optional[np.ndarray]:
 
 Action = Callable[[np.ndarray], np.ndarray]
 
+# entries in one stacked block of action images: the images, the reduction's
+# operands and its products stay a few MB together
+IMAGE_CHUNK_ENTRIES = 2**15
+
+
+def _image_chunks(block: np.ndarray,
+                  actions: Sequence[Action]) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (k, rows, images): the images of ``block`` under ``actions[k:]``.
+
+    ``images`` stacks act(block) for consecutive actions, ``rows`` rows per
+    action, or holds a slice of one action's image when the block alone
+    exceeds ``IMAGE_CHUNK_ENTRIES``; chunks follow the order of the actions.
+    """
+    rows, n = block.shape
+    step = max(1, IMAGE_CHUNK_ENTRIES // max(n, 1))
+    if rows > step:
+        for k, act in enumerate(actions):
+            for s in range(0, rows, step):
+                yield k, step, act(block[s:s + step])
+        return
+    per = max(1, step // max(rows, 1))
+    for k in range(0, len(actions), per):
+        group = actions[k:k + per]
+        images = np.empty((len(group) * rows, n), dtype=block.dtype)
+        for i, act in enumerate(group):
+            images[i * rows:(i + 1) * rows] = act(block)
+        yield k, rows, images
+
+
+def unstable_action(s: Subspace, actions: Sequence[Action]) -> Optional[int]:
+    """Index of the first action that maps a basis row of s out of s, else None."""
+    for k, rows, images in _image_chunks(s.basis_matrix(), actions):
+        bad = np.flatnonzero(_live(s.residues(images)))
+        if bad.size:
+            return k + int(bad[0]) // rows
+    return None
+
 
 def ideal_closure(
     seeds: Iterable[np.ndarray],
@@ -244,43 +324,40 @@ def ideal_closure(
     """Smallest subspace containing the seeds and stable under every action.
 
     ``seeds`` may yield single vectors or row matrices; they are consumed in
-    order with batched echelon reduction.  Exits early once the closure fills
-    the ambient space.  The action fixpoint is re-verified by a final sweep
-    over every basis row, so the returned basis is action-stable by
-    construction, not by trust in the worklist bookkeeping.
+    order with batched echelon reduction.  Each sweep applies all 2n actions
+    to the rows found in the previous one and reduces their images in
+    stacked chunks of at most ``IMAGE_CHUNK_ENTRIES`` entries, one insertion
+    per chunk; the reduction screens a chunk on the d free columns, so a
+    chunk that lies in the subspace costs O(rows * dim * d).  Exits early
+    once the closure fills the ambient space.  The action fixpoint is
+    re-verified by a final sweep over every basis row, so the returned basis
+    is action-stable by construction, not by trust in the bookkeeping.
     """
     s = Subspace(field, ambient_dim)
-    fresh: list[np.ndarray] = []
     for block in seeds:
         block = np.asarray(block)
         if block.ndim == 1:
             block = block.reshape(1, -1)
         if block.shape[1] != ambient_dim:
             raise DimensionMismatch(f"seed width {block.shape[1]} != {ambient_dim}")
-        fresh.extend(s._insert_batch(block))
+        s._insert_batch(block)
         if s.is_full():
             return s
     actions = list(left_actions) + list(right_actions)
-    # generation sweeps: apply every action to the rows discovered last round
-    while fresh and not s.is_full():
-        block = np.vstack(fresh)
-        fresh = []
-        for act in actions:
-            fresh.extend(s._insert_batch(field.canon(act(block))))
+
+    def sweep(block):
+        grown = []
+        for _, _, images in _image_chunks(block, actions):
+            grown.append(s._insert_batch(images))
             if s.is_full():
-                return s
-    # verification sweeps over the full basis until a clean pass
-    while not s.is_full():
-        added = 0
-        basis = s.basis_matrix()
-        if basis.shape[0] == 0:
-            break
-        for act in actions:
-            added += len(s._insert_batch(field.canon(act(basis))))
-            if s.is_full():
-                return s
-        if added == 0:
-            break
+                break
+        return np.concatenate(grown) if grown else block[:0]
+
+    fresh = s.basis_matrix()            # no row has been acted on yet
+    while fresh.shape[0] and not s.is_full():
+        fresh = sweep(fresh)            # generation: images of the last sweep's rows
+        if not fresh.shape[0] and not s.is_full():
+            fresh = sweep(s.basis_matrix())     # verification: a clean pass ends it
     return s
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loopforge as lf
-from loopforge import algebras
+from loopforge import algebras, linalg
 from loopforge.algebras import (
     associative_check_sampled,
     enumerate_carrier,
@@ -256,6 +256,22 @@ def test_alternator_ideal_matches_naive_oracle(chein12):
         assert fast == naive_alternator_ideal(chein12, p)
 
 
+# tracemalloc peaks of a second, warm build, 1.25x those of the row-list
+# Subspace (2.06 and 8.29 MiB measured this way): the closure's image chunks
+# must stay small next to the alternator scan
+@pytest.mark.parametrize("loop_name, p, bound_mib", [("paige2", 11, 2.58), ("cml81", 3, 10.36)])
+def test_bundle_build_memory_peak(request, loop_name, p, bound_mib):
+    loop, f = request.getfixturevalue(loop_name), lf.PrimeField(p)
+    lf.alternative_loop_algebra(f, loop)        # fills the loop's lazy tables
+    tracemalloc.start()
+    try:
+        lf.alternative_loop_algebra(f, loop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_alternator_ideal_from_lifts_only(monkeypatch, chein12, cml81):
     # with no seed pairs every generator comes from lifting quotient failures
     cases = [(chein12, lf.PrimeField(3)), (chein12, lf.PrimeField(7)),
@@ -363,12 +379,27 @@ def test_quotient_rejects_unit_ideal(s3):
         lf.quotient_algebra(alg, everything)
 
 
-def test_quotient_rejects_unstable_subspace(s3):
+def test_quotient_rejects_unstable_subspace(s3, monkeypatch):
     f3 = lf.PrimeField(3)
     alg = lf.loop_algebra(f3, s3)
     not_ideal = span_rows(f3, 6, f3.vector([1, -1, 0, 0, 0, 0]).reshape(1, -1))
     with pytest.raises(IdealNotStable):
         lf.quotient_algebra(alg, not_ideal)
+    # the witness is the first failing action, lefts before rights, for any
+    # chunking of the images: one chunk, one action per chunk, one row per chunk
+    e_minus = [f3.canon(alg.basis_vec(0) - alg.basis_vec(h)) for h in (1, 3, 4)]
+    cases = [(span_rows(f3, 6, e_minus[0].reshape(1, -1)), ("left", 1)),
+             (span_rows(f3, 6, np.vstack([act(e_minus[1][None, :])
+                                          for act in alg.left_actions()])), ("right", 1)),
+             (span_rows(f3, 6, np.vstack([act(e_minus[2][None, :])
+                                          for act in alg.right_actions()])), ("left", 1)),
+             (span_rows(f3, 6, np.eye(6, dtype=np.int64)[3:]), ("left", 3))]   # the coset <r>s
+    for chunk in (linalg.IMAGE_CHUNK_ENTRIES, 12, 6):
+        monkeypatch.setattr(linalg, "IMAGE_CHUNK_ENTRIES", chunk)
+        for sub, witness in cases:
+            with pytest.raises(IdealNotStable) as err:
+                lf.quotient_algebra(alg, sub)
+            assert err.value.witness == witness
 
 
 def test_eq18_dimension_law(s3, cml81):

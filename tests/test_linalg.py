@@ -5,25 +5,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loopforge as lf
+from loopforge import linalg
 from loopforge.errors import DimensionMismatch
 from loopforge.linalg import Subspace, nilpotency_index, power_sequence, span_rows
 
 
 def naive_rref(rows, p):
-    """Independent dense row reduction over GF(p); returns canonical rows."""
-    rows = [list(int(x) % p for x in r) for r in rows]
+    """Independent dense row reduction over GF(p), or over Q when p is None;
+    returns canonical rows."""
+    red = Fraction if p is None else (lambda x: int(x) % p)
+    inv = (lambda x: 1 / x) if p is None else (lambda x: pow(x, -1, p))
+    rows = [list(red(x) for x in r) for r in rows]
     basis = []
     for r in rows:
         r = r[:]
         for b in basis:
             lead = next(i for i, x in enumerate(b) if x)
             if r[lead]:
-                c = r[lead] * pow(b[lead], -1, p)
-                r = [(x - c * y) % p for x, y in zip(r, b)]
+                c = r[lead] * inv(b[lead])
+                r = [red(x - c * y) for x, y in zip(r, b)]
         if any(r):
             lead = next(i for i, x in enumerate(r) if x)
-            inv = pow(r[lead], -1, p)
-            r = [(x * inv) % p for x in r]
+            c = inv(r[lead])
+            r = [red(x * c) for x in r]
             basis.append(r)
     # back-substitute to full reduced form and sort by pivot
     basis.sort(key=lambda b: next(i for i, x in enumerate(b) if x))
@@ -34,7 +38,7 @@ def naive_rref(rows, p):
             lead = next(k for k, x in enumerate(b) if x)
             if other[lead]:
                 c = other[lead]
-                basis[j] = [(x - c * y) % p for x, y in zip(other, b)]
+                basis[j] = [red(x - c * y) for x, y in zip(other, b)]
     basis.sort(key=lambda b: next(i for i, x in enumerate(b) if x))
     return basis
 
@@ -83,21 +87,21 @@ def test_reduce_rows_exact_at_cap(data):
 def test_insert_examples():
     f = lf.QQ
     s = Subspace(f, 2)
-    s._insert(f.vector([1, 0]))
+    s._insert_batch(f.vector([1, 0]).reshape(1, -1))
     t, grew = lf.subspace_insert(s, f.vector([1, 0]))
     assert t.dim == 1 and not grew
 
     f2 = lf.PrimeField(2)
     s = Subspace(f2, 2)
-    s._insert(f2.vector([1, 1]))
-    s._insert(f2.vector([0, 1]))
+    s._insert_batch(f2.vector([1, 1]).reshape(1, -1))
+    s._insert_batch(f2.vector([0, 1]).reshape(1, -1))
     assert s.is_full()
 
     # e-g and (e-g)^2 = e+g+g^2 in GF(3)[C3] span a 2-dim subspace
     f3 = lf.PrimeField(3)
     s = Subspace(f3, 3)
-    s._insert(f3.vector([1, -1, 0]))
-    s._insert(f3.vector([1, 1, 1]))
+    s._insert_batch(f3.vector([1, -1, 0]).reshape(1, -1))
+    s._insert_batch(f3.vector([1, 1, 1]).reshape(1, -1))
     assert s.dim == 2
     assert [r.tolist() for r in s.rows] == [[1, 0, 2], [0, 1, 2]]
 
@@ -119,7 +123,7 @@ def test_dimension_mismatch():
     f = lf.PrimeField(3)
     s = Subspace(f, 3)
     with pytest.raises(DimensionMismatch):
-        s._insert(f.vector([1, 0]))
+        s._insert_batch(f.vector([1, 0]).reshape(1, -1))
 
 
 def test_solve_examples():
@@ -228,3 +232,141 @@ def test_rational_subspace():
     assert s.rows[0].tolist() == [1, Fraction(2, 3), 0]
     assert s.contains(f.vector([3, 2, 0]))
     assert not s.contains(f.vector([1, 1, 1]))
+
+
+def test_basis_views_are_read_only():
+    f = lf.PrimeField(5)
+    s = span_rows(f, 3, [[1, 2, 3], [0, 1, 4]])
+    with pytest.raises(ValueError):
+        s.rows[0][:] = 0
+    with pytest.raises(ValueError):
+        s.basis_matrix()[1, 2] = 0
+    assert s.dim == 2 and s.contains(f.vector([1, 2, 3]))
+
+
+@given(gf_matrix(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_split_insertion_same_rref(data, draw):
+    p, n, entries = data
+    f = lf.PrimeField(p)
+    m = f.canon(np.asarray(entries, dtype=np.int64))
+    cuts = sorted(draw.draw(st.lists(st.integers(0, len(entries)), max_size=3)))
+    s = Subspace(f, n)
+    for a, b in zip([0, *cuts], [*cuts, len(entries)]):
+        s._insert_batch(m[a:b])
+    assert s == span_rows(f, n, m)
+    assert [r.tolist() for r in s.rows] == naive_rref(entries, p)
+
+
+# -- ideal closure against a naive fixpoint ------------------------------------
+
+def loop_actions(table):
+    """Left and right multiplication by each loop element, on Python-int rows."""
+    n = len(table)
+
+    def left(g):
+        return lambda r: [r[next(x for x in range(n) if table[g][x] == y)] for y in range(n)]
+
+    def right(g):
+        return lambda r: [r[next(x for x in range(n) if table[x][g] == y)] for y in range(n)]
+    return [left(g) for g in range(n)] + [right(g) for g in range(n)]
+
+
+def tensor_actions(c):
+    """Left and right multiplication by each basis element of a structure tensor."""
+    d = len(c)
+
+    def act(mat):
+        return lambda r: [sum(r[i] * mat[i][k] for i in range(d)) for k in range(d)]
+    return [act(c[g]) for g in range(d)] + [act([c[i][g] for i in range(d)]) for g in range(d)]
+
+
+def naive_closure(seeds, actions, p):
+    """Python-int fixpoint: one action on one row at a time, then naive_rref."""
+    basis = naive_rref(seeds, p)
+    while True:
+        grown = naive_rref(basis + [act(r) for r in basis for act in actions], p)
+        if grown == basis:
+            return basis
+        basis = grown
+
+
+def closure_rows(alg, seeds, chunk_entries=linalg.IMAGE_CHUNK_ENTRIES):
+    old, linalg.IMAGE_CHUNK_ENTRIES = linalg.IMAGE_CHUNK_ENTRIES, chunk_entries
+    try:
+        s = lf.ideal_closure([np.asarray(seeds, dtype=alg.field.dtype)], alg.left_actions(),
+                             alg.right_actions(), field=alg.field, ambient_dim=alg.dim)
+    finally:
+        linalg.IMAGE_CHUNK_ENTRIES = old
+    assert s.pivot_cols == tuple(next(i for i, x in enumerate(r) if x) for r in s.rows)
+    return s, [r.tolist() for r in s.rows]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_ideal_closure_matches_naive_fixpoint(s3, chein12, order5, data):
+    loop = data.draw(st.sampled_from([s3, chein12, order5]))
+    p = data.draw(st.sampled_from([2, 3, 7]))
+    n = loop.order
+    entry = st.just(0) | st.integers(0, p - 1)
+    seeds = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=3))
+    if data.draw(st.booleans()):
+        # the sum of the left images spans a multiple of the sum of all
+        # elements, an ideal of dimension at most 1: dim < d
+        seeds = [[sum(r) % p] * n for r in seeds]
+    chunk = data.draw(st.sampled_from([1, 5, 64, linalg.IMAGE_CHUNK_ENTRIES]))
+    alg = lf.loop_algebra(lf.PrimeField(p), loop)
+    _, got = closure_rows(alg, seeds, chunk)
+    assert got == naive_closure(seeds, loop_actions(loop.table.tolist()), p)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_ideal_closure_tensor_actions_match_naive_fixpoint(chein12_gf7, data):
+    quot = chein12_gf7.algebra
+    d = quot.dim
+    seeds = data.draw(st.lists(st.lists(st.integers(0, 6), min_size=d, max_size=d),
+                               min_size=1, max_size=2))
+    chunk = data.draw(st.sampled_from([1, 3, linalg.IMAGE_CHUNK_ENTRIES]))
+    _, got = closure_rows(quot, seeds, chunk)
+    assert got == naive_closure(seeds, tensor_actions(quot.c.tolist()), 7)
+
+
+@pytest.mark.parametrize("loop_name, p, seed_kind, small", [
+    ("chein12", 7, "e-g", False), ("chein12", 7, "sum", True),
+    ("s3", 3, "e-g", False), ("s3", 3, "sum", True),
+    ("order5", 2, "e-g", False), ("chein12", None, "e-g", False), ("chein12", None, "sum", True)])
+def test_ideal_closure_both_sides_of_screen(request, loop_name, p, seed_kind, small):
+    loop = request.getfixturevalue(loop_name)
+    n = loop.order
+    f = lf.QQ if p is None else lf.PrimeField(p)
+    minus_one = -1 if p is None else p - 1
+    seed = [1] * n if seed_kind == "sum" else [1, minus_one] + [0] * (n - 2)
+    alg = lf.loop_algebra(f, loop)
+    s, got = closure_rows(alg, [f.vector(seed)])
+    assert (s.dim < n - s.dim) == small and s.dim
+    assert got == naive_closure([seed], loop_actions(loop.table.tolist()), p)
+
+
+def test_ideal_closure_omega_of_cml81_quotient(cml81_gf3):
+    # omega is the image of the augmentation ideal of FQ, which is spanned by
+    # the e - q as a vector space, so its projection is spanned by their images
+    quot, f = cml81_gf3.algebra, lf.PrimeField(3)
+    imgs = quot.basis_images
+    gens = f.canon(imgs[0][None, :] - imgs)
+    s, got = closure_rows(quot, gens)
+    assert s.dim == 53 and quot.dim - s.dim < s.dim
+    assert s == cml81_gf3.omega
+    assert got == naive_rref(gens.tolist(), 3)
+
+
+@pytest.mark.parametrize("chunk", [1, 8, 30, 2**15])
+def test_image_chunks_cover_every_action_and_row_in_order(monkeypatch, chunk):
+    monkeypatch.setattr(linalg, "IMAGE_CHUNK_ENTRIES", chunk)
+    block = np.arange(4 * 6, dtype=np.int64).reshape(4, 6)
+    actions = [lambda m, k=k: m + 100 * k for k in range(5)]
+    chunks = list(linalg._image_chunks(block, actions))
+    got = np.concatenate([images for _, _, images in chunks])
+    assert np.array_equal(got, np.concatenate([act(block) for act in actions]))
+    for k, rows, images in chunks:     # the first row of a chunk belongs to actions[k]
+        assert images.shape[0] % rows == 0 and np.array_equal(images[0] // 100, np.full(6, k))
