@@ -176,7 +176,10 @@ class TensorAlgebra(Algebra):
         c = self._c.reshape(d * d, d)
         step = max(1, 2**20 // max(d * d, 1))  # row-wise Kronecker chunk, <= 2^20 entries
 
-        def kron(s):   # rows of canonical operands, built in float64, left unreduced
+        # Kronecker rows of canonical operands, left unreduced: each entry is
+        # a product below (p-1)^2, exact in the operand type (float32 up to
+        # p = 4093), and matmul picks the contraction's width from the rows
+        def kron(s):
             fa, fb = f.operand(a[s:s + step]), f.operand(b[s:s + step])
             return (fa[:, :, None] * fb[:, None, :]).reshape(-1, d * d)
         chunks = [f.matmul(kron(s), c) for s in range(0, a.shape[0], step)]
@@ -240,8 +243,11 @@ def _alternator_failures(t, img, elems, field):
     Scans every family on every triple of ``elems`` (positions index it) in
     blocks of pairs (a, b) over all c.  A block holds at most 2^18 entries
     counted at the loop algebra's width n >= d, so a block of failures
-    lifted into FQ is no larger than the block scanned.
+    lifted into FQ is no larger than the block scanned.  GF(p) images are
+    gathered as int32: an alternator sums four canonical rows, below 2^22.
     """
+    if img.dtype == np.int64:
+        img = img.astype(np.int32)
     m = len(elems)
     step = max(1, _SCAN_ENTRIES // (m * t.shape[0]))
     first, second = np.divmod(np.arange(m * m), m)

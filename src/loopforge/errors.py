@@ -22,7 +22,10 @@ class LatinSquareViolation(LoopforgeError):
 
 
 class MalformedCayley(LoopforgeError):
-    """A Cayley document lacks the shape {"order", "elements": [...], "table": [[...]]}."""
+    """A Cayley document or table is malformed: it lacks the shape
+    {"order", "elements": [...], "table": [[...]]}, names an element twice,
+    or has a table that is not square or holds entries outside the integers
+    0..n-1."""
 
 
 class NoIdentityAtZero(LoopforgeError):

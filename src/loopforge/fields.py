@@ -5,6 +5,11 @@ for GF(p), reduced ``fractions.Fraction`` for the rationals.  Each field
 object also provides an array layer (``vector``/``zeros``/``canon``, and
 ``matmul``, the one dense product kernel); GF(p) vectors are int64 numpy
 arrays, rational vectors are object arrays of Fractions.
+
+Over GF(p) the kernel runs float BLAS, which is exact while every partial
+sum is an integer below 2^24 (float32) or 2^53 (float64).  It measures the
+bound of each product and takes float32 whenever the whole contraction
+stays below 2^24, float64 in delayed-reduction blocks otherwise.
 """
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ import numpy as np
 from .errors import EnumerationUnsupported
 
 # Largest modulus accepted.  Below it every kernel is exact: field.matmul
-# blocks its float64 sums (see PrimeField.matmul), and a loop algebra's int64
+# bounds its float sums (see PrimeField.matmul), and a loop algebra's int64
 # gather adds at most LOOP_ALGEBRA_DIM_BOUND products, n*(p-1)^2 < 2^51.
 MAX_PRIME = 2**20
 
@@ -106,29 +111,44 @@ class PrimeField:
         return arr % self.p
 
     def operand(self, arr: np.ndarray) -> np.ndarray:
-        """``arr`` in the form ``matmul`` consumes; convert a reused operand once."""
-        return np.asarray(arr, dtype=np.float64)
+        """``arr`` in the form ``matmul`` consumes; convert a reused operand once.
+
+        float32 when (p-1)^2 < 2^24 (p <= 4093), else float64: either way the
+        product of two canonical operands, such as an entry of a Kronecker
+        row, is exact in the operand type.
+        """
+        return np.asarray(arr, dtype=np.float32 if (self.p - 1)**2 < 2**24 else np.float64)
 
     def matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """x @ y for a matrix x of integers (int64, or exact in float64) and |y| < p.
+        """x @ y for a matrix x of integers (int64, or exact in float) and |y| < p.
 
         Returns int64 entries congruent mod p to the exact product and below
         2^53 in absolute value; the caller reduces once with ``canon``.
-        float64 BLAS is exact while every partial sum stays below 2^53.  With
-        top = max |x|, measured here, the contraction runs in blocks of K
-        terms with K*top*(p-1) < 2^53, each block reduced mod p before the
-        blocks are added (the delayed reduction of FFLAS-FFPACK: Dumas,
-        Giorgi & Pernet, ACM TOMS 35(3), 2008).  So x may be an unreduced
-        product; only when top*(p-1) >= 2^53 is x reduced first, making
-        top = p-1.
+        float BLAS is exact while every partial sum is an integer below 2^24
+        (float32) or 2^53 (float64).  With top = max |x|, measured here, and
+        K the contraction length:
+        - if K*top*(p-1) < 2^24, both operands are cast to float32 and one
+          SGEMM gives the product, exact in any summation order;
+        - otherwise the contraction runs in float64 blocks of K' terms with
+          K'*top*(p-1) < 2^53, each block reduced mod p before the blocks
+          are added (the delayed reduction of FFLAS-FFPACK: Dumas, Giorgi &
+          Pernet, ACM TOMS 35(3), 2008, which also picks the narrowest
+          float type whose mantissa keeps the dot product exact).  So x may
+          be an unreduced product; only when top*(p-1) >= 2^53 is x reduced
+          first, making top = p-1.
+        Both operands are cast explicitly: numpy promotes a float32 x float64
+        or an int64 x float32 pair to float64.
         """
         p, x = self.p, np.asarray(x)
         top = max(int(x.max()), -int(x.min())) if x.size else 0
+        k = x.shape[-1]
+        if k * top * (p - 1) < 2**24:
+            x, y = np.asarray(x, dtype=np.float32), np.asarray(y, dtype=np.float32)
+            return np.matmul(x, y).astype(np.int64)
         if top * (p - 1) >= 2**53:
             x, top = x % p, p - 1
-        x = self.operand(x)
-        y = self.operand(y)
-        k, n = x.shape[-1], (2**53 - 1) // max(top * (p - 1), 1)
+        x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+        n = (2**53 - 1) // (top * (p - 1))
         if k <= n:
             return np.matmul(x, y).astype(np.int64)
         out = np.matmul(x[..., :n], y[..., :n, :]).astype(np.int64) % p

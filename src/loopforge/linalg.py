@@ -236,40 +236,41 @@ def solve(columns: Sequence[np.ndarray], rhs, field) -> Optional[np.ndarray]:
 
 
 def solve_matrix(a: np.ndarray, rhs: np.ndarray, field) -> Optional[np.ndarray]:
-    """Solve a @ x = rhs for an explicit coefficient matrix a (n x m)."""
-    a = field.canon(np.asarray(a).copy())
-    b = field.canon(np.asarray(rhs).copy())
+    """Solve a @ x = rhs for an explicit coefficient matrix a (n x m).
+
+    Gauss-Jordan on the augmented matrix [a | rhs].  Pivots are leftmost:
+    each column's first nonzero row at or below the rank is swapped up, and
+    one rank-1 update scales it to 1 and clears its column from every other
+    row, followed by one reduction.  Free variables are 0; returns None when
+    the system is inconsistent.
+    """
+    a, b = np.asarray(a), np.asarray(rhs)
     if a.ndim != 2 or a.shape[0] != b.shape[0]:
         raise DimensionMismatch("matrix/rhs shape mismatch")
     n, m = a.shape
-    pivots: list[tuple[int, int]] = []
-    rank = 0
+    aug = field.canon(np.column_stack((a, b)))
+    pivots: list[int] = []
     for col in range(m):
-        rows_nz = np.flatnonzero(a[rank:, col] != 0)
-        if rows_nz.size == 0:
-            continue
-        r = rank + int(rows_nz[0])
-        if r != rank:
-            a[[rank, r]] = a[[r, rank]]
-            b[[rank, r]] = b[[r, rank]]
-        inv = field.inv(a[rank, col])
-        a[rank] = field.canon(a[rank] * inv)
-        b[rank] = field.mul(b[rank], inv)
-        c = a[:, col].copy()
-        c[rank] = 0
-        mask = c != 0
-        if mask.any():
-            a[mask] = field.canon(a[mask] - c[mask, None] * a[rank][None, :])
-            b[mask] = field.canon(b[mask] - c[mask] * b[rank])
-        pivots.append((rank, col))
-        rank += 1
-        if rank == n:
+        r = len(pivots)
+        if r == n:
             break
-    if rank < n and b[rank:].any():
+        nz = np.flatnonzero(aug[r:, col])
+        if nz.size == 0:
+            continue
+        if nz[0]:
+            aug[[r, r + nz[0]]] = aug[[r + nz[0], r]]
+        inv = field.inv(aug[r, col])
+        # row i loses coef[i] * (pivot row); the pivot row itself loses
+        # (1 - inv) of itself, which scales it by inv
+        coef = field.canon(aug[:, col] * inv)
+        coef[r] = field.sub(1, inv)
+        aug -= coef[:, None] * aug[r]
+        aug = field.canon(aug)
+        pivots.append(col)
+    if aug[len(pivots):, m].any():
         return None
     x = field.zeros(m)
-    for r, col in pivots:
-        x[col] = b[r]
+    x[pivots] = aug[:len(pivots), m]
     return x
 
 

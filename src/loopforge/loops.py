@@ -8,6 +8,7 @@ represented structurally and answer multiplication through their components.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Optional, Sequence
@@ -34,11 +35,11 @@ _CHUNK_CELLS = 700_000  # triple-scan chunk size in table cells
 def validate_table(table: np.ndarray) -> None:
     n = table.shape[0]
     if table.ndim != 2 or table.shape != (n, n):
-        raise LatinSquareViolation("table", 0, "not square")
+        raise MalformedCayley("table is not square")
     if n == 0:
         raise NoIdentityAtZero("empty table")
     if table.min() < 0 or table.max() >= n:
-        raise LatinSquareViolation("table", 0, "entry out of range")
+        raise MalformedCayley(f"table entry out of range 0..{n - 1}")
     ref = np.arange(n, dtype=table.dtype)
     rows_sorted = np.sort(table, axis=1)
     bad = np.flatnonzero((rows_sorted != ref[None, :]).any(axis=1))
@@ -228,10 +229,24 @@ def loop_from_cayley(doc: dict, name: str = "loop") -> Loop:
     for key in ("elements", "table"):
         if not isinstance(doc.get(key), list):
             raise MalformedCayley(f"{key!r} must be a list")
-    if "order" in doc and doc["order"] != len(doc["table"]):
-        raise MalformedCayley(f"order {doc['order']} disagrees with a table of "
-                              f"{len(doc['table'])} rows")
-    return loop_from_table(doc["elements"], doc["table"], name=name)
+    names, table = doc["elements"], doc["table"]
+    if "order" in doc and (type(doc["order"]) is not int or doc["order"] != len(table)):
+        raise MalformedCayley(f"order {json.dumps(doc['order'])} disagrees with a table of "
+                              f"{len(table)} rows")
+    if len(set(map(str, names))) != len(names):
+        raise MalformedCayley("element names are not distinct")
+    n = len(table)
+    if not all(isinstance(row, list) and len(row) == n for row in table):
+        raise MalformedCayley("table is not square")
+    # JSON gives int, float or bool; numpy would truncate 0.5 and read true as 1
+    if not set().union(*(map(type, row) for row in table)) <= {int}:
+        bad = next(v for row in table for v in row if type(v) is not int)
+        raise MalformedCayley(f"table entry {json.dumps(bad)} is not an integer")
+    try:
+        arr = np.array(table, dtype=np.int64).reshape(n, n)
+    except OverflowError:
+        raise MalformedCayley(f"table entry out of range 0..{n - 1}") from None
+    return loop_from_table(names, arr, name=name)
 
 
 # -- property checks -----------------------------------------------------

@@ -313,6 +313,36 @@ def test_alternator_scan_matches_table(order5):
         assert scanned == expected
 
 
+def test_alternator_scan_int32_matches_int64_at_cap(chein12):
+    # the scan gathers GF(p) images as int32; with image rows near p-1 at the
+    # modulus cap, every failure, and so the first one, equals the int64 result
+    loop, n = chein12, chein12.order
+    img = np.random.default_rng(P_CAP).integers(P_CAP - 64, P_CAP, size=(n, n))
+    failures = algebras._alternator_failures(loop.table, img, np.arange(n), GF_CAP)
+    scanned = [(fam, int(a), int(b), int(c)) for fam, *abc in failures for a, b, c in zip(*abc)]
+    forms = [lambda a, b, c: assoc_vec(loop, a, b, c) + assoc_vec(loop, b, a, c),
+             lambda a, b, c: assoc_vec(loop, a, b, c) + assoc_vec(loop, a, c, b),
+             lambda a, b, c: assoc_vec(loop, a, a, c),
+             lambda a, b, c: assoc_vec(loop, c, a, a)]
+    expected = [(fam, a, b, c) for fam, form in enumerate(forms)
+                for a, b, c in product(range(n), repeat=3)
+                if (fam < 2 or a == b) and ((form(a, b, c) @ img) % P_CAP).any()]
+    assert expected and scanned[0] == expected[0] == (0, 3, 6, 1)
+    assert scanned == expected
+
+
+@pytest.mark.parametrize("p", [4093, 4099])
+def test_mul_pairwise_dense_at_operand_width(p):
+    # operands are float32 while (p-1)^2 < 2^24 (p <= 4093) and float64 above,
+    # so every Kronecker entry is exact; (p-2)^2 is odd, and at p = 4099 it is
+    # above 2^24, where float32 would round it
+    f = lf.PrimeField(p)
+    alg = algebras.TensorAlgebra(f, np.full((4, 4, 4), p - 1), [f"x{i}" for i in range(4)])
+    rows = [[p - 1] * 4, [p - 2] * 4, [p - 1, p - 2, 1, 0]]
+    assert f.operand(np.zeros(1)).dtype == (np.float32 if p == 4093 else np.float64)
+    assert_products(alg, rows, rows, tensor_oracle(alg.c, p))
+
+
 def test_alternator_ideal_zero_for_groups(s3):
     assert lf.alternator_ideal(lf.loop_algebra(lf.PrimeField(3), s3)).dim == 0
 

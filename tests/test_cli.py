@@ -122,6 +122,23 @@ def test_usage_errors(capsys, tmp_path):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
         assert main(["check", "--loop", str(path), "--property", "moufang"]) == 2
+    # malformed tables exit 2 with a plain message instead of being truncated
+    # (0.5 -> 0), read as integers (true -> 1) or accepted with repeated names
+    capsys.readouterr()
+    for name, doc, message in (
+            ("half", dict(c2, table=[[0, 1], [1, 0.5]]), "table entry 0.5 is not an integer"),
+            ("bool", dict(c2, table=[[0, 1], [1, True]]), "table entry true is not an integer"),
+            ("bool_order", dict(c2, order=True, elements=["e"], table=[[0]]),
+             "order true disagrees with a table of 1 rows"),
+            ("same_names", dict(c2, elements=["e", "e"]), "element names are not distinct"),
+            ("out_of_range", dict(c2, table=[[0, 1], [1, 2]]), "table entry out of range 0..1"),
+            ("huge", dict(c2, table=[[0, 1], [1, 10**30]]), "table entry out of range 0..1"),
+            ("ragged", dict(c2, table=[[0, 1], [1]]), "table is not square"),
+            ("empty", {"elements": [], "table": []}, "empty table")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", "--loop", str(path), "--property", "moufang"]) == 2, name
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_byte_stable_reports(capsys):

@@ -45,17 +45,27 @@ def test_matmul_exact_across_blocks():
 
 @pytest.mark.parametrize("p", [2, 65521, 1048573])
 def test_matmul_unreduced_x(p):
-    # x may be any int64 matrix: with top = max |x| the kernel sums blocks of
-    # K terms, K*top*(p-1) < 2^53, and reduces x first when top*(p-1) >= 2^53
+    # x may be any int64 matrix: with top = max |x| and K terms the kernel runs
+    # one float32 product when K*top*(p-1) < 2^24, else float64 blocks of K'
+    # terms, K'*top*(p-1) < 2^53, and reduces x first when top*(p-1) >= 2^53
     f = lf.PrimeField(p)
     rng = np.random.default_rng(p)
+    k = 7
     forced = [2**53 // (p - 1) + 1, 2**62]
     blocks = [(2**53 - 1) // ((p - 1) * n) for n in (1, 2, 3)]   # blocks of n terms
-    for top in forced + blocks:
-        x = rng.integers(-top, top, size=(3, 7), endpoint=True)
+    # the last float32 top (K*top*(p-1) <= 2^24 - 1, equal at p = 2), the
+    # first float64 one, and the last below 2^25, whose odd sums above 2^24
+    # float32 would round
+    last32 = (2**24 - 1) // (k * (p - 1))
+    widths = [last32, last32 + 1, (2**25 - 1) // (k * (p - 1))]
+    for top in forced + blocks + widths:
+        x = rng.integers(-top, top, size=(5, k), endpoint=True)
         x[0, 0], x[1, 3], x[2, 6] = top, -top, top
-        y = rng.integers(1 - p, p - 1, size=(7, 2), endpoint=True)
+        x[3], x[4], x[4, -1] = -top, top, 1
+        y = rng.integers(1 - p, p - 1, size=(k, 4), endpoint=True)
         y[0, 0], y[6, 1] = p - 1, 1 - p
+        y[:, 2], y[:, 3], y[-1, 3] = p - 1, p - 1, 1
+        # x[3] @ y[:, 2] = -K*top*(p-1); x[4] @ y[:, 3] = (K-1)*top*(p-1) + 1
         got = f.matmul(x, y)
         assert np.abs(got).max() < 2**53
         xs, ys = x.tolist(), y.T.tolist()

@@ -152,6 +152,43 @@ def test_solve_round_trip(data):
     assert np.array_equal(f.canon(a @ x), rhs)
 
 
+def naive_solve(a, b, p):
+    """Python-int (or Fraction, p None) oracle: RREF of [a | b], pivot
+    variables read off, free variables 0, None if the rhs column pivots."""
+    m = len(a[0])
+    x = [0] * m
+    for row in naive_rref([list(r) + [v] for r, v in zip(a, b)], p):
+        lead = next(i for i, v in enumerate(row) if v)
+        if lead == m:
+            return None
+        x[lead] = row[m]
+    return x
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 1048573, None])
+def test_solve_matrix_matches_naive_oracle(p):
+    # square, wide and tall systems of every rank down to zero, each with a
+    # consistent rhs and a random one (inconsistent unless a has full row rank)
+    f = lf.QQ if p is None else lf.PrimeField(p)
+    rng = np.random.default_rng(p or 0)
+    outcomes = set()
+    for n, m, r in ((5, 5, 5), (5, 5, 3), (3, 6, 3), (3, 6, 2), (6, 3, 3), (6, 3, 1), (4, 4, 0)):
+        a = rng.integers(-3, 4, size=(n, r)) @ rng.integers(-3, 4, size=(r, m))
+        for b in (a @ rng.integers(-3, 4, size=m), rng.integers(-3, 4, size=n)):
+            if p is None:
+                a_f = np.array([[Fraction(int(v)) for v in row] for row in a], dtype=object)
+                b_f = np.array([Fraction(int(v)) for v in b], dtype=object)
+            else:
+                a_f, b_f = a, b
+            got = linalg.solve_matrix(a_f, b_f, f)
+            want = naive_solve(a.tolist(), b.tolist(), p)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.tolist() == want
+            outcomes.add((r, got is None))
+    assert {(5, False), (3, True), (0, False), (0, True)} <= outcomes
+
+
 def _fc3_actions(f):
     t = lf.cyclic(3).table
     alg = lf.loop_algebra(f, lf.cyclic(3))
