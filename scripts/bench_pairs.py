@@ -1,21 +1,23 @@
-"""Alternating parent/change benchmark pairs on one workload.
+"""Alternating parent/change benchmark pairs on one or more workloads.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --workload queries \
-        --seeds 901-910 --out BENCH.json
+        --workload build --seeds 901-910 --out BENCH.json
 
 DIR is the root of a checkout holding ``perfbench/run.py`` and ``src/``.
-For each seed the script runs ``python3 perfbench/run.py --workload W
---seed N`` once in each tree, one after the other in the same seed's pair;
-the parent goes first on even positions in the seed range and the change on
-odd ones, so neither tree always runs on a warmer or a busier machine.
+The workloads run one after another, each on every seed.  For each seed the
+script runs ``python3 perfbench/run.py --workload W --seed N`` once in each
+tree, one after the other in the same seed's pair; the parent goes first on
+even positions in the seed range and the change on odd ones, so neither
+tree always runs on a warmer or a busier machine.
 
-The output records every run's end-to-end metrics (the ``end_to_end`` names
-of the change tree's BENCHMARK.json) and its ``fail_frac`` (failed over
-attempted jobs), and for each metric the median and quartiles of both trees,
-the number of pairs the change wins, and whether the change's median beats
-the parent's by more than the parent's quartile distance.  It also keeps the
-``# machine:`` line run.py prints.  The script reads run.py's output only;
-it imports nothing from ``perfbench/``.
+The output maps each workload to a record of every run's end-to-end metrics
+(the ``end_to_end`` names of the change tree's BENCHMARK.json) and its
+``fail_frac`` (failed over attempted jobs), and for each metric the median
+and quartiles of both trees, the number of pairs the change wins, and
+whether the change's median beats the parent's by more than the parent's
+quartile distance.  Each record also keeps the ``# machine:`` line run.py
+prints.  The file is rewritten after every pair.  The script reads run.py's
+output only; it imports nothing from ``perfbench/``.
 """
 from __future__ import annotations
 
@@ -74,7 +76,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", action="append", required=True,
+                    help="repeat to run several workloads")
     ap.add_argument("--seeds", type=parse_seeds, required=True, help="A-B, inclusive")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
@@ -83,30 +86,34 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     better["fail_frac"] = "lower"
 
-    runs, machine = [], None
-    for i, seed in enumerate(args.seeds):
-        order = TREES if i % 2 == 0 else TREES[::-1]
-        pair = {"seed": seed, "order": list(order)}
-        for tree in order:
-            res = run_once(roots[tree], args.workload, seed)
-            machine = machine or res["machine"]
-            pair[tree] = res["metrics"]
-            pair[f"{tree}_correct"] = res["correct"]
-            print(f"seed {seed} {tree}: " + " ".join(
-                f"{k}={v:.4g}" for k, v in res["metrics"].items()), flush=True)
-        runs.append(pair)
-        doc = {
-            "workload": args.workload,
-            "command": f"python3 perfbench/run.py --workload {args.workload} --seed N",
-            "seeds": [p["seed"] for p in runs],
-            "machine": machine,
-            "summary": {name: summarise(runs, name, b) for name, b in better.items()},
-            "runs": runs,
-        }
-        args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    for name, s in doc["summary"].items():
-        print(f"{name}: parent {s['parent']['median']:.4g} (IQR {s['parent']['iqr']:.3g}) -> "
-              f"change {s['change']['median']:.4g}, change wins {s['change_wins']}/{s['pairs']}")
+    out = {}
+    for workload in args.workload:
+        runs, machine = [], None
+        for i, seed in enumerate(args.seeds):
+            order = TREES if i % 2 == 0 else TREES[::-1]
+            pair = {"seed": seed, "order": list(order)}
+            for tree in order:
+                res = run_once(roots[tree], workload, seed)
+                machine = machine or res["machine"]
+                pair[tree] = res["metrics"]
+                pair[f"{tree}_correct"] = res["correct"]
+                print(f"{workload} seed {seed} {tree}: " + " ".join(
+                    f"{k}={v:.4g}" for k, v in res["metrics"].items()), flush=True)
+            runs.append(pair)
+            out[workload] = {
+                "workload": workload,
+                "command": f"python3 perfbench/run.py --workload {workload} --seed N",
+                "seeds": [p["seed"] for p in runs],
+                "machine": machine,
+                "summary": {name: summarise(runs, name, b) for name, b in better.items()},
+                "runs": runs,
+            }
+            args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    for workload, doc in out.items():
+        for name, s in doc["summary"].items():
+            print(f"{workload} {name}: parent {s['parent']['median']:.4g} "
+                  f"(IQR {s['parent']['iqr']:.3g}) -> change {s['change']['median']:.4g}, "
+                  f"change wins {s['change_wins']}/{s['pairs']}")
     return 0
 
 

@@ -159,11 +159,18 @@ class TensorAlgebra(Algebra):
 
     def mul_rows(self, a, b):
         f, d = self.field, self.dim
-        a = np.atleast_2d(np.asarray(a))
-        b = f.canon(np.atleast_2d(np.asarray(b)))
-        # two stages, a.C then (a.C).b, cost |a| d^3 + |a| |b| d^2; a
-        # Kronecker product over all pairs would cost |a| |b| d^3.  a.C stays
-        # unreduced: it is the first operand of the second matmul
+        a, b = np.atleast_2d(np.asarray(a)), np.atleast_2d(np.asarray(b))
+        # two stages that contract the shorter operand with C first: a.C then
+        # (a.C).b costs |a| d^3 + |a| |b| d^2, C.b then a.(C.b) costs
+        # |b| d^3 + |a| |b| d^2; a Kronecker product over all pairs would cost
+        # |a| |b| d^3.  The first stage's product stays unreduced as the
+        # second matmul's x, and only the other operand, its y, is reduced
+        if b.shape[0] < a.shape[0]:
+            cb = f.matmul(b, self._c).reshape(d, -1)                         # [i, (v, k)]
+            out = f.matmul(cb.T, f.canon(a).T)                               # [(v, k), u]
+            out = out.reshape(b.shape[0], d, a.shape[0]).transpose(2, 0, 1)  # [u, v, k]
+            return f.canon(out.reshape(-1, d))
+        b = f.canon(b)
         ac = f.matmul(a, self._c.reshape(d, d * d))                          # [u, (j, k)]
         ac = ac.reshape(a.shape[0], d, d).transpose(0, 2, 1).reshape(-1, d)  # [(u, k), j]
         out = f.matmul(ac, b.T).reshape(a.shape[0], d, b.shape[0])          # [u, k, v]
@@ -627,8 +634,10 @@ def invert(alg: Algebra, u: np.ndarray) -> Optional[np.ndarray]:
         raise ValueError("invert needs a unital algebra")
     u = alg.field.canon(np.asarray(u))
     x = linalg.solve_matrix(left_mult_matrix(alg, u), alg.unit, alg.field)
+    if x is None:
+        return None
     y = linalg.solve_matrix(right_mult_matrix(alg, u), alg.unit, alg.field)
-    if x is None or y is None:
+    if y is None:
         return None
     if not np.array_equal(x, y):
         raise SidedInverseMismatch(u)

@@ -141,6 +141,13 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """``--samples``: zero samples would check nothing and report a pass."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loopforge",
@@ -155,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "or a Cayley JSON file")
         if field:
             p.add_argument("--field", required=True, help="gf:p or q")
-        p.add_argument("--samples", type=int, default=10**4)
+        p.add_argument("--samples", type=_positive_int, default=10**4)
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--json", action="store_true",
                        help="accepted for compatibility; output is always JSON")

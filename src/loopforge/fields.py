@@ -251,5 +251,9 @@ def field_from_spec(spec: str):
     if s in ("q", "qq", "rationals"):
         return QQ
     if s.startswith("gf:"):
-        return PrimeField(int(s[3:]))
+        try:
+            p = int(s[3:])
+        except ValueError:
+            raise ValueError(f"field spec {spec!r}: p must be an integer") from None
+        return PrimeField(p)
     raise ValueError(f"unrecognised field spec {spec!r} (expected 'gf:p' or 'q')")

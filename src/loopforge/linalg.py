@@ -238,39 +238,47 @@ def solve(columns: Sequence[np.ndarray], rhs, field) -> Optional[np.ndarray]:
 def solve_matrix(a: np.ndarray, rhs: np.ndarray, field) -> Optional[np.ndarray]:
     """Solve a @ x = rhs for an explicit coefficient matrix a (n x m).
 
-    Gauss-Jordan on the augmented matrix [a | rhs].  Pivots are leftmost:
-    each column's first nonzero row at or below the rank is swapped up, and
-    one rank-1 update scales it to 1 and clears its column from every other
-    row, followed by one reduction.  Free variables are 0; returns None when
-    the system is inconsistent.
+    Gauss-Jordan on the augmented matrix [a | rhs] with delayed reduction.
+    Pivots are leftmost: each column's first nonzero row at or below the
+    rank is swapped up.  A pivot reduces only its column, to find the pivot
+    and the multiples to clear, and the pivot row, which it scales to 1;
+    one unreduced rank-1 update then clears the column from every other
+    row.  The rhs column is reduced once, at the end.  Free variables are
+    0; returns None when the system is inconsistent.
+
+    Over GF(p) each update subtracts a product of two residues, at most
+    (p-1)^2, so every entry stays below p + min(n, m)*(p-1)^2 in absolute
+    value: under 2^62 in int64 until 2^22 pivots at p <= 2^20 (MAX_PRIME).
+    Over Q, ``canon`` is the identity and this is plain Gauss-Jordan.
     """
     a, b = np.asarray(a), np.asarray(rhs)
     if a.ndim != 2 or a.shape[0] != b.shape[0]:
         raise DimensionMismatch("matrix/rhs shape mismatch")
     n, m = a.shape
-    aug = field.canon(np.column_stack((a, b)))
+    aug = field.canon(np.column_stack((a, b)).astype(field.dtype, copy=False))
     pivots: list[int] = []
     for col in range(m):
         r = len(pivots)
         if r == n:
             break
-        nz = np.flatnonzero(aug[r:, col])
+        piv = field.canon(aug[:, col])
+        nz = piv[r:].nonzero()[0]
         if nz.size == 0:
             continue
         if nz[0]:
-            aug[[r, r + nz[0]]] = aug[[r + nz[0], r]]
-        inv = field.inv(aug[r, col])
-        # row i loses coef[i] * (pivot row); the pivot row itself loses
-        # (1 - inv) of itself, which scales it by inv
-        coef = field.canon(aug[:, col] * inv)
-        coef[r] = field.sub(1, inv)
-        aug -= coef[:, None] * aug[r]
-        aug = field.canon(aug)
+            aug[r], aug[r + nz[0]] = aug[r + nz[0]], aug[r].copy()
+            piv = field.canon(aug[:, col])
+        # row i loses piv[i] times the scaled pivot row; columns up to col
+        # are never read again
+        row = field.canon(field.canon(aug[r, col + 1:]) * field.inv(piv[r]))
+        aug[:, col + 1:] -= piv[:, None] * row
+        aug[r, col + 1:] = row
         pivots.append(col)
-    if aug[len(pivots):, m].any():
+    rank, last = len(pivots), field.canon(aug[:, m])
+    if last[rank:].any():
         return None
     x = field.zeros(m)
-    x[pivots] = aug[:len(pivots), m]
+    x[pivots] = last[:rank]
     return x
 
 

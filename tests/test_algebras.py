@@ -1,5 +1,6 @@
 import functools
 import tracemalloc
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -159,14 +160,16 @@ def assert_products(alg, a, b, expected):
 
 
 def tensor_oracle(c, p=P_CAP):
-    """Python-int product from structure constants c[i][j][k]."""
+    """Python-int product from structure constants c[i][j][k]; exact
+    Fractions, with no reduction, when p is None."""
     c = c.tolist()
     n = len(c)
 
     def oracle(u, v):
         u, v = u.tolist(), v.tolist()
-        return [sum(u[i] * v[j] * c[i][j][k] for i in range(n) for j in range(n)) % p
-                for k in range(n)]
+        out = [sum(u[i] * v[j] * c[i][j][k] for i in range(n) for j in range(n))
+               for k in range(n)]
+        return out if p is None else [x % p for x in out]
     return oracle
 
 
@@ -246,6 +249,40 @@ def test_quotient_algebra_exact_in_split_blocks(a, b):
         return quot.project_rows(fq.mul_rows(quot.lift_rows(u), quot.lift_rows(v)))[0].tolist()
     assert_products(quot, a, b, oracle)
     assert_products(quot, a, b, tensor_oracle(quot.c, P_MID))
+
+
+@functools.cache
+def chein12_quotient(field):
+    return lf.alternative_loop_algebra(field, lf.chein12()).algebra
+
+
+@pytest.mark.parametrize("name, p", [("zorn", 3), ("zorn", P_MID), ("zorn", P_CAP),
+                                     ("chein12", 7), ("chein12", None)])
+def test_mul_rows_both_orders(name, p):
+    # mul_rows contracts the shorter operand with the tensor first: C.b then
+    # a.(C.b) when |b| < |a|, a.C then (a.C).b otherwise
+    field = lf.QQ if p is None else lf.PrimeField(p)
+    alg = lf.zorn_algebra(field) if name == "zorn" else chein12_quotient(field)
+    rng = np.random.default_rng(p or 0)
+
+    def rows(k):
+        if p is None:
+            frac = np.vectorize(lambda x, y: Fraction(int(x), int(y)), otypes=[object])
+            return frac(rng.integers(-9, 10, size=(k, alg.dim)), rng.integers(1, 6, size=(k, alg.dim)))
+        return rng.integers(0, p, size=(k, alg.dim))
+    oracle = tensor_oracle(alg.c, p)
+    for ka, kb in ((5, 2), (3, 3), (2, 5), (alg.dim, 1), (1, alg.dim)):
+        a, b = rows(ka), rows(kb)
+        got = alg.mul_rows(a, b).reshape(ka, kb, alg.dim)
+        for i in range(ka):
+            for j in range(kb):
+                assert got[i, j].tolist() == oracle(a[i], b[j]), (ka, kb, i, j)
+    u = rows(1)[0]
+    left, right = algebras.left_mult_matrix(alg, u), algebras.right_mult_matrix(alg, u)
+    for j in range(alg.dim):
+        e = alg.basis_vec(j)
+        assert left[:, j].tolist() == oracle(u, e)
+        assert right[:, j].tolist() == oracle(e, u)
 
 
 # -- alternator ideal -----------------------------------------------------------

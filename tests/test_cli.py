@@ -139,6 +139,16 @@ def test_usage_errors(capsys, tmp_path):
         path.write_text(json.dumps(doc))
         assert main(["check", "--loop", str(path), "--property", "moufang"]) == 2, name
         assert capsys.readouterr().err == f"error: {message}\n"
+    # a sample count below 1 would check nothing and report a pass
+    for argv in (["check", "--loop", "cml81", "--property", "identity44"],
+                 ["algebra", "--loop", "s3", "--field", "gf:7"]):
+        for samples in ("0", "-1", "-3", "x"):
+            assert main(argv + ["--samples", samples]) == 2, (argv, samples)
+            assert capsys.readouterr().err.endswith(
+                f"error: argument --samples: expected a positive integer, got '{samples}'\n")
+    for spec in ("gf:x", "gf:"):
+        assert main(["algebra", "--loop", "s3", "--field", spec]) == 2
+        assert capsys.readouterr().err == f"error: field spec '{spec}': p must be an integer\n"
 
 
 def test_byte_stable_reports(capsys):

@@ -171,22 +171,34 @@ def test_solve_matrix_matches_naive_oracle(p):
     # consistent rhs and a random one (inconsistent unless a has full row rank)
     f = lf.QQ if p is None else lf.PrimeField(p)
     rng = np.random.default_rng(p or 0)
-    outcomes = set()
+    systems = []
     for n, m, r in ((5, 5, 5), (5, 5, 3), (3, 6, 3), (3, 6, 2), (6, 3, 3), (6, 3, 1), (4, 4, 0)):
         a = rng.integers(-3, 4, size=(n, r)) @ rng.integers(-3, 4, size=(r, m))
-        for b in (a @ rng.integers(-3, 4, size=m), rng.integers(-3, 4, size=n)):
-            if p is None:
-                a_f = np.array([[Fraction(int(v)) for v in row] for row in a], dtype=object)
-                b_f = np.array([Fraction(int(v)) for v in b], dtype=object)
-            else:
-                a_f, b_f = a, b
-            got = linalg.solve_matrix(a_f, b_f, f)
-            want = naive_solve(a.tolist(), b.tolist(), p)
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert got.tolist() == want
-            outcomes.add((r, got is None))
+        systems += [(r, a, a @ rng.integers(-3, 4, size=m)), (r, a, rng.integers(-3, 4, size=n))]
+    if p == 1048573:
+        # uniform residues at the modulus cap: the unreduced entries of the
+        # delayed-reduction elimination grow by up to (p-1)^2 ~ 2^40 per pivot
+        for n, m, r in ((64, 64, 64), (128, 64, 64), (64, 128, 64), (96, 96, 40)):
+            a = rng.integers(0, p, size=(n, m))
+            if r < min(n, m):
+                a = rng.integers(0, p, size=(n, r)) @ rng.integers(0, p, size=(r, m)) % p
+            systems += [(r, a, a @ rng.integers(0, p, size=m) % p), (r, a, rng.integers(0, p, size=n))]
+    outcomes = set()
+    for r, a, b in systems:
+        if p is None:
+            a_f = np.array([[Fraction(int(v)) for v in row] for row in a], dtype=object)
+            b_f = np.array([Fraction(int(v)) for v in b], dtype=object)
+        else:
+            a_f, b_f = a, b
+        got = linalg.solve_matrix(a_f, b_f, f)
+        want = naive_solve(a.tolist(), b.tolist(), p)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.tolist() == want
+        outcomes.add((r, got is None))
     assert {(5, False), (3, True), (0, False), (0, True)} <= outcomes
+    if p == 1048573:
+        assert {(64, False), (64, True), (40, False), (40, True)} <= outcomes
 
 
 def _fc3_actions(f):
