@@ -1,7 +1,7 @@
 """Exact computations with finite Moufang loops and alternative loop algebras."""
 
 from .fields import QQ, PrimeField, RationalField, field_from_spec
-from .linalg import Subspace, ideal_closure, solve, span_rows, subspace_insert, subspace_power
+from .linalg import Subspace, ideal_closure, span_rows, subspace_power
 from .loops import (
     DEFAULT_SEED,
     Loop,

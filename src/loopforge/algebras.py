@@ -619,13 +619,19 @@ def unitize(ambient: Algebra, carrier: Subspace) -> UnitizedAlgebra:
 # -- inverses, quasiinverses, circle ----------------------------------------
 
 def left_mult_matrix(alg: Algebra, u: np.ndarray) -> np.ndarray:
-    """Matrix with column j = u * e_j."""
-    return alg.mul_rows(np.asarray(u).reshape(1, -1), _eye(alg.field, alg.dim)).T
+    """Matrix with column j = u * e_j; for a structure tensor, u.C reshaped."""
+    u, f, d = np.asarray(u).reshape(1, -1), alg.field, alg.dim
+    if isinstance(alg, TensorAlgebra):   # mul_rows's first stage, same matmul bound
+        return f.canon(f.matmul(u, alg._c.reshape(d, d * d)).reshape(d, d)).T
+    return alg.mul_rows(u, _eye(f, d)).T
 
 
 def right_mult_matrix(alg: Algebra, u: np.ndarray) -> np.ndarray:
-    """Matrix with column j = e_j * u."""
-    return alg.mul_rows(_eye(alg.field, alg.dim), np.asarray(u).reshape(1, -1)).T
+    """Matrix with column j = e_j * u; for a structure tensor, C.u reshaped."""
+    u, f, d = np.asarray(u).reshape(1, -1), alg.field, alg.dim
+    if isinstance(alg, TensorAlgebra):   # [j, 0, k] = (e_j u)_k, as in mul_rows
+        return f.canon(f.matmul(u, alg._c).reshape(d, d)).T
+    return alg.mul_rows(_eye(f, d), u).T
 
 
 def invert(alg: Algebra, u: np.ndarray) -> Optional[np.ndarray]:

@@ -75,9 +75,6 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
     def reduce(self, v: np.ndarray) -> np.ndarray:
         """Canonical representative of v modulo this subspace."""
         v = np.asarray(v)
@@ -202,37 +199,12 @@ def _clear(field, a: np.ndarray, col: int, v: np.ndarray) -> None:
         a[hit] = field.canon(a[hit] - c[hit, None] * v)
 
 
-def subspace_insert(s: Subspace, v) -> tuple[Subspace, bool]:
-    """Pure insert: returns (subspace spanning S ∪ {v}, grew flag)."""
-    t = s.copy()
-    grew = t._insert_batch(s.field.vector(v).reshape(1, -1)).shape[0] > 0
-    return t, grew
-
-
 def span_rows(field, ambient_dim: int, rows) -> Subspace:
     s = Subspace(field, ambient_dim)
     m = np.atleast_2d(np.asarray(rows))
     if m.size:
         s._insert_batch(m)
     return s
-
-
-def solve(columns: Sequence[np.ndarray], rhs, field) -> Optional[np.ndarray]:
-    """Solve sum_i x_i * columns[i] = rhs exactly.
-
-    Returns the solution with every free variable set to zero (pivots are
-    chosen at the leftmost columns), or None if the system is inconsistent.
-    """
-    cols = [field.vector(c) for c in columns]
-    n = len(field.vector(rhs))
-    for c in cols:
-        if c.shape != (n,):
-            raise DimensionMismatch("column length disagrees with rhs")
-    if cols:
-        a = np.stack(cols, axis=1)
-    else:
-        a = np.zeros((n, 0), dtype=field.dtype)
-    return solve_matrix(a, field.vector(rhs), field)
 
 
 def solve_matrix(a: np.ndarray, rhs: np.ndarray, field) -> Optional[np.ndarray]:

@@ -30,6 +30,7 @@ MOUFANG_EXHAUSTIVE_ORDER = 300
 TRIPLE_BUDGET = 10**7
 DENSE_PRODUCT_BOUND = 4096
 _CHUNK_CELLS = 700_000  # triple-scan chunk size in table cells
+_BLOCK_CHUNK_ENTRIES = 1 << 17  # labels per block-closure chunk, table entries per merge
 
 
 def validate_table(table: np.ndarray) -> None:
@@ -79,7 +80,7 @@ class Loop:
         self.names = names
         self.table = table
         self._props: dict = {}
-        self._orbit_labels: Optional[np.ndarray] = None
+        self._class_labels: Optional[np.ndarray] = None
         self._normal_lattice = None
         self._subloops: dict = {}   # SubloopSet.as_loop copies
 
@@ -491,7 +492,7 @@ class SubloopSet:
         """The subloop relabelled 0..k-1 in member order.
 
         Cached on the parent per members and name, so the copy's own caches
-        (properties, orbit labels, lattice) are computed once.
+        (properties, conjugacy classes, lattice) are computed once.
         """
         cache, key = self.parent._subloops, (self.members, name)
         if key in cache:
@@ -515,16 +516,15 @@ class SubloopSet:
         return hash((id(self.parent), self.members))
 
 
-def _mul_closure(loop: Loop, mask: np.ndarray, fresh: Optional[np.ndarray] = None,
+def _mul_closure(loop: Loop, mask: np.ndarray,
                  max_order: Optional[int] = None) -> Optional[np.ndarray]:
     """Closure of a boolean element mask under multiplication.
 
-    Each round multiplies the members added last round (at first those in
-    fresh, by default all) by every member, on both sides.  Returns None
-    once the closure exceeds max_order.
+    Each round multiplies the members added last round by every member, on
+    both sides.  Returns None once the closure exceeds max_order.
     """
     mask = mask.copy()
-    frontier = np.flatnonzero(mask if fresh is None else fresh)
+    frontier = np.flatnonzero(mask)
     while frontier.size:
         current = np.flatnonzero(mask)
         new = np.zeros_like(mask)
@@ -560,63 +560,79 @@ def is_subloop(loop: Loop, members: Sequence[int]) -> bool:
     return bool(np.isin(loop.mul_array(mem[:, None], mem[None, :]), mem).all())
 
 
-def inner_orbit_labels(loop: Loop) -> np.ndarray:
-    """Least element of each element's orbit under the inner mapping group.
+def _merge(lab: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Join the classes of each pair (a[j], b[j]) in a label array whose
+    labels are class minima: hook the larger label of every crossing pair
+    onto the smaller with np.minimum.at and pointer-jump, until no pair
+    crosses (a class hooked twice keeps only the smaller target)."""
+    while True:
+        ra, rb = lab[a], lab[b]
+        cross = ra != rb
+        if not cross.any():
+            return
+        a, b, ra, rb = a[cross], b[cross], ra[cross], rb[cross]
+        np.minimum.at(lab, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(lab[lab], lab):
+            lab[:] = lab[lab]
 
-    Inn(Q) is generated by T(x), L(x,y), R(x,y).  Each pass lowers every
-    label to the least label of its images, one x at a time in (n × n)
-    slices, then pointer-jumps; passes repeat until one changes nothing.
-    Labels stay in their element's orbit, and at the fixpoint
-    lab[φ(m)] >= lab[m] for each generator φ; going round φ's cycle through m
-    forces equality, so each label is its orbit's least element.  Cached.
+
+def _block_labels(loop: Loop, seeds: np.ndarray) -> np.ndarray:
+    """Class minima of the least congruence merging each seed row with e.
+
+    Normal subloops are the classes of e of the congruences, the equivalences
+    compatible with every L_x and R_x (Bruck).  A chunk of rows is one
+    union-find on rows·n points.  Each round merges (xi, x·lab[i]) and
+    (ix, lab[i]·x) for all x and every i whose label changed last round; the
+    merges are forced, and at the fixpoint translations map classes into
+    classes.  Chunks and scan slices stay under _BLOCK_CHUNK_ENTRIES.
     """
-    if loop._orbit_labels is not None:
-        return loop._orbit_labels
     if not loop.has_table():
         raise OrderBoundExceeded("normal closure needs a dense table")
-    t, ld, rd = loop.table, loop.ld_table, loop.rd_table
-    lab = np.arange(loop.order, dtype=np.int64)
-    t_maps = ld[lab[:, None], t.T]                                # [x, m]: x \ (m x)
-    while True:
-        before = lab
-        lab = np.minimum(lab, lab[t_maps].min(axis=0))
-        for x in range(loop.order):
-            l_maps = ld[t[:, x, None], t[:, t[x]]]               # [y, m]: (yx) \ (y (x m))
-            lab = np.minimum(lab, lab[l_maps].min(axis=0))
-            r_maps = rd[t[t[:, x]], t[x]]                         # [m, y]: ((m x) y) / (x y)
-            lab = np.minimum(lab, lab[r_maps].min(axis=1))
-        lab = lab[lab]
-        if np.array_equal(lab, before):
-            loop._orbit_labels = lab
-            return lab
+    t, (k, n) = loop.table, seeds.shape
+    step = max(1, _BLOCK_CHUNK_ENTRIES // n)
+    out = np.empty((k, n), dtype=np.int64)
+    for r0 in range(0, k, step):
+        chunk = seeds[r0:r0 + step] & (np.arange(n) > 0)
+        base = np.arange(len(chunk))[:, None] * n
+        lab = (base + np.arange(n)).ravel()
+        changed = np.flatnonzero(chunk)
+        lab[changed] -= changed % n                                 # seeds point at e
+        while changed.size:
+            prev = lab.copy()
+            for pts in np.split(changed, range(step, changed.size, step)):
+                m, l, off = pts % n, prev[pts] % n, (pts - pts % n)[:, None]
+                _merge(lab, (t[m] + off).ravel(), (t[l] + off).ravel())
+                _merge(lab, (t[:, m].T + off).ravel(), (t[:, l].T + off).ravel())
+            changed = np.flatnonzero(lab != prev)
+        out[r0:r0 + step] = lab.reshape(-1, n) - base
+    return out
 
 
 def normal_closure(loop: Loop, gens: Iterable[int]) -> SubloopSet:
-    """Smallest normal subloop containing gens.
-
-    A subloop is normal iff it is a union of Inn(Q)-orbits: xN = Nx,
-    x(yN) = (xy)N and (Nx)y = N(xy) say that T, L and R fix it.  From
-    gens ∪ {e} the mask alternates orbit union and multiplicative closure
-    until neither adds an element: a subloop and a union of orbits, hence
-    normal, and each step stays inside any normal subloop holding gens.
-    """
-    lab = inner_orbit_labels(loop)
-    mask = np.zeros(loop.order, dtype=bool)
-    mask[[0, *map(int, gens)]] = True
-    closed = np.zeros_like(mask)
-    while True:
-        seen = np.zeros_like(mask)
-        seen[lab[mask]] = True
-        mask = seen[lab]
-        fresh = mask & ~closed
-        if not fresh.any():
-            return SubloopSet(loop, tuple(np.flatnonzero(closed).tolist()))
-        mask = closed = _mul_closure(loop, mask, fresh)
+    """Smallest normal subloop containing gens (a one-row block closure)."""
+    seeds = np.zeros((1, loop.order), dtype=bool)
+    seeds[0, [0, *map(int, gens)]] = True
+    return SubloopSet(loop, tuple(np.flatnonzero(_block_labels(loop, seeds)[0] == 0).tolist()))
 
 
-def _element_closures(loop: Loop):
-    """Normal closures of single elements, one per nontrivial Inn(Q)-orbit."""
-    return (normal_closure(loop, [x]) for x in np.unique(inner_orbit_labels(loop))[1:])
+def _element_closures(loop: Loop) -> list[SubloopSet]:
+    """Normal closures of single elements, as one batch over the conjugacy
+    classes (T(x)-orbits, cached): conjugates have the same closure."""
+    if not loop.has_table():
+        raise OrderBoundExceeded("normal closure needs a dense table")
+    n = loop.order
+    if loop._class_labels is None:
+        lab, step = np.arange(n), max(1, _BLOCK_CHUNK_ENTRIES // n)
+        for x0 in range(0, n, step):
+            tx = loop.table.T[x0:x0 + step]                              # [x, m]: m x
+            images = loop.ld_table[np.arange(x0, x0 + len(tx))[:, None], tx]  # x \ (m x)
+            _merge(lab, np.broadcast_to(np.arange(n), images.shape).ravel(), images.ravel())
+        loop._class_labels = lab
+    reps = np.flatnonzero(loop._class_labels == np.arange(n))[1:]
+    seeds = np.zeros((reps.size, n), dtype=bool)
+    seeds[np.arange(reps.size), reps] = True
+    return [SubloopSet(loop, tuple(np.flatnonzero(row == 0).tolist()))
+            for row in _block_labels(loop, seeds)]
 
 
 def verify_normal(loop: Loop, sub: SubloopSet) -> Optional[tuple]:
@@ -860,7 +876,8 @@ def direct_product(a: Loop, b: Loop, name: Optional[str] = None) -> Loop:
 
 
 def normal_subloops(loop: Loop, bound: int = 2000) -> list[SubloopSet]:
-    """All normal subloops, as the join-closure of single-element closures."""
+    """All normal subloops, as the join-closure of single-element closures.  The
+    join of normal A and B is the product set AB, the preimage of A's image in Q/B."""
     if loop.order > bound:
         raise OrderBoundExceeded(f"order {loop.order} exceeds lattice bound {bound}")
     if loop._normal_lattice is not None:
@@ -876,7 +893,8 @@ def normal_subloops(loop: Loop, bound: int = 2000) -> list[SubloopSet]:
             for b in existing:
                 if a.member_set() <= b.member_set() or b.member_set() <= a.member_set():
                     continue
-                j = normal_closure(loop, set(a.members) | set(b.members))
+                members = np.unique(loop.table[np.ix_(a.members, b.members)]).tolist()
+                j = SubloopSet(loop, tuple(members))
                 if j.members not in seen:
                     seen[j.members] = j
                     fresh.append(j)

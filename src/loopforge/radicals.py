@@ -60,17 +60,17 @@ def embedding_promised(loop: Loop, field) -> bool:
 
     Groups always survive (their loop algebra is associative, so nothing is
     quotiented).  A commutative nonassociative Moufang loop has a faithful
-    alternative quotient exactly in characteristic 0 or 3: elsewhere the
-    quotient is associative and must collapse part of the loop.  For
-    noncommutative nonassociative loops no characteristic makes an
-    unconditional promise; whether the canonical map survives is decided by
-    the computation and recorded, not assumed.
+    alternative quotient only in characteristic 3: in a commutative
+    alternative algebra the cyclic associators sum to 3(x,y,z) = 0, so the
+    quotient is associative elsewhere, Q included.  For noncommutative
+    nonassociative loops no characteristic makes an unconditional promise;
+    the computation decides and records whether the canonical map survives.
     """
     props = check_properties(loop)
     if props.associative.ok:
         return True
     if props.commutative.ok:
-        return field.char in (0, 3)
+        return field.char == 3
     return False
 
 

@@ -570,6 +570,25 @@ def test_unitize_omega_c3():
 
 # -- inverses and quasiinverses -----------------------------------------------------
 
+@pytest.mark.parametrize("case", ["cml81-gf3", "chein12-q"])
+def test_mult_matrices_match_products_with_identity(case, cml81_gf3, chein12):
+    # the reshaped u.C and C.u against mul_rows with the identity as the other operand
+    if case == "cml81-gf3":
+        alg = cml81_gf3.algebra
+        rows = np.random.default_rng(3).integers(0, 3, size=(10, alg.dim))
+    else:
+        alg = lf.alternative_loop_algebra(lf.QQ, chein12).algebra
+        rng = np.random.default_rng(3)
+        frac = np.vectorize(lambda x, y: Fraction(int(x), int(y)), otypes=[object])
+        rows = frac(rng.integers(-9, 10, size=(10, alg.dim)), rng.integers(1, 6, size=(10, alg.dim)))
+    eye = algebras._eye(alg.field, alg.dim)
+    for u in rows:
+        left = alg.mul_rows(u.reshape(1, -1), eye).T
+        right = alg.mul_rows(eye, u.reshape(1, -1)).T
+        assert np.array_equal(algebras.left_mult_matrix(alg, u), left)
+        assert np.array_equal(algebras.right_mult_matrix(alg, u), right)
+
+
 def test_invert_unit(cml81_gf3):
     quot = cml81_gf3.algebra
     assert np.array_equal(lf.invert(quot, quot.unit), quot.unit)

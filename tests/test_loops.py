@@ -1,9 +1,11 @@
 import functools
 import json
+import time
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import loopforge as lf
 from loopforge.errors import (
@@ -12,7 +14,7 @@ from loopforge.errors import (
     NotCommutativeMoufang,
     NotNormal,
 )
-from loopforge.loops import inner_orbit_labels
+from loopforge.loops import _element_closures
 
 
 # -- independent naive predicates (the oracles) -----------------------------
@@ -36,27 +38,39 @@ def naive_associative(loop):
 
 @functools.cache
 def naive_inner_images(loop, m):
-    """Images of m under every T(x), L(x,y), R(x,y), through mul/ldiv/rdiv."""
-    n = loop.order
-    images = set()
-    for x in range(n):
-        images.add(loop.rdiv(loop.mul(x, m), x))                          # xN = Nx
-        for y in range(n):
-            images.add(loop.ldiv(loop.mul(x, y), loop.mul(x, loop.mul(y, m))))  # x(yN)=(xy)N
-            images.add(loop.rdiv(loop.mul(loop.mul(m, x), y), loop.mul(x, y)))   # (Nx)y=N(xy)
+    """Images of m under every T(x), L(x,y), R(x,y), by brute force over every
+    x and y; the divisions invert the rows and columns of the Cayley table."""
+    t, n = loop.table, loop.order
+    x, y = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    ldiv = np.empty_like(t)
+    ldiv[np.arange(n)[:, None], t] = np.arange(n)                       # ldiv[a, a*b] = b
+    rdiv = np.empty_like(t)
+    rdiv[t, np.arange(n)[None, :]] = np.arange(n)[:, None]               # rdiv[a*b, b] = a
+    images = {int(v) for v in rdiv[t[:, m], np.arange(n)]}                 # xN = Nx
+    images |= set(ldiv[t[x, y], t[x, t[y, m]]].ravel().tolist())          # x(yN) = (xy)N
+    images |= set(rdiv[t[t[m, x], y], t[x, y]].ravel().tolist())          # (Nx)y = N(xy)
     return frozenset(images)
 
 
-def naive_orbit_labels(loop):
+def naive_orbits(loop, images):
+    """Least element of each element's orbit under the image map."""
     labels = []
     for m in range(loop.order):
         orbit, todo = {m}, [m]
         while todo:
-            fresh = naive_inner_images(loop, todo.pop()) - orbit
+            fresh = images(loop, todo.pop()) - orbit
             orbit |= fresh
             todo.extend(fresh)
         labels.append(min(orbit))
     return labels
+
+
+def naive_orbit_labels(loop):
+    return naive_orbits(loop, naive_inner_images)
+
+
+def naive_conjugacy_labels(loop):
+    return naive_orbits(loop, lambda q, m: {q.rdiv(q.mul(x, m), x) for x in range(q.order)})
 
 
 def naive_normal_closure(loop, gens):
@@ -65,9 +79,7 @@ def naive_normal_closure(loop, gens):
     while changed:
         changed = False
         snapshot = sorted(members)
-        for a in snapshot:
-            for b in snapshot:
-                members.add(loop.mul(a, b))
+        members |= set(loop.table[np.ix_(snapshot, snapshot)].ravel().tolist())
         for m in snapshot:
             members |= naive_inner_images(loop, m)
         if len(members) != len(snapshot):
@@ -214,10 +226,50 @@ def test_normal_closure_s3(s3):
     assert naive_normal_closure(s3, [3]) == tuple(range(6))
 
 
-@pytest.mark.parametrize("name", ["s3", "cml81", "order5_x_s3"])
-def test_inner_orbit_labels_match_brute_force(name, request):
+@pytest.mark.parametrize("name", ["s3", "chein12", "cml81", "order5_x_s3"])
+def test_classes_and_closures_are_unions_of_brute_force_orbits(name, request):
+    # conjugacy classes are the T(x)-orbits, each inside one Inn(Q)-orbit;
+    # an element closure is normal, so a union of Inn(Q)-orbits
     loop = request.getfixturevalue(name)
-    assert inner_orbit_labels(loop).tolist() == naive_orbit_labels(loop)
+    orbit = np.asarray(naive_orbit_labels(loop))
+    closures = _element_closures(loop)
+    classes = loop._class_labels
+    assert classes.tolist() == naive_conjugacy_labels(loop)
+    for c in np.unique(classes):
+        assert np.unique(orbit[classes == c]).size == 1
+    assert len(closures) == np.unique(classes).size - 1
+    for sub in closures:
+        inside = np.isin(np.arange(loop.order), sub.members)
+        assert np.array_equal(inside, np.isin(orbit, orbit[inside]))
+
+
+@functools.cache
+def hypothesis_loop(name):
+    if name == "paige2_x_c2":
+        return lf.direct_product(lf.paige_loop(2), lf.cyclic(2))
+    return {"s3": lf.s3, "chein12": lf.chein12, "cml81": lf.cml81}[name]()
+
+
+@given(st.sampled_from(["s3", "chein12", "cml81", "paige2_x_c2"]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_normal_closure_matches_naive_on_random_generators(name, data):
+    loop = hypothesis_loop(name)
+    gens = data.draw(st.lists(st.integers(0, loop.order - 1), max_size=4))
+    assert lf.normal_closure(loop, gens).members == naive_normal_closure(loop, gens)
+
+
+@pytest.mark.parametrize("name", ["s3", "chein12", "cml81", "order5_x_s3", "paige2_x_c2"])
+def test_normal_subloop_joins_are_normal_closures(name, request):
+    loop = request.getfixturevalue(name)
+    lattice = lf.normal_subloops(loop)
+    members = {s.members for s in lattice}
+    for a in lattice:
+        assert lf.normal_closure(loop, a.members) == a
+        for b in lattice:
+            join = lf.normal_closure(loop, a.members + b.members)
+            assert join.members in members
+            product_set = np.unique(loop.table[np.ix_(a.members, b.members)])
+            assert join.members == tuple(product_set.tolist())
 
 
 @pytest.mark.parametrize("name", ["chein12", "cml81", "order5_x_s3"])
@@ -247,6 +299,26 @@ def test_paige2_x_c2_closures_are_normal(paige2_x_c2):
     assert sorted(s.order() for s in closures) == [1, 2, 120, 240]
     for sub in closures:
         assert lf.verify_normal(paige2_x_c2, sub) is None
+
+
+def cold_paige3():
+    """paige:3 with empty caches: no class labels, closures or lattice reused."""
+    p3 = lf.paige_loop(3)
+    return lf.Loop(p3.names, p3.table, name="paige:3")
+
+
+def test_paige3_is_simple_cold():
+    loop = cold_paige3()
+    t0 = time.perf_counter()
+    assert lf.is_simple(loop) == (True, None)
+    assert time.perf_counter() - t0 < 5
+
+
+def test_paige3_group_type_radical_trivial_cold():
+    loop = cold_paige3()
+    t0 = time.perf_counter()
+    assert lf.group_type_radical(loop).is_trivial()
+    assert time.perf_counter() - t0 < 5
 
 
 # -- quotients ------------------------------------------------------------------

@@ -95,6 +95,7 @@ def test_embedding_promise_policy(s3, cml81, chein12):
     assert embedding_promised(s3, GF7)              # groups: always
     assert embedding_promised(cml81, GF3)           # commutative, char 3
     assert not embedding_promised(cml81, GF7)       # commutative, char 7
+    assert not embedding_promised(cml81, lf.QQ)     # commutative, char 0
     assert not embedding_promised(chein12, GF7)     # noncommutative nonassociative
 
 
