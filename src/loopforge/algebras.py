@@ -247,27 +247,33 @@ def _alternators(t, img, fam: int, a, b, c) -> np.ndarray:
 def _alternator_failures(t, img, elems, field):
     """Yield (fam, a, b, c) position arrays of the nonzero basis alternators.
 
-    Scans every family on every triple of ``elems`` (positions index it) in
-    blocks of pairs (a, b) over all c.  A block holds at most 2^18 entries
-    counted at the loop algebra's width n >= d, so a block of failures
-    lifted into FQ is no larger than the block scanned.  GF(p) images are
-    gathered as int32: an alternator sums four canonical rows, below 2^22.
+    Scans every family on the canonical triples of ``elems`` (positions
+    index it), in lexicographic order: family 0 is symmetric in (a, b) and
+    family 1 in (b, c), so they scan a <= b and b <= c; a partner lifts to the
+    same vector and the least failing triple is canonical.  Blocks of pairs
+    (a, b) run over their c and hold at most 2^18 entries counted at the loop
+    algebra's width n >= d, so a block of failures lifted into FQ is no
+    larger than the block scanned.  GF(p) images are gathered as int32: an
+    alternator sums four canonical rows, below 2^22.
     """
     if img.dtype == np.int64:
         img = img.astype(np.int32)
     m = len(elems)
     step = max(1, _SCAN_ENTRIES // (m * t.shape[0]))
-    first, second = np.divmod(np.arange(m * m), m)
     diag = np.arange(m)
-    c = diag[None, :]
-    for fam in range(len(_ALTERNATOR_FORMS)):
-        pa, pb = (first, second) if fam < 2 else (diag, diag)
+    pairs = (np.triu_indices(m), np.divmod(np.arange(m * m), m), (diag, diag), (diag, diag))
+    for fam, (pa, pb) in enumerate(pairs):
         for s in range(0, len(pa), step):
-            a, b = pa[s:s + step, None], pb[s:s + step, None]
+            a, b = pa[s:s + step], pb[s:s + step]
+            lo = b if fam == 1 else np.zeros_like(b)
+            counts = m - lo
+            starts = np.cumsum(counts) - counts
+            a, b = np.repeat(a, counts), np.repeat(b, counts)
+            c = np.arange(len(a)) - np.repeat(starts - lo, counts)
             vals = field.canon(_alternators(t, img, fam, elems[a], elems[b], elems[c]))
-            rows, cols = np.nonzero((vals != 0).any(axis=-1))
-            if rows.size:
-                yield fam, a[rows, 0], b[rows, 0], c[0, cols]
+            hit = np.flatnonzero((vals != 0).any(axis=-1))
+            if hit.size:
+                yield fam, a[hit], b[hit], c[hit]
 
 
 def alternator_ideal(alg: LoopAlgebra) -> Subspace:

@@ -44,6 +44,8 @@ def resolve_loop(spec: str) -> Loop:
             doc = json.load(fh)
         name = os.path.splitext(os.path.basename(spec))[0]
         return loop_from_cayley(doc, name=name)
+    if spec.endswith(".json") or os.sep in spec:
+        raise FileNotFoundError(f"no such file: {spec!r}")
     return builtin_loop(spec)
 
 

@@ -49,6 +49,14 @@ def s3() -> Loop:
     return Loop(names, table, name="s3")
 
 
+def _spec_int(spec: str, what: str) -> int:
+    """The integer after the colon of ``kind:k``, or a one-line error."""
+    try:
+        return int(spec.split(":", 1)[1])
+    except ValueError:
+        raise UnknownName(f"loop spec {spec!r}: {what} must be an integer") from None
+
+
 def builtin_group(name: str) -> Loop:
     key = name.strip().lower()
     if key == "s3":
@@ -56,7 +64,7 @@ def builtin_group(name: str) -> Loop:
     if key.startswith("c") and key[1:].isdigit():
         return cyclic(int(key[1:]))
     if key.startswith("cyclic:"):
-        return cyclic(int(key.split(":", 1)[1]))
+        return cyclic(_spec_int(name, "n"))
     raise UnknownName(f"unknown builtin group {name!r}")
 
 
@@ -246,7 +254,7 @@ def builtin_loop(spec: str) -> Loop:
     if key.startswith("chein:"):
         return chein_double(builtin_group(key.split(":", 1)[1]))
     if key.startswith("paige:"):
-        return paige_loop(int(key.split(":", 1)[1]))
+        return paige_loop(_spec_int(spec, "q"))
     if key in ("paige2", "paige3"):
         return paige_loop(int(key[-1]))
     return builtin_group(key)

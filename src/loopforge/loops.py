@@ -28,6 +28,7 @@ from .errors import (
 DEFAULT_SEED = 0xA17E41
 MOUFANG_EXHAUSTIVE_ORDER = 300
 TRIPLE_BUDGET = 10**7
+PROPERTY_SAMPLES = 10**6
 DENSE_PRODUCT_BOUND = 4096
 _CHUNK_CELLS = 700_000  # triple-scan chunk size in table cells
 _BLOCK_CHUNK_ENTRIES = 1 << 17  # labels per block-closure chunk, table entries per merge
@@ -308,11 +309,11 @@ def _moufang_mismatch_chunk(t: np.ndarray, xs: np.ndarray):
     t_xz = t[xs, :]                                # [xi, z] = x*z
     y_xz = t[:, t_xz]                              # [y, xi, z] = y*(x*z)
     rhs = t[xs[None, :, None], y_xz]               # [y, xi, z] = x*(y*(x*z))
-    bad = lhs != rhs
-    if not bad.any():
+    bad = (lhs != rhs).transpose(1, 0, 2)          # order by (xi, y, z)
+    first = np.argmax(bad)
+    if not bad.flat[first]:
         return None
-    loc = np.argwhere(bad.transpose(1, 0, 2))      # order by (xi, y, z)
-    xi, y, z = loc[0]
+    xi, y, z = np.unravel_index(first, bad.shape)
     return int(xs[xi]), int(y), int(z)
 
 
@@ -320,9 +321,10 @@ def _assoc_mismatch_chunk(t: np.ndarray, xs: np.ndarray):
     lhs = t[t[xs, :]]                              # [xi, y, z] = (xy)z
     rhs = t[xs][:, t]                              # [xi, y, z] = x(yz)
     bad = lhs != rhs
-    if not bad.any():
+    first = np.argmax(bad)
+    if not bad.flat[first]:
         return None
-    xi, y, z = np.argwhere(bad)[0]
+    xi, y, z = np.unravel_index(first, bad.shape)
     return int(xs[xi]), int(y), int(z)
 
 
@@ -387,7 +389,14 @@ def _check_triple_identity(loop: Loop, chunk_fn, violated_fn, samples: int, seed
     return CheckOutcome(ok=w is None, mode="sampled", witness=w, samples=samples, seed=seed)
 
 
-def check_properties(loop: Loop, samples: int = 10**6, seed: int = DEFAULT_SEED) -> PropertyReport:
+def _associator_witness(loop: Loop) -> Optional[tuple]:
+    """First failure of (xy)z = x(yz), found as check_properties finds it."""
+    return _check_triple_identity(loop, _assoc_mismatch_chunk, _assoc_violated_arr,
+                                  PROPERTY_SAMPLES, DEFAULT_SEED).witness
+
+
+def check_properties(loop: Loop, samples: int = PROPERTY_SAMPLES,
+                     seed: int = DEFAULT_SEED) -> PropertyReport:
     key = (samples, seed)
     if key in loop._props:
         return loop._props[key]
@@ -921,8 +930,35 @@ def composition_factors(loop: Loop, bound: int = 2000) -> list[Loop]:
 
 
 def is_group_type(loop: Loop, bound: int = 2000) -> bool:
-    """True iff every composition factor is associative."""
-    return all(check_properties(f).associative.ok for f in composition_factors(loop, bound))
+    """True iff every composition factor is associative.
+
+    By Jordan-Hölder for loops (Bruck) that holds exactly when the associator
+    series N ⊵ A(N) ⊵ A(A(N)) ⊵ ... reaches {e}; A(N), the least normal
+    subloop with associative quotient, is the normal closure of the
+    associators (x(yz))\\((xy)z).  Each term is built as alternator_ideal
+    builds I(Q): close over one associator, scan the quotient for the next
+    associativity failure, add the associator of its representatives and
+    close again, until the quotient is associative (K = A(N)) or K = N (not
+    group-type).  Scans follow check_properties' exhaustive-or-sampled rule.
+    """
+    if loop.order > bound:
+        raise OrderBoundExceeded(f"order {loop.order} exceeds lattice bound {bound}")
+    while loop.order > 1:
+        n = loop.order
+        reps, quot = np.arange(n), loop
+        seeds = np.zeros((1, n), dtype=bool)
+        while (w := _associator_witness(quot)) is not None:
+            seeds[0, loop_assoc_comm(loop, *(int(reps[i]) for i in w))[0]] = True
+            lab = _block_labels(loop, seeds)[0]
+            reps = np.flatnonzero(lab == np.arange(n))                 # class minima
+            if reps.size == 1:
+                return False
+            quot = Loop(reps, np.searchsorted(reps, lab[loop.table[np.ix_(reps, reps)]]),
+                        _validated=True)
+        if quot is loop:
+            return True
+        loop = SubloopSet(loop, tuple(np.flatnonzero(lab == 0).tolist())).as_loop()
+    return True
 
 
 def group_type_radical(loop: Loop, bound: int = 2000) -> SubloopSet:

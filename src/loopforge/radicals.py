@@ -81,12 +81,11 @@ def find_simple_nonassociative_subloop(loop: Loop,
     Descends through non-group-type members of the normal subloop lattice;
     each recursion step stays inside an honest subloop of the original.
     """
-    props = check_properties(loop)
     lattice = normal_subloops(loop, bound)
     proper = [s for s in lattice if not s.is_full()]
     if len(proper) == 1 and proper[0].is_trivial():
-        # simple loop
-        if not props.associative.ok:
+        # a simple loop is group-type exactly when it is associative
+        if not is_group_type(loop, bound):
             return SubloopSet(loop, tuple(range(loop.order)))
         return None
     for sub in sorted(proper, key=lambda s: (-s.order(), s.members)):

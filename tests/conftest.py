@@ -45,6 +45,17 @@ def order5_x_s3(order5, s3):
     return lf.direct_product(order5, s3)
 
 
+@pytest.fixture(scope="session")
+def order5_x_chein12(order5, chein12):
+    # its associator subloop order5 x A(chein12) needs associators of both factors
+    return lf.direct_product(order5, chein12)
+
+
+@pytest.fixture(scope="session")
+def chein12_x_c3(chein12):
+    return lf.direct_product(chein12, lf.cyclic(3))
+
+
 # alternative loop algebra bundles are the expensive objects; build each once
 @pytest.fixture(scope="session")
 def cml81_gf3(cml81):

@@ -149,6 +149,19 @@ def test_usage_errors(capsys, tmp_path):
     for spec in ("gf:x", "gf:"):
         assert main(["algebra", "--loop", "s3", "--field", spec]) == 2
         assert capsys.readouterr().err == f"error: field spec '{spec}': p must be an integer\n"
+    # a loop spec with a bad integer, or a missing file, gets a plain one-line message
+    for argv, message in (
+            (["construct", "--kind", "paige:x"], "loop spec 'paige:x': q must be an integer"),
+            (["construct", "--kind", "paige:"], "loop spec 'paige:': q must be an integer"),
+            (["construct", "--kind", "cyclic:x"], "loop spec 'cyclic:x': n must be an integer"),
+            (["check", "--loop", "cyclic:1.5", "--property", "moufang"],
+             "loop spec 'cyclic:1.5': n must be an integer"),
+            (["check", "--loop", "nofile.json", "--property", "moufang"],
+             "no such file: 'nofile.json'"),
+            (["embed", "--loop", str(tmp_path / "missing"), "--field", "gf:3"],
+             f"no such file: {str(tmp_path / 'missing')!r}")):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_byte_stable_reports(capsys):

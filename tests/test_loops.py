@@ -14,7 +14,7 @@ from loopforge.errors import (
     NotCommutativeMoufang,
     NotNormal,
 )
-from loopforge.loops import _element_closures
+from loopforge.loops import _element_closures, is_group_type
 
 
 # -- independent naive predicates (the oracles) -----------------------------
@@ -444,6 +444,70 @@ def test_group_type_radical_idempotent_and_hereditary(paige2_x_c2):
         grn = lf.group_type_radical(target)
         lifted = frozenset(sub.members[i] for i in grn.members)
         assert lifted == frozenset(sub.members) & full_members
+
+
+def composition_factor_group_type(loop):
+    """The oracle: every composition factor is associative."""
+    return all(lf.check_properties(f).associative.ok for f in lf.composition_factors(loop))
+
+
+def relabelled(loop, rng):
+    """An isomorphic copy under a random permutation fixing the identity."""
+    n = loop.order
+    perm = np.concatenate([[0], 1 + rng.permutation(n - 1)])       # old index -> new
+    table = np.empty_like(loop.table)
+    table[perm[:, None], perm[None, :]] = perm[loop.table]
+    names = np.empty(n, dtype=object)
+    names[perm] = loop.names
+    return lf.Loop(list(names), table, name=loop.name)
+
+
+def assert_group_type_matches_oracle(loop):
+    subs = {s.members: s for s in lf.normal_subloops(loop) + _element_closures(loop)}
+    for sub in subs.values():
+        target = loop if sub.is_full() else sub.as_loop()
+        assert is_group_type(target) == composition_factor_group_type(target), sub.members
+
+
+@pytest.mark.parametrize("name", ["s3", "c6", "chein12", "cml81", "paige2", "paige2_x_c2",
+                                  "chein12_x_c3", "order5_x_chein12"])
+def test_is_group_type_matches_composition_factors(name, request):
+    base = request.getfixturevalue(name)
+    rng = np.random.default_rng(12)
+    for loop in (base, relabelled(base, rng), relabelled(base, rng)):
+        assert_group_type_matches_oracle(loop)
+
+
+def random_normalised_latin_square(n, rng):
+    """A Latin square with row and column 0 equal to 0..n-1, so that 0 is the
+    identity of a loop, filled depth-first trying each cell's symbols in a
+    random order."""
+    table = np.zeros((n, n), dtype=np.int64)
+    table[0] = table[:, 0] = np.arange(n)
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = set(table[i, :j].tolist()) | set(table[:i, j].tolist())
+        for v in rng.permutation(n).tolist():
+            if v not in used:
+                table[i, j] = v
+                if fill(k + 1):
+                    return True
+        return False
+
+    assert fill(0)
+    return table
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_is_group_type_matches_composition_factors_on_random_loops(n, seed):
+    # random loops are mostly neither Moufang nor associative
+    table = random_normalised_latin_square(n, np.random.default_rng(seed))
+    assert_group_type_matches_oracle(lf.Loop([str(i) for i in range(n)], table))
 
 
 # -- identity (44) -----------------------------------------------------------------
