@@ -265,11 +265,8 @@ def _alternator_failures(t, img, elems, field):
     for fam, (pa, pb) in enumerate(pairs):
         for s in range(0, len(pa), step):
             a, b = pa[s:s + step], pb[s:s + step]
-            lo = b if fam == 1 else np.zeros_like(b)
-            counts = m - lo
-            starts = np.cumsum(counts) - counts
-            a, b = np.repeat(a, counts), np.repeat(b, counts)
-            c = np.arange(len(a)) - np.repeat(starts - lo, counts)
+            rows, c = np.nonzero(np.arange(m) >= b[:, None] * (fam == 1))  # family 1: c >= b
+            a, b = a[rows], b[rows]
             vals = field.canon(_alternators(t, img, fam, elems[a], elems[b], elems[c]))
             hit = np.flatnonzero((vals != 0).any(axis=-1))
             if hit.size:
