@@ -390,7 +390,10 @@ def _check_triple_identity(loop: Loop, chunk_fn, violated_fn, samples: int, seed
 
 
 def _associator_witness(loop: Loop) -> Optional[tuple]:
-    """First failure of (xy)z = x(yz), found as check_properties finds it."""
+    """First failure of (xy)z = x(yz), found (or reused) as check_properties finds it."""
+    props = loop._props.get((PROPERTY_SAMPLES, DEFAULT_SEED))
+    if props is not None:
+        return props.associative.witness
     return _check_triple_identity(loop, _assoc_mismatch_chunk, _assoc_violated_arr,
                                   PROPERTY_SAMPLES, DEFAULT_SEED).witness
 
