@@ -5,8 +5,10 @@
 For each loop, ``OUTDIR/<loop>.json`` holds the normal closures of single
 elements, the normal-subloop lattice, ``is_group_type`` of every member of
 the lattice, the group-type radical, the composition-factor orders,
-``is_simple`` with its witness, and the lower and upper central series (or
-the error a series raises).  The loops are s3, c6, chein12, cml81, paige:2,
+``is_simple`` with its witness, the lower and upper central series (or the
+error a series raises), the table and projection of ``quotient_loop`` by
+every member of the lattice, and the witness of
+``find_simple_nonassociative_subloop``.  The loops are s3, c6, chein12, cml81, paige:2,
 paige:2 x C2 and chein12 x C3, each built afresh so that no cache is shared.
 The program is imported from the ``src/`` tree next to this script, so the
 loop sides of two trees are identical when ``diff -r OUTDIR_A OUTDIR_B``
@@ -47,9 +49,15 @@ def _series(loop, kind: str) -> dict:
         return {"error": type(exc).__name__}
 
 
+def _quotient(loop, sub) -> dict:
+    q, proj = lf.quotient_loop(loop, sub)
+    return {"table": q.table.tolist(), "projection": proj.tolist()}
+
+
 def loop_side(loop) -> dict:
     lattice = lf.normal_subloops(loop)
     simple, witness = lf.is_simple(loop)
+    simple_sub = lf.find_simple_nonassociative_subloop(loop)
     return {
         "order": loop.order,
         "element_closures": [list(s.members) for s in loops._element_closures(loop)],
@@ -62,6 +70,8 @@ def loop_side(loop) -> dict:
                       "witness": None if witness is None else list(witness.members)},
         "lower_central_series": _series(loop, "lower"),
         "upper_central_series": _series(loop, "upper"),
+        "quotients": [_quotient(loop, s) for s in lattice],
+        "simple_nonassociative_subloop": None if simple_sub is None else list(simple_sub.members),
     }
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -391,6 +392,25 @@ class AlternativeLoopAlgebra:
     @property
     def omega_codim(self) -> int:
         return self.algebra.dim - self.omega.dim
+
+    @cached_property
+    def embedding_checks(self) -> tuple[bool, bool, bool]:
+        """Injectivity, invertibility and multiplicativity of q -> image(q).
+
+        An image with a two-sided inverse, the image of q^-1, is invertible;
+        only the images failing that check are solved for an inverse.
+        """
+        quot, images = self.algebra, self.images
+        distinct = _first_duplicate_rows(images) is None
+        inv_images = images[self.loop.inverses()]
+        e = quot.unit
+        two_sided = ((quot.mul_pairwise(images, inv_images) == e).all(axis=1)
+                     & (quot.mul_pairwise(inv_images, images) == e).all(axis=1))
+        all_invertible = all(invert(quot, images[i]) is not None
+                             for i in np.flatnonzero(~two_sided))
+        prods = quot.mul_rows(images, images).reshape(images.shape[0], images.shape[0], quot.dim)
+        multiplicative = bool(np.array_equal(prods, images[self.loop.table]))
+        return distinct, all_invertible, multiplicative
 
 
 def alternative_loop_algebra(field, loop: Loop) -> AlternativeLoopAlgebra:
@@ -837,10 +857,9 @@ def circle_iso_check(alg: Algebra, carrier: Subspace, samples: int = 10**5,
 
 # -- nilpotency and the quasiregular radical --------------------------------
 
-def nilpotency_index(carrier: Subspace, alg: Algebra,
-                     max_steps: Optional[int] = None) -> Optional[int]:
+def nilpotency_index(carrier: Subspace, alg: Algebra) -> Optional[int]:
     """Least n with carrier^n = 0 under all-bracketings powers, else None."""
-    return linalg.nilpotency_index(carrier, alg.mul_rows, max_steps=max_steps)
+    return linalg.nilpotency_index(carrier, alg.mul_rows)
 
 
 def is_quasiregular_element(alg: Algebra, x: np.ndarray) -> bool:

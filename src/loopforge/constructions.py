@@ -185,7 +185,7 @@ def zorn_algebra(field) -> TensorAlgebra:
 
 
 @functools.lru_cache(maxsize=None)
-def paige_loop(q: int, prime_bound: int = PAIGE_PRIME_BOUND) -> Loop:
+def paige_loop(q: int) -> Loop:
     """Simple Moufang loop of unit-determinant vector matrices over GF(q), mod sign.
 
     Enumerates all det-1 coordinate tuples, canonicalises m ~ -m to the
@@ -193,8 +193,8 @@ def paige_loop(q: int, prime_bound: int = PAIGE_PRIME_BOUND) -> Loop:
     order must equal q^3(q^4-1)/gcd(2, q-1) exactly.
     """
     field = PrimeField(q)
-    if q > prime_bound:
-        raise OrderBoundExceeded(f"vector-matrix loop bound is q <= {prime_bound}")
+    if q > PAIGE_PRIME_BOUND:
+        raise OrderBoundExceeded(f"vector-matrix loop bound is q <= {PAIGE_PRIME_BOUND}")
     coords = np.asarray(list(itertools.product(range(q), repeat=8)), dtype=np.int64)
     dets = zorn_det(coords) % q
     units = coords[dets == 1]

@@ -33,6 +33,10 @@ class NoIdentityAtZero(LoopforgeError):
 
 
 class NotNormal(LoopforgeError):
+    """The subloop is not normal.  ``witness`` is the least element that the
+    normal closure of the subloop adds to it; a coset product that is not well
+    defined on some pair (x, y) is reported with that pair."""
+
     def __init__(self, witness):
         self.witness = witness
         super().__init__(f"subloop is not normal, witness {witness}")
@@ -47,7 +51,8 @@ class NotCommutativeMoufang(LoopforgeError):
 
 
 class OrderBoundExceeded(LoopforgeError):
-    """Loop order exceeds the configured bound for this computation."""
+    """Loop order exceeds the fixed bound of this computation (loops.ORDER_BOUND
+    for lattices, group type and radicals)."""
 
 
 class UnknownName(LoopforgeError):

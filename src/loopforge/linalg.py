@@ -374,7 +374,7 @@ def subspace_power(s: Subspace, mul_rows: MulRows, n: int) -> Subspace:
     return Subspace(s.field, s.ambient_dim)  # stream died earlier: S^n = 0
 
 
-def nilpotency_index(s: Subspace, mul_rows: MulRows, max_steps: Optional[int] = None) -> Optional[int]:
+def nilpotency_index(s: Subspace, mul_rows: MulRows) -> Optional[int]:
     """Least n with S^n = 0, or None if no power vanishes within the cap.
 
     The search runs to ambient_dim + 1 steps (the power sequence of a
@@ -383,8 +383,7 @@ def nilpotency_index(s: Subspace, mul_rows: MulRows, max_steps: Optional[int] = 
     """
     if s.dim == 0:
         return 1
-    cap = max_steps if max_steps is not None else s.ambient_dim + 1
-    seq = power_sequence(s, mul_rows, cap)
+    seq = power_sequence(s, mul_rows, s.ambient_dim + 1)
     for k, p in enumerate(seq, start=1):
         if p.dim == 0:
             return k

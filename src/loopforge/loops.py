@@ -27,8 +27,8 @@ from .errors import (
 
 DEFAULT_SEED = 0xA17E41
 MOUFANG_EXHAUSTIVE_ORDER = 300
-TRIPLE_BUDGET = 10**7
 PROPERTY_SAMPLES = 10**6
+ORDER_BOUND = 2000  # largest order for lattices, group type and radicals
 DENSE_PRODUCT_BOUND = 4096
 _CHUNK_CELLS = 700_000  # triple-scan chunk size in table cells
 _BLOCK_CHUNK_ENTRIES = 1 << 17  # labels per block-closure chunk, table entries per merge
@@ -369,7 +369,7 @@ def _assoc_violated_arr(loop: Loop, x, y, z):
 
 def _check_triple_identity(loop: Loop, chunk_fn, violated_fn, samples: int, seed: int) -> CheckOutcome:
     n = loop.order
-    if loop.has_table() and (n <= MOUFANG_EXHAUSTIVE_ORDER or n**3 <= TRIPLE_BUDGET):
+    if loop.has_table() and n <= MOUFANG_EXHAUSTIVE_ORDER:
         w = _scan_triples(loop.table, chunk_fn)
         return CheckOutcome(ok=w is None, mode="exhaustive", witness=w)
     w = _sample_triples(loop, violated_fn, samples, seed)
@@ -510,12 +510,11 @@ class SubloopSet:
         if key in cache:
             return cache[key]
         mem = np.asarray(self.members, dtype=np.int64)
-        pos = {int(m): i for i, m in enumerate(mem)}
         if self.parent.has_table():
             sub = self.parent.table[np.ix_(mem, mem)]
         else:
             sub = np.asarray([[self.parent.mul(int(a), int(b)) for b in mem] for a in mem])
-        table = np.vectorize(pos.__getitem__, otypes=[np.int64])(sub)
+        table = np.searchsorted(mem, sub)                 # members are sorted
         names = [self.parent.element_name(int(m)) for m in mem]
         cache[key] = Loop(names, table, name=name or f"{self.parent.name}<{len(mem)}>")
         return cache[key]
@@ -669,41 +668,35 @@ def verify_normal(loop: Loop, sub: SubloopSet) -> Optional[tuple]:
     return None
 
 
-def coset_partition(loop: Loop, sub: SubloopSet) -> tuple[np.ndarray, np.ndarray]:
-    """(projection array, coset representatives); requires a normal subloop."""
-    t = loop.table
-    mem = np.asarray(sub.members, dtype=np.int64)
-    n = loop.order
-    proj = np.full(n, -1, dtype=np.int64)
-    reps = []
-    for x in range(n):
-        if proj[x] >= 0:
-            continue
-        coset = t[x, mem]
-        if (proj[coset] >= 0).any():
-            raise NotNormal((int(x), int(coset[proj[coset] >= 0][0])))
-        proj[coset] = len(reps)
-        reps.append(x)
-    return proj, np.asarray(reps, dtype=np.int64)
+def _class_quotient(loop: Loop, lab: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Class minima, projection and quotient table of a congruence given by a
+    _block_labels row; classes are numbered in the order of their minima."""
+    reps = np.flatnonzero(lab == np.arange(loop.order))
+    proj = np.searchsorted(reps, lab)
+    return reps, proj, proj[loop.table[np.ix_(reps, reps)]]
 
 
 def quotient_loop(loop: Loop, sub: SubloopSet,
                   name: Optional[str] = None) -> tuple[Loop, np.ndarray]:
     """Loop on cosets modulo a normal subloop, plus the projection array.
 
-    Well-definedness of the coset product is checked on every element pair,
-    which is equivalent to normality of the subloop.
+    The cosets are the classes of the block closure of sub (the least
+    congruence whose class of e contains it), numbered by their least
+    element.  sub is normal exactly when that class is sub itself; otherwise
+    NotNormal carries the least element the closure adds.  Well-definedness
+    of the coset product is then checked on every element pair.
     """
-    proj, reps = coset_partition(loop, sub)
-    qtable = proj[loop.table[np.ix_(reps, reps)]]
-    expected = qtable[proj[:, None], proj[None, :]]
-    actual = proj[loop.table]
-    bad = np.argwhere(expected != actual)
+    seeds = np.zeros((1, loop.order), dtype=bool)
+    seeds[0, list(sub.members)] = True
+    lab = _block_labels(loop, seeds)[0]
+    if np.count_nonzero(lab == 0) > sub.order():
+        raise NotNormal(int(np.setdiff1d(np.flatnonzero(lab == 0), sub.members)[0]))
+    reps, proj, qtable = _class_quotient(loop, lab)
+    bad = np.argwhere(qtable[proj[:, None], proj[None, :]] != proj[loop.table])
     if bad.size:
         raise NotNormal((int(bad[0][0]), int(bad[0][1])))
     names = [loop.element_name(int(r)) + "N" for r in reps]
-    out = Loop(names, qtable, name=name or f"{loop.name}/{sub.order()}")
-    return out, proj
+    return Loop(names, qtable, name=name or f"{loop.name}/{sub.order()}"), proj
 
 
 def center(loop: Loop) -> SubloopSet:
@@ -887,11 +880,15 @@ def direct_product(a: Loop, b: Loop, name: Optional[str] = None) -> Loop:
     return Loop(names, t, name=name or f"product({a.name},{b.name})", _validated=True)
 
 
-def normal_subloops(loop: Loop, bound: int = 2000) -> list[SubloopSet]:
+def _check_order(loop: Loop) -> None:
+    if loop.order > ORDER_BOUND:
+        raise OrderBoundExceeded(f"order {loop.order} exceeds ORDER_BOUND = {ORDER_BOUND}")
+
+
+def normal_subloops(loop: Loop) -> list[SubloopSet]:
     """All normal subloops, as the join-closure of single-element closures.  The
     join of normal A and B is the product set AB, the preimage of A's image in Q/B."""
-    if loop.order > bound:
-        raise OrderBoundExceeded(f"order {loop.order} exceeds lattice bound {bound}")
+    _check_order(loop)
     if loop._normal_lattice is not None:
         return loop._normal_lattice
     seen = {(0,): SubloopSet(loop, (0,))}
@@ -916,7 +913,7 @@ def normal_subloops(loop: Loop, bound: int = 2000) -> list[SubloopSet]:
     return lattice
 
 
-def composition_factors(loop: Loop, bound: int = 2000) -> list[Loop]:
+def composition_factors(loop: Loop) -> list[Loop]:
     """Jordan-Hölder factors via largest proper normal subloops.
 
     The lattice is complete (join-closure of element closures), so the
@@ -924,15 +921,15 @@ def composition_factors(loop: Loop, bound: int = 2000) -> list[Loop]:
     """
     if loop.order == 1:
         return []
-    proper = [s for s in normal_subloops(loop, bound) if not s.is_full()]
+    proper = [s for s in normal_subloops(loop) if not s.is_full()]
     top = proper[-1]
     if top.is_trivial():
         return [loop]
     factor, _ = quotient_loop(loop, top)
-    return composition_factors(top.as_loop(), bound) + [factor]
+    return composition_factors(top.as_loop()) + [factor]
 
 
-def is_group_type(loop: Loop, bound: int = 2000) -> bool:
+def is_group_type(loop: Loop) -> bool:
     """True iff every composition factor is associative.
 
     By Jordan-Hölder for loops (Bruck) that holds exactly when the associator
@@ -944,8 +941,7 @@ def is_group_type(loop: Loop, bound: int = 2000) -> bool:
     close again, until the quotient is associative (K = A(N)) or K = N (not
     group-type).  Scans follow check_properties' exhaustive-or-sampled rule.
     """
-    if loop.order > bound:
-        raise OrderBoundExceeded(f"order {loop.order} exceeds lattice bound {bound}")
+    _check_order(loop)
     while loop.order > 1:
         n = loop.order
         reps, quot = np.arange(n), loop
@@ -953,40 +949,38 @@ def is_group_type(loop: Loop, bound: int = 2000) -> bool:
         while (w := _associator_witness(quot)) is not None:
             seeds[0, loop_assoc_comm(loop, *(int(reps[i]) for i in w))[0]] = True
             lab = _block_labels(loop, seeds)[0]
-            reps = np.flatnonzero(lab == np.arange(n))                 # class minima
+            reps, _, qtable = _class_quotient(loop, lab)
             if reps.size == 1:
                 return False
-            quot = Loop(reps, np.searchsorted(reps, lab[loop.table[np.ix_(reps, reps)]]),
-                        _validated=True)
+            quot = Loop(reps, qtable, _validated=True)
         if quot is loop:
             return True
         loop = SubloopSet(loop, tuple(np.flatnonzero(lab == 0).tolist())).as_loop()
     return True
 
 
-def group_type_radical(loop: Loop, bound: int = 2000) -> SubloopSet:
+def group_type_radical(loop: Loop) -> SubloopSet:
     """Largest normal subloop whose composition factors are all groups.
 
     Join of the group-type single-element normal closures (the product of two
     group-type normal subloops is again group-type).  The radical property
     Gr(L/Gr(L)) = {e} is re-verified on the output.
     """
-    if loop.order > bound:
-        raise OrderBoundExceeded(f"order {loop.order} exceeds radical bound {bound}")
+    _check_order(loop)
     distinct = {n.members: n for n in _element_closures(loop)}
     good: set[int] = {0}
     for members, sub in sorted(distinct.items()):
         target = loop if sub.is_full() else sub.as_loop()
-        if is_group_type(target, bound):
+        if is_group_type(target):
             good.update(members)
     result = normal_closure(loop, good)
-    if not is_group_type(loop if result.is_full() else result.as_loop(), bound):
+    if not is_group_type(loop if result.is_full() else result.as_loop()):
         raise SeriesMismatch("join of group-type closures is not group-type")
     # idempotence: the quotient must have trivial radical (tautological when
     # the radical is trivial, since the quotient is the loop itself)
     if not result.is_full() and not result.is_trivial():
         q, _ = quotient_loop(loop, result)
-        if not group_type_radical(q, bound).is_trivial():
+        if not group_type_radical(q).is_trivial():
             raise SeriesMismatch("group-type radical is not idempotent")
     return result
 

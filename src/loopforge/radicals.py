@@ -29,12 +29,11 @@ from .algebras import (
     AlternativeLoopAlgebra,
     alternative_loop_algebra,
     augmentation_ideal,
-    invert,
     nilpotency_index,
     principal_ideal,
     quotient_algebra,
 )
-from .errors import CrossCheckMismatch, OrderBoundExceeded
+from .errors import CrossCheckMismatch
 from .loops import (
     DEFAULT_SEED,
     Loop,
@@ -46,7 +45,7 @@ from .loops import (
     quotient_loop,
 )
 
-RADICAL_ORDER_BOUND = 2000
+SUMMAND_DIM_BOUND = 64  # largest semisimple quotient split into principal ideals
 
 
 def _require_moufang(loop: Loop) -> None:
@@ -74,26 +73,25 @@ def embedding_promised(loop: Loop, field) -> bool:
     return False
 
 
-def find_simple_nonassociative_subloop(loop: Loop,
-                                       bound: int = RADICAL_ORDER_BOUND) -> Optional[SubloopSet]:
+def find_simple_nonassociative_subloop(loop: Loop) -> Optional[SubloopSet]:
     """A subloop that is a simple nonassociative loop, if one is reachable.
 
     Descends through non-group-type members of the normal subloop lattice;
     each recursion step stays inside an honest subloop of the original.
     """
-    lattice = normal_subloops(loop, bound)
+    lattice = normal_subloops(loop)
     proper = [s for s in lattice if not s.is_full()]
     if len(proper) == 1 and proper[0].is_trivial():
         # a simple loop is group-type exactly when it is associative
-        if not is_group_type(loop, bound):
+        if not is_group_type(loop):
             return SubloopSet(loop, tuple(range(loop.order)))
         return None
     for sub in sorted(proper, key=lambda s: (-s.order(), s.members)):
         if sub.is_trivial():
             continue
-        if is_group_type(sub.as_loop(), bound):
+        if is_group_type(sub.as_loop()):
             continue
-        inner = find_simple_nonassociative_subloop(sub.as_loop(), bound)
+        inner = find_simple_nonassociative_subloop(sub.as_loop())
         if inner is not None:
             mem = np.asarray(sub.members, dtype=np.int64)
             lifted = tuple(int(mem[i]) for i in inner.members)
@@ -127,8 +125,7 @@ class ClassSResult:
         return out
 
 
-def in_class_s(loop: Loop, field, bundle: Optional[AlternativeLoopAlgebra] = None,
-               bound: int = RADICAL_ORDER_BOUND) -> ClassSResult:
+def in_class_s(loop: Loop, field, bundle: Optional[AlternativeLoopAlgebra] = None) -> ClassSResult:
     """Radical-class membership with all cross-checks that must hold.
 
     Loop side (the class definition used here): the group-type radical is the
@@ -148,11 +145,9 @@ def in_class_s(loop: Loop, field, bundle: Optional[AlternativeLoopAlgebra] = Non
     error; the collision pair documents it.
     """
     _require_moufang(loop)
-    if loop.order > bound:
-        raise OrderBoundExceeded(f"order {loop.order} exceeds bound {bound}")
-    gr = group_type_radical(loop, bound)
+    gr = group_type_radical(loop)
     r2 = gr.is_full()
-    witness = None if r2 else find_simple_nonassociative_subloop(loop, bound)
+    witness = None if r2 else find_simple_nonassociative_subloop(loop)
     r3 = witness is None
     if r2 != r3:
         raise CrossCheckMismatch(
@@ -162,7 +157,7 @@ def in_class_s(loop: Loop, field, bundle: Optional[AlternativeLoopAlgebra] = Non
     r1 = bundle.canonical_injective
     promised = embedding_promised(loop, field)
     contradicted = r1 and not (r2 and r3)
-    if contradicted and not all(_verify_embedding(bundle)):
+    if contradicted and not all(bundle.embedding_checks):
         raise CrossCheckMismatch(
             f"{loop.name} has a simple nonassociative subloop and an injective "
             f"canonical map over {field!r} whose images fail verification")
@@ -175,25 +170,20 @@ def in_class_s(loop: Loop, field, bundle: Optional[AlternativeLoopAlgebra] = Non
                         collision=bundle.collision, obstruction_contradicted=contradicted)
 
 
-def loop_radical(loop: Loop, field, bundle: Optional[AlternativeLoopAlgebra] = None,
-                 bound: int = RADICAL_ORDER_BOUND) -> SubloopSet:
+def loop_radical(loop: Loop, field, bundle: Optional[AlternativeLoopAlgebra] = None) -> SubloopSet:
     """The largest normal subloop in the radical class.
 
-    Computed as the group-type radical, confirmed on the algebra side for the
-    radical subloop itself, and verified idempotent: the radical of the
-    quotient by the radical is trivial.  ``bundle`` (the loop's alternative
-    loop algebra) is reused when the radical is the whole loop.
+    Computed as the group-type radical (which group_type_radical verifies
+    idempotent) and confirmed on the algebra side for the radical subloop
+    itself.  ``bundle`` (the loop's alternative loop algebra) is reused when
+    the radical is the whole loop.
     """
     _require_moufang(loop)
-    gr = group_type_radical(loop, bound)
+    gr = group_type_radical(loop)
     sub, sub_bundle = (loop, bundle) if gr.is_full() else (gr.as_loop(), None)
-    confirmation = in_class_s(sub, field, bundle=sub_bundle, bound=bound)
+    confirmation = in_class_s(sub, field, bundle=sub_bundle)
     if not confirmation.value:
         raise CrossCheckMismatch(f"radical subloop of {loop.name} is not in the radical class")
-    if not gr.is_full() and not gr.is_trivial():
-        q, _ = quotient_loop(loop, gr)
-        if not group_type_radical(q, bound).is_trivial():
-            raise CrossCheckMismatch(f"radical of {loop.name} is not idempotent")
     return gr
 
 
@@ -237,29 +227,8 @@ class EmbeddabilityVerdict:
         }
 
 
-def _verify_embedding(bundle: AlternativeLoopAlgebra) -> tuple[bool, bool, bool]:
-    """Injectivity, invertibility and multiplicativity of q -> image(q).
-
-    An image with a two-sided inverse, the image of q^-1, is invertible;
-    only the images failing that check are solved for an inverse.
-    """
-    quot = bundle.algebra
-    images = bundle.images
-    distinct = algebras._first_duplicate_rows(images) is None
-    inv_images = images[bundle.loop.inverses()]
-    e = quot.unit
-    two_sided = ((quot.mul_pairwise(images, inv_images) == e).all(axis=1)
-                 & (quot.mul_pairwise(inv_images, images) == e).all(axis=1))
-    all_invertible = all(invert(quot, images[i]) is not None for i in np.flatnonzero(~two_sided))
-    t = bundle.loop.table
-    prods = quot.mul_rows(images, images).reshape(images.shape[0], images.shape[0], quot.dim)
-    expected = images[t]
-    multiplicative = bool(np.array_equal(prods, expected))
-    return distinct, all_invertible, multiplicative
-
-
 def embeddability(loop: Loop, field, bundle: Optional[AlternativeLoopAlgebra] = None,
-                  bound: int = RADICAL_ORDER_BOUND, seed: int = DEFAULT_SEED) -> EmbeddabilityVerdict:
+                  seed: int = DEFAULT_SEED) -> EmbeddabilityVerdict:
     """Full verdict on embedding the loop into U(FQ/I(Q)) over the field.
 
     The embeds branch verifies the claim concretely (distinct invertible
@@ -272,7 +241,7 @@ def embeddability(loop: Loop, field, bundle: Optional[AlternativeLoopAlgebra] = 
     _require_moufang(loop)
     if bundle is None:
         bundle = alternative_loop_algebra(field, loop)
-    result = in_class_s(loop, field, bundle=bundle, bound=bound)
+    result = in_class_s(loop, field, bundle=bundle)
     checks = result.checks_json()
     witness = result.witness
     if witness is not None:
@@ -282,7 +251,7 @@ def embeddability(loop: Loop, field, bundle: Optional[AlternativeLoopAlgebra] = 
         if wprops.associative.ok or not wprops.moufang.ok or not simple:
             raise CrossCheckMismatch("obstruction witness failed verification")
     if bundle.canonical_injective:
-        distinct, invertible, multiplicative = _verify_embedding(bundle)
+        distinct, invertible, multiplicative = bundle.embedding_checks
         if not (distinct and invertible and multiplicative):
             raise CrossCheckMismatch(
                 f"embedding verification failed on {loop.name} over {field!r}")
@@ -374,8 +343,7 @@ class WedderburnReport:
 
 
 def wedderburn_report(loop: Loop, field, bundle: Optional[AlternativeLoopAlgebra] = None,
-                      bound: int = RADICAL_ORDER_BOUND, seed: int = DEFAULT_SEED,
-                      summand_dim_bound: int = 64) -> WedderburnReport:
+                      seed: int = DEFAULT_SEED) -> WedderburnReport:
     """Radical ideal, semisimple quotient and its decomposition checks.
 
     The radical ideal is the augmentation ideal of the loop radical; the
@@ -388,7 +356,7 @@ def wedderburn_report(loop: Loop, field, bundle: Optional[AlternativeLoopAlgebra
     _require_moufang(loop)
     if bundle is None:
         bundle = alternative_loop_algebra(field, loop)
-    srad = loop_radical(loop, field, bundle=bundle, bound=bound)
+    srad = loop_radical(loop, field, bundle=bundle)
     quot_alg = bundle.algebra
     ideal = augmentation_ideal(quot_alg, srad)
     qdim = quot_alg.dim - ideal.dim
@@ -422,7 +390,7 @@ def wedderburn_report(loop: Loop, field, bundle: Optional[AlternativeLoopAlgebra
             pid = principal_ideal(semi, gens[k])
             idx = nilpotency_index(pid, semi)
             nilpotent_flags.append({"generator": k, "nilpotency_index": idx})
-        if semi.dim <= summand_dim_bound:
+        if semi.dim <= SUMMAND_DIM_BOUND:
             summands, direct_ok, span = _principal_splitting(semi, gens)
     return WedderburnReport(
         loop_name=loop.name, field_spec=field.spec, radical_subloop=srad,

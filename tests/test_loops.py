@@ -348,6 +348,48 @@ def test_quotient_rejects_non_normal(s3):
         lf.quotient_loop(s3, sub)
 
 
+def naive_quotient(loop, sub):
+    """Table and projection of the cosets xN of a normal subloop N, numbered in
+    the order of their least element (each new x is the least of its coset)."""
+    t, mem = loop.table, list(sub.members)
+    proj, reps = np.full(loop.order, -1), []
+    for x in range(loop.order):
+        if proj[x] < 0:
+            proj[t[x, mem]] = len(reps)
+            reps.append(x)
+    return proj[t[np.ix_(reps, reps)]], proj
+
+
+QUOTIENT_FIXTURES = ["s3", "chein12", "cml81", "paige2_x_c2", "order5_x_chein12"]
+
+
+@pytest.mark.parametrize("name", QUOTIENT_FIXTURES)
+def test_quotient_matches_naive_cosets(name, request):
+    loop = request.getfixturevalue(name)
+    for sub in lf.normal_subloops(loop):
+        q, proj = lf.quotient_loop(loop, sub)
+        table, naive_proj = naive_quotient(loop, sub)
+        assert np.array_equal(q.table, table) and np.array_equal(proj, naive_proj), sub.members
+
+
+@pytest.mark.parametrize("name", QUOTIENT_FIXTURES)
+def test_quotient_rejects_exactly_the_non_normal_cyclic_subloops(name, request):
+    loop = request.getfixturevalue(name)
+    subs = {s.members: s for s in (lf.subloop_generated(loop, [g]) for g in range(loop.order))}
+    rejected = 0
+    for sub in subs.values():
+        if lf.verify_normal(loop, sub) is None:
+            q, proj = lf.quotient_loop(loop, sub)
+            assert np.array_equal(q.table, naive_quotient(loop, sub)[0])
+            continue
+        with pytest.raises(NotNormal) as err:
+            lf.quotient_loop(loop, sub)
+        added = set(lf.normal_closure(loop, sub.members).members) - set(sub.members)
+        assert err.value.witness == min(added)
+        rejected += 1
+    assert rejected
+
+
 def test_quotient_of_moufang_is_moufang(chein12, cml81):
     for loop in (chein12, cml81):
         for sub in lf.normal_subloops(loop):

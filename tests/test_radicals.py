@@ -3,6 +3,7 @@ import pytest
 
 import loopforge as lf
 from loopforge import radicals
+from loopforge.errors import OrderBoundExceeded
 from loopforge.radicals import embedding_promised, in_class_s
 
 
@@ -283,3 +284,26 @@ def test_find_simple_nonassociative_subloop(paige2, paige2_x_c2, chein12):
     sub = w2.as_loop()
     assert lf.is_simple(sub)[0] and not lf.check_properties(sub).associative.ok
     assert lf.find_simple_nonassociative_subloop(chein12) is None
+
+
+# -- order guards -------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def group_2048():
+    # a dense table just above loops.ORDER_BOUND.  Never build its alternative
+    # loop algebra (alternative_loop_algebra, embeddability, wedderburn_report):
+    # a group is its own alternative quotient, a dense 2048^3 tensor.
+    loop = lf.direct_product(lf.cyclic(64), lf.cyclic(32))
+    assert loop.has_table() and loop.order > lf.loops.ORDER_BOUND
+    return loop
+
+
+@pytest.mark.parametrize("check", [
+    lf.normal_subloops, lf.composition_factors, lf.loops.is_group_type, lf.group_type_radical,
+    lf.find_simple_nonassociative_subloop,
+    lambda loop: in_class_s(loop, GF3), lambda loop: lf.loop_radical(loop, GF3),
+], ids=["normal_subloops", "composition_factors", "is_group_type", "group_type_radical",
+        "find_simple_nonassociative_subloop", "in_class_s", "loop_radical"])
+def test_order_guards(group_2048, check):
+    with pytest.raises(OrderBoundExceeded, match="ORDER_BOUND"):
+        check(group_2048)
