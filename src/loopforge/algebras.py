@@ -8,7 +8,8 @@ radical in the supported regimes.
 Loop algebras keep their permutation structure (basis products are basis
 elements), so multiplication and the ideal-closure actions are index
 gathers; general algebras carry a dense structure-constant tensor and
-multiply through the field's one product kernel, ``field.matmul``.
+multiply through the field's product kernels, ``field.matmul`` for
+``mul_rows`` and the actions and ``field.pairwise`` for ``mul_pairwise``.
 """
 from __future__ import annotations
 
@@ -34,9 +35,12 @@ from .errors import (
 )
 from .fields import PrimeField
 from .linalg import Subspace
-from .loops import DEFAULT_SEED, CheckOutcome, Loop, SubloopSet
+from .loops import DEFAULT_SEED, CheckOutcome, Loop, SubloopSet, _check_order
 
 LOOP_ALGEBRA_DIM_BOUND = 2048
+# largest dense structure tensor a quotient gathers, in entries: d^3 <= 2^24,
+# so d <= 256 and 128 MiB of int64 (the fixture quotients have d <= 81)
+QUOTIENT_ENTRY_BOUND = 2**24
 CIRCLE_TABLE_BOUND = 4096
 CIRCLE_ENUM_BOUND = 2**20
 RADICAL_ENUM_BOUND = 2**20
@@ -178,20 +182,8 @@ class TensorAlgebra(Algebra):
         return f.canon(out.transpose(0, 2, 1).reshape(-1, d))
 
     def mul_pairwise(self, a, b):
-        f, d = self.field, self.dim
-        a = f.canon(np.atleast_2d(np.asarray(a)))
-        b = f.canon(np.atleast_2d(np.asarray(b)))
-        c = self._c.reshape(d * d, d)
-        step = max(1, 2**20 // max(d * d, 1))  # row-wise Kronecker chunk, <= 2^20 entries
-
-        # Kronecker rows of canonical operands, left unreduced: each entry is
-        # a product below (p-1)^2, exact in the operand type (float32 up to
-        # p = 4093), and matmul picks the contraction's width from the rows
-        def kron(s):
-            fa, fb = f.operand(a[s:s + step]), f.operand(b[s:s + step])
-            return (fa[:, :, None] * fb[:, None, :]).reshape(-1, d * d)
-        chunks = [f.matmul(kron(s), c) for s in range(0, a.shape[0], step)]
-        return f.canon(np.vstack(chunks)) if chunks else a[:0]
+        a, b = np.atleast_2d(np.asarray(a)), np.atleast_2d(np.asarray(b))
+        return self.field.pairwise(a, b, self._c)
 
     def mul_basis(self, i: int, j: int) -> np.ndarray:
         return self.c[i, j].copy()
@@ -311,12 +303,18 @@ class QuotientAlgebra(TensorAlgebra):
     Coordinates are the non-pivot columns of the ideal's echelon basis: the
     reduction of a vector modulo the ideal is supported exactly there, so
     reduce-then-restrict (``Subspace.residues``) is a well-defined projection
-    with a linear section.
+    with a linear section.  A quotient whose d^3 structure constants exceed
+    QUOTIENT_ENTRY_BOUND raises DimensionBoundExceeded before it gathers them.
     """
 
     def __init__(self, parent: Algebra, ideal: Subspace, verify: bool = True):
         if ideal.ambient_dim != parent.dim or ideal.field != parent.field:
             raise DimensionMismatch("ideal does not live in the parent algebra")
+        qdim = parent.dim - ideal.dim
+        if qdim**3 > QUOTIENT_ENTRY_BOUND:
+            raise DimensionBoundExceeded(
+                f"a {qdim}-dimensional quotient has {qdim**3} structure constants, "
+                f"beyond QUOTIENT_ENTRY_BOUND = {QUOTIENT_ENTRY_BOUND}")
         if parent.unit is not None and ideal.contains(parent.unit):
             raise IdealNotProper("the unit lies in the ideal")
         if verify:
@@ -329,7 +327,6 @@ class QuotientAlgebra(TensorAlgebra):
         self.ideal = ideal
         self.section_cols = ideal.free_cols
         self.basis_images = ideal.residues(_eye(parent.field, parent.dim))
-        qdim = parent.dim - ideal.dim
         if isinstance(parent, LoopAlgebra):
             t = parent.loop.table
             tensor = self.basis_images[t[np.ix_(self.section_cols, self.section_cols)]]
@@ -415,6 +412,7 @@ class AlternativeLoopAlgebra:
 
 def alternative_loop_algebra(field, loop: Loop) -> AlternativeLoopAlgebra:
     """Build F[Q] = FQ / I(Q), its augmentation ideal, and injectivity data."""
+    _check_order(loop)
     fq = loop_algebra(field, loop)
     ideal = alternator_ideal(fq)
     if ideal.contains(fq.unit):

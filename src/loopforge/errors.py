@@ -72,7 +72,7 @@ class GateFailed(LoopforgeError):
 
 
 class DimensionBoundExceeded(LoopforgeError):
-    """Requested algebra dimension exceeds the configured bound."""
+    """Requested algebra dimension exceeds a fixed bound of this computation."""
 
 
 class IdealNotProper(LoopforgeError):

@@ -3,13 +3,15 @@
 Scalars are plain Python values in canonical form: residues 0..p-1 (ints)
 for GF(p), reduced ``fractions.Fraction`` for the rationals.  Each field
 object also provides an array layer (``vector``/``zeros``/``canon``, and
-``matmul``, the one dense product kernel); GF(p) vectors are int64 numpy
-arrays, rational vectors are object arrays of Fractions.
+the two product kernels: ``matmul`` for dense matrix products and
+``pairwise`` for row-by-row products through a structure tensor); GF(p)
+vectors are int64 numpy arrays, rational vectors are object arrays of
+Fractions.
 
-Over GF(p) the kernel runs float BLAS, which is exact while every partial
-sum is an integer below 2^24 (float32) or 2^53 (float64).  It measures the
-bound of each product and takes float32 whenever the whole contraction
-stays below 2^24, float64 in delayed-reduction blocks otherwise.
+Over GF(p) both kernels run float BLAS, which is exact while every partial
+sum is an integer below 2^24 (float32) or 2^53 (float64).  Each states the
+bound of its sums and takes float32 whenever it stays below 2^24, float64
+otherwise, reducing mod p between steps when even that would overflow.
 """
 from __future__ import annotations
 
@@ -23,6 +25,10 @@ from .errors import EnumerationUnsupported
 # bounds its float sums (see PrimeField.matmul), and a loop algebra's int64
 # gather adds at most LOOP_ALGEBRA_DIM_BOUND products, n*(p-1)^2 < 2^51.
 MAX_PRIME = 2**20
+
+# rows per chunk of the pairwise kernel: a chunk's stage-1 product a.C holds
+# at most this many entries (4 MiB in float32)
+PAIRWISE_CHUNK_ENTRIES = 2**20
 
 
 def is_prime(n: int) -> bool:
@@ -114,8 +120,7 @@ class PrimeField:
         """``arr`` in the form ``matmul`` consumes; convert a reused operand once.
 
         float32 when (p-1)^2 < 2^24 (p <= 4093), else float64: either way the
-        product of two canonical operands, such as an entry of a Kronecker
-        row, is exact in the operand type.
+        product of two canonical entries is exact in the operand type.
         """
         return np.asarray(arr, dtype=np.float32 if (self.p - 1)**2 < 2**24 else np.float64)
 
@@ -155,6 +160,39 @@ class PrimeField:
         for s in range(n, k, n):
             out += np.matmul(x[..., s:s + n], y[..., s:s + n, :]).astype(np.int64) % p
         return out
+
+    def pairwise(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Row r is sum_ij a[r, i] b[r, j] c[i, j, :] mod p, for int64 a, b and canonical c.
+
+        a and b are reduced mod p first unless their entries already lie in
+        0..p-1 (measured), so the kernel sees canonical operands only.  Two
+        stages per chunk of rows: u = a.C, one GEMM with C as a (d x d^2)
+        matrix, then out[r] = b[r].u[r], one batched contraction of d terms.
+        No partial sum of canonical entries exceeds the full one, below
+        d^2 (p-1)^3, and that bound picks one float type for both stages:
+        - float32 if d^2 (p-1)^3 < 2^24;
+        - float64 if d^2 (p-1)^3 < 2^53;
+        - otherwise float64 with u reduced mod p between the stages: both
+          stages then sum d products below (p-1)^2, exact while
+          d (p-1)^2 < 2^53, which holds for every d < 2^13 (a dense d^3
+          tensor of 2^39 entries, beyond any memory).
+        Returns canonical int64 rows.
+        """
+        p, d = self.p, c.shape[0]
+        a, b = self._canonical(a), self._canonical(b)
+        top = d * d * (p - 1)**3
+        if top < 2**24:
+            out = _pairwise(a, b, c, np.float32)
+        else:
+            out = _pairwise(a, b, c, np.float64, None if top < 2**53 else p)
+        out %= p
+        return out
+
+    def _canonical(self, arr: np.ndarray) -> np.ndarray:
+        """``arr`` itself if its entries lie in 0..p-1, else ``canon(arr)``."""
+        if arr.size and (arr.min() < 0 or arr.max() >= self.p):
+            return arr % self.p
+        return arr
 
     @property
     def spec(self) -> str:
@@ -228,6 +266,10 @@ class RationalField:
     def matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.matmul(x, y)
 
+    def pairwise(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Row r is sum_ij a[r, i] b[r, j] c[i, j, :], in PrimeField.pairwise's two stages."""
+        return _pairwise(a, b, c, object)
+
     @property
     def spec(self) -> str:
         return "q"
@@ -243,6 +285,26 @@ class RationalField:
 
 
 QQ = RationalField()
+
+
+def _pairwise(a, b, c, dtype, p=None):
+    """The two stages of ``pairwise`` in ``dtype``, converting one chunk at a time.
+
+    Float stages fill an int64 result, object (Fraction) stages an object
+    one.  With ``p`` given, the stage-1 product is reduced mod p before
+    stage 2.
+    """
+    k, d = a.shape[0], c.shape[0]
+    c = np.asarray(c, dtype=dtype).reshape(d, d * d)
+    out = np.empty((k, d), dtype=object if dtype is object else np.int64)
+    step = max(1, PAIRWISE_CHUNK_ENTRIES // max(d * d, 1))
+    for s in range(0, k, step):
+        fa, fb = np.asarray(a[s:s + step], dtype=dtype), np.asarray(b[s:s + step], dtype=dtype)
+        u = np.matmul(fa, c).reshape(fa.shape[0], d, d)        # [r, j, k]
+        if p is not None:
+            u = np.fmod(u, p)
+        out[s:s + step] = np.matmul(fb[:, None, :], u)[:, 0]
+    return out
 
 
 def field_from_spec(spec: str):

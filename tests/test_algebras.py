@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loopforge as lf
-from loopforge import algebras, linalg
+from loopforge import algebras, fields, linalg
 from loopforge.algebras import (
     associative_check_sampled,
     enumerate_carrier,
@@ -285,6 +285,126 @@ def test_mul_rows_both_orders(name, p):
         assert right[:, j].tolist() == oracle(e, u)
 
 
+# -- the pairwise kernel at each switch of its bound -------------------------------
+
+def rows_oracle(c, p):
+    """tensor_oracle on every row pair at once, in Python ints (object arrays)."""
+    c = c.tolist()
+    d = len(c)
+
+    def oracle(a, b):
+        a, b = a.astype(object), b.astype(object)
+        cols = [sum((a[:, i] * b[:, j] * c[i][j][k] for i in range(d) for j in range(d)),
+                    np.zeros(len(a), dtype=object)) for k in range(d)]
+        return np.stack(cols, axis=1) % p
+    return oracle
+
+
+def top_rows(rng, p, shape):
+    # entries near p-1 of both parities: an odd sum above 2^24 (2^53) is not
+    # a float32 (float64), while sums of powers of two would survive the cast
+    return rng.integers(p - 4, p, size=shape)
+
+
+# d^2 (p-1)^3 either side of 2^24 (float32 | float64) and of 2^53 (float64 |
+# reduce a.C mod p first); 129 is not prime, and 127 sits at the same switch
+@pytest.mark.parametrize("p, d, limit, over, narrow", [
+    (127, 2, 2**24, False, None), (127, 3, 2**24, True, np.float32),
+    (65521, 5, 2**53, False, None), (65521, 6, 2**53, True, np.float64)])
+def test_pairwise_exact_at_each_switch(p, d, limit, over, narrow):
+    assert (d * d * (p - 1)**3 >= limit) == over
+    rng = np.random.default_rng(p * d)
+    f = lf.PrimeField(p)
+    alg = algebras.TensorAlgebra(f, top_rows(rng, p, (d, d, d)), [f"x{i}" for i in range(d)])
+    oracle = rows_oracle(alg.c, p)
+    for k in (0, 1, 12):
+        a, b = top_rows(rng, p, (k, d)), top_rows(rng, p, (k, d))
+        got = alg.mul_pairwise(a, b)
+        assert got.shape == (k, d) and got.tolist() == oracle(a, b).tolist()
+    # operands far outside 0..p-1 are reduced before the float stages
+    assert np.array_equal(alg.mul_pairwise(a - p * 2**20, b + p * 2**20), got)
+    assert_products(alg, a[:3], b[:3], tensor_oracle(alg.c, p))
+    if over:
+        # the narrower type's two stages, unreduced, round some of these sums
+        wrong = fields._pairwise(a, b, alg.c, narrow).astype(np.int64) % p
+        assert (wrong != oracle(a, b)).any()
+
+
+@pytest.mark.parametrize("p", [127, 65521, P_CAP])   # float32, float64, reduce-first at d = 2
+def test_pairwise_one_row_past_the_chunk_step(p):
+    d = 2
+    step = fields.PAIRWISE_CHUNK_ENTRIES // (d * d)
+    rng = np.random.default_rng(p)
+    alg = algebras.TensorAlgebra(lf.PrimeField(p), top_rows(rng, p, (d, d, d)), ["x0", "x1"])
+    a, b = top_rows(rng, p, (step + 1, d)), top_rows(rng, p, (step + 1, d))
+    assert np.array_equal(alg.mul_pairwise(a, b), rows_oracle(alg.c, p)(a, b))
+
+
+def test_pairwise_over_q():
+    rng = np.random.default_rng(7)
+    frac = np.vectorize(lambda x, y: Fraction(int(x), int(y)), otypes=[object])
+
+    def fracs(shape):
+        return frac(rng.integers(-9, 10, size=shape), rng.integers(1, 6, size=shape))
+    d = 4
+    alg = algebras.TensorAlgebra(lf.QQ, fracs((d, d, d)), [f"x{i}" for i in range(d)])
+    oracle = tensor_oracle(alg.c, None)
+    for k in (0, 1, 6):
+        a, b = fracs((k, d)), fracs((k, d))
+        got = alg.mul_pairwise(a, b)
+        assert got.shape == (k, d)
+        assert [row.tolist() for row in got] == [oracle(a[i], b[i]) for i in range(k)]
+
+
+# -- sampled checks report the oracle's first failing sample ------------------------
+
+def test_alternative_check_sampled_witness_matches_oracle():
+    # the Zorn algebra (alternative) plus n0 n0 = n1, n1 n0 = n2, whose
+    # alternator (x, x, y) = x_n0^2 y_n0 n2 fails on a fraction of the samples
+    f3 = lf.PrimeField(3)
+    c = np.zeros((11, 11, 11), dtype=np.int64)
+    c[:8, :8, :8] = lf.zorn_algebra(f3).c
+    c[8, 8, 9] = c[9, 8, 10] = 1
+    alg = algebras.TensorAlgebra(f3, c, [f"x{i}" for i in range(11)])
+    samples, seed = 30, 0
+    got = lf.alternative_check(alg, mode="sampled", samples=samples, seed=seed)
+    rng = np.random.default_rng(seed)
+    xs, ys = algebras._random_rows(alg, rng, samples), algebras._random_rows(alg, rng, samples)
+    oracle = tensor_oracle(alg.c, 3)
+
+    def mul(u, v):
+        return np.asarray(oracle(u, v))
+
+    def fails(x, y):
+        xx = mul(x, x)
+        return bool(((mul(xx, y) - mul(x, mul(x, y))) % 3).any()
+                    or ((mul(y, xx) - mul(mul(y, x), x)) % 3).any())
+    first = next(i for i in range(samples) if fails(xs[i], ys[i]))
+    assert first > 0 and not got.ok and got.witness == (first,)
+
+
+def test_associative_check_sampled_witness_matches_oracle(cml81_gf3):
+    quot = cml81_gf3.algebra
+    samples, seed = 24, 5
+    got = associative_check_sampled(quot, samples=samples, seed=seed)
+    rng = np.random.default_rng(seed)
+    xs, ys, zs = (algebras._random_rows(quot, rng, samples) for _ in range(3))
+    # Python ints over the quotient's ~4,000 nonzero structure constants
+    # (tensor_oracle would walk all 54^3 per product)
+    nz = [(int(i), int(j), int(k), int(quot.c[i, j, k])) for i, j, k in zip(*np.nonzero(quot.c))]
+
+    def mul(u, v):
+        out = [0] * quot.dim
+        for i, j, k, val in nz:
+            out[k] += int(u[i]) * int(v[j]) * val
+        return [x % 3 for x in out]
+    fails = [mul(mul(x, y), z) != mul(x, mul(y, z)) for x, y, z in zip(xs, ys, zs)]
+    kernel = (quot.mul_pairwise(quot.mul_pairwise(xs, ys), zs)
+              != quot.mul_pairwise(xs, quot.mul_pairwise(ys, zs))).any(axis=1)
+    assert kernel.tolist() == fails
+    assert not got.ok and got.witness == (fails.index(True),)
+
+
 # -- alternator ideal -----------------------------------------------------------
 
 def test_alternator_ideal_matches_naive_oracle(chein12):
@@ -385,8 +505,10 @@ def test_alternator_scan_int32_matches_int64_at_cap(chein12):
 @pytest.mark.parametrize("p", [4093, 4099])
 def test_mul_pairwise_dense_at_operand_width(p):
     # operands are float32 while (p-1)^2 < 2^24 (p <= 4093) and float64 above,
-    # so every Kronecker entry is exact; (p-2)^2 is odd, and at p = 4099 it is
-    # above 2^24, where float32 would round it
+    # so the product of two canonical entries is exact in the operand type;
+    # (p-2)^2 is odd, and at p = 4099 it is above 2^24, where float32 would
+    # round it.  mul_pairwise picks its own type from d^2 (p-1)^3 (float64
+    # at both p here)
     f = lf.PrimeField(p)
     alg = algebras.TensorAlgebra(f, np.full((4, 4, 4), p - 1), [f"x{i}" for i in range(4)])
     rows = [[p - 1] * 4, [p - 2] * 4, [p - 1, p - 2, 1, 0]]

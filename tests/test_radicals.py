@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import loopforge as lf
 from loopforge import radicals
-from loopforge.errors import OrderBoundExceeded
+from loopforge.errors import DimensionBoundExceeded, OrderBoundExceeded
 from loopforge.radicals import embedding_promised, in_class_s
 
 
@@ -290,9 +292,9 @@ def test_find_simple_nonassociative_subloop(paige2, paige2_x_c2, chein12):
 
 @pytest.fixture(scope="module")
 def group_2048():
-    # a dense table just above loops.ORDER_BOUND.  Never build its alternative
-    # loop algebra (alternative_loop_algebra, embeddability, wedderburn_report):
-    # a group is its own alternative quotient, a dense 2048^3 tensor.
+    # a dense table just above loops.ORDER_BOUND.  A group is its own
+    # alternative quotient, a dense 2048^3 tensor (64 GiB of int64), so every
+    # check below must raise before it builds anything of that size.
     loop = lf.direct_product(lf.cyclic(64), lf.cyclic(32))
     assert loop.has_table() and loop.order > lf.loops.ORDER_BOUND
     return loop
@@ -302,8 +304,31 @@ def group_2048():
     lf.normal_subloops, lf.composition_factors, lf.loops.is_group_type, lf.group_type_radical,
     lf.find_simple_nonassociative_subloop,
     lambda loop: in_class_s(loop, GF3), lambda loop: lf.loop_radical(loop, GF3),
+    lambda loop: lf.alternative_loop_algebra(GF3, loop),
+    lambda loop: lf.embeddability(loop, GF3), lambda loop: lf.wedderburn_report(loop, GF3),
 ], ids=["normal_subloops", "composition_factors", "is_group_type", "group_type_radical",
-        "find_simple_nonassociative_subloop", "in_class_s", "loop_radical"])
+        "find_simple_nonassociative_subloop", "in_class_s", "loop_radical",
+        "alternative_loop_algebra", "embeddability", "wedderburn_report"])
 def test_order_guards(group_2048, check):
     with pytest.raises(OrderBoundExceeded, match="ORDER_BOUND"):
         check(group_2048)
+
+
+def test_quotient_entry_bound_raises_before_gathering():
+    # an order-258 group, within ORDER_BOUND, is its own alternative quotient:
+    # 258^3 structure constants, just beyond QUOTIENT_ENTRY_BOUND
+    loop = lf.direct_product(lf.cyclic(43), lf.cyclic(6))
+    d = loop.order
+    assert d <= lf.loops.ORDER_BOUND and d**3 > lf.algebras.QUOTIENT_ENTRY_BOUND >= 81**3
+    with pytest.raises(DimensionBoundExceeded, match="QUOTIENT_ENTRY_BOUND"):
+        lf.alternative_loop_algebra(GF3, loop)
+    # its alternator ideal is zero; the tensor would take 8 d^3 bytes
+    fq = lf.loop_algebra(GF3, loop)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionBoundExceeded, match="QUOTIENT_ENTRY_BOUND"):
+            lf.algebras.QuotientAlgebra(fq, lf.Subspace(GF3, d), verify=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < d**3
