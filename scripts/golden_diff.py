@@ -3,12 +3,13 @@
     python3 scripts/golden_diff.py --parent DIR --change DIR
 
 DIR is the root of a checkout holding ``scripts/`` and ``src/``.  Each of
-``cli_golden.py``, ``bases_golden.py`` and ``loopside_golden.py`` runs from
-each tree into its own directory under one temporary directory, and the two
-outputs of each script are compared with ``diff -r``.  The script prints
-nothing and exits 0 when every output is identical.  Otherwise it prints
-each difference and each failed command with its stderr, and exits 1.
-Only the standard library and the ``diff`` program are used.
+``cli_golden.py``, ``bases_golden.py``, ``loopside_golden.py`` and
+``units_golden.py`` runs from each tree into its own directory under one
+temporary directory, and the two outputs of each script are compared with
+``diff -r``.  The script prints nothing and exits 0 when every output is
+identical.  Otherwise it prints each difference and each failed command
+with its stderr, and exits 1.  Only the standard library and the ``diff``
+program are used.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-SCRIPTS = ("cli_golden.py", "bases_golden.py", "loopside_golden.py")
+SCRIPTS = ("cli_golden.py", "bases_golden.py", "loopside_golden.py", "units_golden.py")
 TREES = ("parent", "change")
 
 

@@ -655,12 +655,71 @@ def right_mult_matrix(alg: Algebra, u: np.ndarray) -> np.ndarray:
     return alg.mul_rows(_eye(f, d), u).T
 
 
+def _nil_series(alg: Algebra, n: np.ndarray) -> Optional[np.ndarray]:
+    """n + n^2 + ... over the left-normed powers n^k = n^(k-1) n, or None.
+
+    The powers are the Krylov sequence of n under right multiplication by n,
+    so once one vanishes all later ones do, and if any vanishes then
+    n^(d+1) = 0 (the nonzero powers before it are linearly independent).
+    Each round doubles the block of known powers with the matching power of
+    the right-multiplication matrix, so at most ceil(log2(d+1)) rounds, and
+    one squaring fewer, decide whether the powers vanish.  None when
+    n^(d+1) != 0.
+    """
+    f = alg.field
+    step = right_mult_matrix(alg, n).T             # row v -> v n
+    powers = n.reshape(1, -1)                      # n^1 .. n^r
+    while powers[-1].any():
+        if powers.shape[0] > alg.dim:
+            return None
+        nxt = f.canon(f.matmul(powers, step))      # n^(r+1) .. n^(2r)
+        powers = np.vstack([powers, nxt])
+        if nxt[-1].any() and powers.shape[0] <= alg.dim:
+            step = f.canon(f.matmul(step, step))
+    return f.canon(powers.sum(axis=0))
+
+
+def _series_inverse(alg: Algebra, u: np.ndarray, lu: np.ndarray) -> Optional[np.ndarray]:
+    """The inverse of a unipotent u as e + n + n^2 + ..., n = e - u, once certified.
+
+    The candidate z is returned only when u z = z u = e and L_z L_u = R_z R_u = I
+    hold exactly, ``lu`` being L_u.  The operator identities make L_u and
+    R_u nonsingular, so z is then the unique solution of both of
+    ``invert``'s systems.  None when the powers of n do not vanish or any
+    identity fails.
+    """
+    f, e = alg.field, alg.unit
+    s = _nil_series(alg, f.canon(e - u))
+    if s is None:
+        return None
+    z = f.canon(e + s)
+    ru = right_mult_matrix(alg, u)
+    col = z.reshape(-1, 1)
+    eye = _eye(f, alg.dim)
+    certified = (np.array_equal(f.canon(f.matmul(lu, col))[:, 0], e)
+                 and np.array_equal(f.canon(f.matmul(ru, col))[:, 0], e)
+                 and np.array_equal(f.canon(f.matmul(left_mult_matrix(alg, z), lu)), eye)
+                 and np.array_equal(f.canon(f.matmul(right_mult_matrix(alg, z), ru)), eye))
+    return z if certified else None
+
+
 def invert(alg: Algebra, u: np.ndarray) -> Optional[np.ndarray]:
-    """Two-sided inverse of u, or None; raises if one-sided inverses differ."""
+    """Two-sided inverse of u, or None; raises if one-sided inverses differ.
+
+    The inverse solves L_u x = e and R_u y = e, which must agree.  A
+    unipotent u (e - u has vanishing powers) is inverted by its certified
+    geometric series (``_series_inverse``), the unique solution of both
+    systems; any other u, or a candidate that fails its certificate, goes
+    to the two solves.
+    """
     if alg.unit is None:
         raise ValueError("invert needs a unital algebra")
     u = alg.field.canon(np.asarray(u))
-    x = linalg.solve_matrix(left_mult_matrix(alg, u), alg.unit, alg.field)
+    lu = left_mult_matrix(alg, u)
+    z = _series_inverse(alg, u, lu)
+    if z is not None:
+        return z
+    x = linalg.solve_matrix(lu, alg.unit, alg.field)
     if x is None:
         return None
     y = linalg.solve_matrix(right_mult_matrix(alg, u), alg.unit, alg.field)
@@ -861,13 +920,22 @@ def nilpotency_index(carrier: Subspace, alg: Algebra) -> Optional[int]:
 
 
 def is_quasiregular_element(alg: Algebra, x: np.ndarray) -> bool:
-    """Solvability of x + b - xb = x + b - bx = 0 as one stacked linear system."""
+    """Solvability of x + b - xb = x + b - bx = 0 as one stacked linear system.
+
+    When the powers of x vanish, b = -(x + x^2 + ...) (that is e - (e - x)^-1
+    in a unital algebra) is tried first: if it satisfies the stacked system
+    exactly, the system is consistent and no solve is needed.
+    """
     f = alg.field
     x = f.canon(np.asarray(x))
     eye = _eye(f, alg.dim)
     a = np.vstack([f.canon(eye - left_mult_matrix(alg, x)),
                    f.canon(eye - right_mult_matrix(alg, x))])
     rhs = np.concatenate([f.canon(-x), f.canon(-x)])
+    s = _nil_series(alg, x)
+    if s is not None and np.array_equal(f.canon(f.matmul(a, f.canon(-s).reshape(-1, 1)))[:, 0],
+                                        rhs):
+        return True
     return linalg.solve_matrix(a, rhs, f) is not None
 
 
@@ -951,6 +1019,8 @@ def nil_closed_form_check(alg: Algebra, u, v, w, m: int) -> bool:
     # S_x and the test x^m = 0 share them
     sums, power = np.repeat(alg.unit[None, :], 3, axis=0), x
     for _ in range(1, m):
+        if not power.any():
+            break
         sums = sums + power
         power = alg.mul_pairwise(power, x)
     if power.any():
@@ -959,14 +1029,16 @@ def nil_closed_form_check(alg: Algebra, u, v, w, m: int) -> bool:
     su, sv, sw = f.canon(sums)
     e = alg.unit
     a, b, c = f.canon(e - u), f.canon(e - v), f.canon(e - w)
-    p = alg.mul(a, alg.mul(b, c))
+    # every product of the two forms, one mul_pairwise per dependency level
+    bc, ab, uv, vw, vu, swsv, susv = alg.mul_pairwise(
+        np.vstack([b, a, u, v, v, sw, su]), np.vstack([c, b, v, w, u, sv, sv]))
+    p, abc, uvw, u_vw, swsvsu = alg.mul_pairwise(
+        np.vstack([a, ab, uv, u, swsv]), np.vstack([bc, c, w, vw, su]))
     p_inv = invert(alg, p)
     if p_inv is None:
         return False
-    lhs = alg.mul(p_inv, alg.mul(alg.mul(a, b), c))
-    rhs = f.canon(e - alg.mul(alg.mul(alg.mul(sw, sv), su), alg.associator(u, v, w)))
-    if not np.array_equal(lhs, rhs):
-        return False
-    lhs2 = alg.mul(alg.mul(su, sv), alg.mul(a, b))
-    rhs2 = f.canon(e + alg.mul(alg.mul(su, sv), alg.commutator(u, v)))
-    return bool(np.array_equal(lhs2, rhs2))
+    assoc, comm = f.canon(uvw - u_vw), f.canon(uv - vu)
+    lhs, tail, lhs2, tail2 = alg.mul_pairwise(
+        np.vstack([p_inv, swsvsu, susv, susv]), np.vstack([abc, assoc, ab, comm]))
+    rhs, rhs2 = f.canon(e - tail), f.canon(e + tail2)
+    return bool(np.array_equal(lhs, rhs) and np.array_equal(lhs2, rhs2))

@@ -19,6 +19,7 @@ from loopforge.errors import (
     IdealNotStable,
     NotNil,
     NotQuasiregular,
+    SidedInverseMismatch,
     UnsupportedRadical,
 )
 from loopforge.linalg import span_rows
@@ -776,6 +777,180 @@ def test_quasiinverse_identity_on_omega():
         s = f3.canon(v + q)
         assert np.array_equal(s, alg.mul(v, q))
         assert np.array_equal(s, alg.mul(q, v))
+
+
+def unital_gf3(products, opposite=False):
+    """GF(3)-algebra on (e, a, b) with unit e and the given products of a and b.
+
+    ``products`` maps a pair of indices in {1, 2} to a coefficient vector;
+    unlisted products are 0.  ``opposite`` swaps the factors.
+    """
+    f3 = lf.PrimeField(3)
+    c = np.zeros((3, 3, 3), dtype=np.int64)
+    for i in range(3):
+        c[0, i, i] = c[i, 0, i] = 1
+    for (i, j), v in products.items():
+        c[(j, i) if opposite else (i, j)] = v
+    return lf.TensorAlgebra(f3, c, ["e", "a", "b"], unit=f3.vector([1, 0, 0]))
+
+
+# a^2 = -b, ab = b, ba = b^2 = 0: n = a + b has n^2 = 0, so u = e - n has the
+# two-sided inverse e + n, yet L_u kills b (n b = b), and the left solve,
+# with b's coefficient free and set to 0, returns e + a instead
+SERIES_TWO_SIDED_L_SINGULAR = {(1, 1): [0, 0, 2], (1, 2): [0, 0, 1]}
+
+
+def two_solve_invert(alg, u):
+    """Oracle: the inverse from the two Gauss-Jordan solves alone, or 'mismatch'."""
+    f = alg.field
+    u = f.canon(np.asarray(u))
+    x = linalg.solve_matrix(algebras.left_mult_matrix(alg, u), alg.unit, f)
+    y = None if x is None else linalg.solve_matrix(algebras.right_mult_matrix(alg, u),
+                                                  alg.unit, f)
+    if y is None:
+        return None
+    return x if np.array_equal(x, y) else "mismatch"
+
+
+def stacked_quasiregular(alg, x):
+    """Oracle: solvability of x + b - xb = x + b - bx = 0 by the stacked solve alone."""
+    f = alg.field
+    x = f.canon(np.asarray(x))
+    eye = algebras._eye(f, alg.dim)
+    a = np.vstack([f.canon(eye - algebras.left_mult_matrix(alg, x)),
+                   f.canon(eye - algebras.right_mult_matrix(alg, x))])
+    return linalg.solve_matrix(a, np.concatenate([f.canon(-x), f.canon(-x)]), f) is not None
+
+
+def invert_outcome(alg, u):
+    try:
+        return lf.invert(alg, u)
+    except SidedInverseMismatch:
+        return "mismatch"
+
+
+def assert_same_outcome(got, want):
+    if isinstance(got, np.ndarray) and isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    else:
+        assert not isinstance(got, np.ndarray) and not isinstance(want, np.ndarray)
+        assert got == want
+
+
+def test_invert_raises_on_differing_sided_inverses():
+    # a^2 = b, ab = e, ba = e + b: L_a and R_a are nonsingular, a's left
+    # inverse is b and its right inverse is b - a
+    alg = unital_gf3({(1, 1): [0, 0, 1], (1, 2): [1, 0, 0], (2, 1): [1, 0, 1]})
+    a = alg.basis_vec(1)
+    f = alg.field
+    assert np.array_equal(linalg.solve_matrix(algebras.left_mult_matrix(alg, a), alg.unit, f),
+                          f.vector([0, 0, 1]))
+    assert np.array_equal(linalg.solve_matrix(algebras.right_mult_matrix(alg, a), alg.unit, f),
+                          f.vector([0, -1, 1]))
+    with pytest.raises(SidedInverseMismatch):
+        lf.invert(alg, a)
+    with pytest.raises(SidedInverseMismatch):
+        lf.quasiinverse(alg, f.canon(alg.unit - a))
+
+
+@pytest.mark.parametrize("opposite", [False, True])
+def test_invert_series_candidate_needs_the_operator_identities(opposite):
+    # u z = z u = e for the series z = e + n, but L_u (R_u in the opposite
+    # algebra) is singular, so the solves disagree and invert must raise
+    alg = unital_gf3(SERIES_TWO_SIDED_L_SINGULAR, opposite=opposite)
+    f = alg.field
+    n = f.vector([0, 1, 1])
+    u, z = f.canon(alg.unit - n), f.canon(alg.unit + n)
+    assert not alg.mul(n, n).any()
+    assert np.array_equal(alg.mul(u, z), alg.unit) and np.array_equal(alg.mul(z, u), alg.unit)
+    singular = algebras.right_mult_matrix if opposite else algebras.left_mult_matrix
+    assert span_rows(f, 3, singular(alg, u)).dim == 2
+    assert not lf.alternative_check(alg, mode="exhaustive").ok
+    assert_same_outcome(two_solve_invert(alg, u), "mismatch")
+    with pytest.raises(SidedInverseMismatch):
+        lf.invert(alg, u)
+
+
+def oracle_algebras(name, cml81_gf3):
+    """(algebra, elements) for the invert/quasiinverse oracle comparison."""
+    rng = np.random.default_rng(1500)
+    if name == "cml81-gf3":
+        alg, omega = cml81_gf3.algebra, cml81_gf3.omega
+        f, e, basis = alg.field, alg.unit, omega.basis_matrix()
+        nil = [f.canon(rng.integers(0, 3, omega.dim) @ basis) for _ in range(12)]
+        full = [rng.integers(0, 3, alg.dim) for _ in range(8)]
+        units = [f.canon(2 * e - x) for x in nil[:4]]       # -e + x: powers never vanish
+        return alg, ([f.canon(e - x) for x in nil] + nil + full + units
+                     + list(cml81_gf3.images[:6]))
+    if name == "chein12-q":
+        alg = chein12_quotient(lf.QQ)
+        frac = np.vectorize(lambda x, y: Fraction(int(x), int(y)), otypes=[object])
+        rows = frac(rng.integers(-4, 5, size=(12, alg.dim)), rng.integers(1, 4, size=(12, alg.dim)))
+        return alg, list(rows) + [alg.unit, alg.field.zeros(alg.dim)]
+    if name == "gf2-c2":
+        alg = lf.loop_algebra(lf.PrimeField(2), lf.cyclic(2))
+    else:
+        alg = unital_gf3(SERIES_TWO_SIDED_L_SINGULAR, opposite=name == "series-two-sided-op")
+    p = alg.field.p
+    return alg, [alg.field.vector(c) for c in product(range(p), repeat=alg.dim)]
+
+
+@pytest.mark.parametrize("name", ["cml81-gf3", "chein12-q", "gf2-c2", "series-two-sided",
+                                  "series-two-sided-op"])
+def test_invert_matches_two_solve_oracle(name, cml81_gf3):
+    alg, elems = oracle_algebras(name, cml81_gf3)
+    f, e = alg.field, alg.unit
+    outcomes = set()
+    for u in elems:
+        want = two_solve_invert(alg, u)
+        assert_same_outcome(invert_outcome(alg, u), want)
+        outcomes.add("none" if want is None else want if isinstance(want, str) else "unit")
+        try:
+            got = lf.quasiinverse(alg, u)
+        except SidedInverseMismatch:
+            got = "mismatch"
+        w = two_solve_invert(alg, f.canon(e - u))
+        assert_same_outcome(got, w if w is None or isinstance(w, str) else f.canon(e - w))
+        assert is_quasiregular_element(alg, u) == stacked_quasiregular(alg, u)
+    assert "unit" in outcomes
+    if name in ("cml81-gf3", "gf2-c2"):
+        assert "none" in outcomes
+    if name.startswith("series"):
+        assert "mismatch" in outcomes
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8, 9])
+def test_invert_truncated_polynomials_at_full_length(d):
+    # GF(5)[t]/(t^d): e - t has the inverse 1 + t + ... + t^(d-1), whose
+    # series is as long as a d-dimensional algebra allows
+    f5 = lf.PrimeField(5)
+    c = np.zeros((d, d, d), dtype=np.int64)
+    for i in range(d):
+        for j in range(d - i):
+            c[i, j, i + j] = 1
+    alg = lf.TensorAlgebra(f5, c, [f"t{i}" for i in range(d)], unit=f5.vector([1] + [0] * (d - 1)))
+    t = f5.vector([0, 1] + [0] * (d - 2)) if d > 1 else f5.vector([0])
+    ones = f5.vector([1] * d)
+    assert np.array_equal(lf.invert(alg, f5.canon(alg.unit - t)), ones)
+    assert np.array_equal(algebras._nil_series(alg, t), f5.canon(ones - alg.unit))
+    assert is_quasiregular_element(alg, t)
+    assert algebras._nil_series(alg, alg.unit) is None
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 7])
+def test_nil_series_without_unit_at_full_length(d):
+    # t F[t]/(t^(d+1)) has no unit; t^d != 0 = t^(d+1), the longest series
+    # a d-dimensional algebra allows, and t is quasiregular with b = -(t + ... + t^d)
+    f7 = lf.PrimeField(7)
+    c = np.zeros((d, d, d), dtype=np.int64)
+    for i in range(d):
+        for j in range(d - i - 1):
+            c[i, j, i + j + 1] = 1             # t^(i+1) t^(j+1) = t^(i+j+2)
+    alg = lf.TensorAlgebra(f7, c, [f"t{i + 1}" for i in range(d)])
+    t = alg.basis_vec(0)
+    assert np.array_equal(algebras._nil_series(alg, t), f7.vector([1] * d))
+    assert is_quasiregular_element(alg, t)
+    assert is_quasiregular_element(alg, t) == stacked_quasiregular(alg, t)
 
 
 # -- circle loops ---------------------------------------------------------------
