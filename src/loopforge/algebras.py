@@ -35,13 +35,25 @@ from .errors import (
 )
 from .fields import PrimeField
 from .linalg import Subspace
-from .loops import DEFAULT_SEED, CheckOutcome, Loop, SubloopSet, _check_order
+from .loops import (
+    DEFAULT_SEED,
+    MOUFANG_EXHAUSTIVE_ORDER,
+    CheckOutcome,
+    Loop,
+    SubloopSet,
+    _assoc_mismatch_chunk,
+    _associator_labels,
+    _check_order,
+    _class_quotient,
+    _scan_triples,
+)
 
 LOOP_ALGEBRA_DIM_BOUND = 2048
 # largest dense structure tensor a quotient gathers, in entries: d^3 <= 2^24,
 # so d <= 256 and 128 MiB of int64 (the fixture quotients have d <= 81)
 QUOTIENT_ENTRY_BOUND = 2**24
 CIRCLE_TABLE_BOUND = 4096
+CIRCLE_CHUNK_ENTRIES = 2**20  # product entries per block of a circle table
 CIRCLE_ENUM_BOUND = 2**20
 RADICAL_ENUM_BOUND = 2**20
 
@@ -129,6 +141,29 @@ class LoopAlgebra(Algebra):
                 continue
             out[:, t[i]] = out[:, t[i]] + col[:, None] * b
         return self.field.canon(out)
+
+    @cached_property
+    def associator_projection(self) -> Optional[np.ndarray]:
+        """Class numbers of Q -> Q/A(Q), or None unless Q/A(Q) is associative
+        by an exhaustive scan here, so only when |Q/A(Q)| <= MOUFANG_EXHAUSTIVE_ORDER.
+
+        A(Q) is the associator subloop, whose labels ``loops`` builds once
+        per loop.  Its quotient is rescanned here, not taken on trust: the
+        kernel of FQ -> F[Q/A(Q)] bounds the alternator ideal only when
+        F[Q/A(Q)] is associative (see ``alternator_ideal``).
+        """
+        reps, proj, qtable = _class_quotient(self.loop, _associator_labels(self.loop))
+        if reps.size > MOUFANG_EXHAUSTIVE_ORDER or \
+                _scan_triples(qtable, _assoc_mismatch_chunk) is not None:
+            return None
+        return proj
+
+    @property
+    def alternator_ceiling(self) -> Optional[int]:
+        """n - |Q/A(Q)|, the dimension of the kernel of FQ -> F[Q/A(Q)], when
+        ``associator_projection`` certifies that kernel; else None."""
+        proj = self.associator_projection
+        return None if proj is None else self.dim - int(proj.max()) - 1
 
     def _perm_actions(self, dests):
         def make(dest):
@@ -273,9 +308,19 @@ def alternator_ideal(alg: LoopAlgebra) -> Subspace:
     of a few seeded pairs (a, b) over every c, closes under the 2n
     translations, then checks every alternator family on the quotient
     basis.  Failures lift to alternators of FQ and the closure is rerun with
-    them until the quotient is alternative or the unit lies in the ideal.  Only alternators are added, so the result lies in
-    I(Q); the final check makes FQ/I alternative, so it contains I(Q).
-    Zero output (associative loop) is valid.
+    them until the quotient is alternative or the unit lies in the ideal.
+    Only alternators are added, so the result lies in I(Q); the final check
+    makes FQ/I alternative, so it contains I(Q).  Zero output (associative
+    loop) is valid.
+
+    The closures stop at a ceiling.  When Q/A(Q) is certified associative
+    (``LoopAlgebra.associator_projection``), F[Q/A(Q)] is an alternative
+    image of FQ, so the kernel K of FQ -> F[Q/A(Q)] is an ideal containing
+    I(Q), of dimension n - |Q/A(Q)|.  A closure that reaches that dimension
+    is returned without the alternator scan once its basis rows sum to zero
+    over every class of A(Q): it then lies in K, so it is K = I(Q).  A
+    group has ceiling 0 and a simple loop n - 1.  Should that check fail,
+    the ceiling is dropped and the closure runs on as without one.
     """
     f, t, n = alg.field, alg.loop.table, alg.dim
     eye = _eye(f, n)
@@ -283,8 +328,15 @@ def alternator_ideal(alg: LoopAlgebra) -> Subspace:
     seeds = [f.canon(_alternators(t, eye, fam, a, b, np.arange(n)))
              for a, b in pairs for fam in (0, 1)]
     left, right = alg.left_actions(), alg.right_actions()
+    proj, ceiling = alg.associator_projection, alg.alternator_ceiling
     while True:
-        ideal = linalg.ideal_closure(seeds, left, right, field=f, ambient_dim=n)
+        ideal = linalg.ideal_closure(seeds, left, right, field=f, ambient_dim=n,
+                                     ceiling=ceiling)
+        if ideal.dim == ceiling:
+            if _in_kernel(ideal, proj):
+                return ideal
+            ceiling, seeds = None, [ideal.basis_matrix()]
+            continue
         if ideal.contains(alg.unit):
             return ideal
         quot = QuotientAlgebra(alg, ideal, verify=False)
@@ -295,6 +347,14 @@ def alternator_ideal(alg: LoopAlgebra) -> Subspace:
         if head is None:
             return ideal
         seeds = itertools.chain([ideal.basis_matrix(), head], lifts)
+
+
+def _in_kernel(ideal: Subspace, proj: np.ndarray) -> bool:
+    """Whether every basis row sums to zero over each class of proj, i.e.
+    lies in the kernel of FQ -> F[Q/N] for the classes N of proj."""
+    f = ideal.field
+    classes = (proj[:, None] == np.arange(int(proj.max()) + 1)).astype(np.int64)
+    return not f.canon(f.matmul(ideal.basis_matrix(), classes)).any()
 
 
 class QuotientAlgebra(TensorAlgebra):
@@ -389,6 +449,12 @@ class AlternativeLoopAlgebra:
     @property
     def omega_codim(self) -> int:
         return self.algebra.dim - self.omega.dim
+
+    @property
+    def ceiling_hit(self) -> bool:
+        """Whether I(Q) has the dimension of ``alternator_ideal``'s ceiling, so
+        its closure stopped there without the alternator scan."""
+        return self.alternator.dim == self.fq.alternator_ceiling
 
     @cached_property
     def embedding_checks(self) -> tuple[bool, bool, bool]:
@@ -840,28 +906,40 @@ def circle_loop(alg: Algebra, carrier: Subspace, name: str = "circle") -> Loop:
     """The loop (carrier, ∘); dense when small, oracle-backed otherwise.
 
     Elements of a materialised carrier must all be quasiregular; hitting a
-    non-quasiregular member is an error, not a degenerate loop.
+    non-quasiregular member is an error, not a degenerate loop.  Element i
+    has the base-p digits of i as coefficients over the carrier's echelon
+    basis (``enumerate_carrier``'s order), so a product is looked up by its
+    entries on the pivot columns; the table is filled from ``mul_rows`` on
+    blocks of rows of at most CIRCLE_CHUNK_ENTRIES entries.
     """
     if not isinstance(alg.field, PrimeField):
         raise UnsupportedRadical("circle loops need a finite field carrier")
-    count = alg.field.p ** carrier.dim
+    f = alg.field
+    count = f.p ** carrier.dim
     if count > CIRCLE_TABLE_BOUND:
         return CircleOracleLoop(alg, carrier, name=name)
     elems = []
-    index = {}
     for coeffs, v in enumerate_carrier(alg, carrier):
         if quasiinverse(alg, v) is None:
             raise NotQuasiregular(tuple(int(c) for c in coeffs))
-        index[tuple(v.tolist())] = len(elems)
         elems.append(v)
-    n = len(elems)
-    table = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            table[i, j] = index[tuple(circle(alg, elems[i], elems[j]).tolist())]
+    elems = np.vstack(elems)
+    n, piv = count, np.asarray(carrier.pivot_cols, dtype=np.int64)
+    weights = f.p ** np.arange(carrier.dim - 1, -1, -1, dtype=np.int64)
+    table = np.empty((n, n), dtype=np.int64)
+    step = max(1, CIRCLE_CHUNK_ENTRIES // (n * max(alg.dim, 1)))
+    for i0 in range(0, n, step):
+        a = elems[i0:i0 + step]
+        circ = f.canon(np.repeat(a, n, axis=0) + np.tile(elems, (len(a), 1))
+                       - alg.mul_rows(a, elems))
+        keys = circ[:, piv] @ weights
+        bad = np.flatnonzero((elems[keys] != circ).any(axis=1))
+        if bad.size:        # a product off the carrier: the pair (i, j)
+            raise IdealNotStable(divmod(i0 * n + int(bad[0]), n))
+        table[i0:i0 + len(a)] = keys.reshape(len(a), n)
     names = ["0"] + [f"u{i}" for i in range(1, n)]
     loop = Loop(names, table, name=name)
-    loop.circle_elements = elems
+    loop.circle_elements = list(elems)
     return loop
 
 

@@ -301,6 +301,7 @@ def ideal_closure(
     *,
     field,
     ambient_dim: int,
+    ceiling: Optional[int] = None,
 ) -> Subspace:
     """Smallest subspace containing the seeds and stable under every action.
 
@@ -313,8 +314,17 @@ def ideal_closure(
     once the closure fills the ambient space.  The action fixpoint is
     re-verified by a final sweep over every basis row, so the returned basis
     is action-stable by construction, not by trust in the bookkeeping.
+
+    ``ceiling`` is the dimension of a stable subspace K that the caller
+    proves to contain every seed.  The span lies in the closure, which lies
+    in K, so once its dimension equals the ceiling it is K and the closure.
+    The closure then returns at once (after a seed block, inside a sweep or
+    at the loop test), without the verification sweep; the caller checks
+    the result against K.  A closure that never reaches the ceiling runs as
+    without one.
     """
     s = Subspace(field, ambient_dim)
+    stop = {ambient_dim, ceiling}
     for block in seeds:
         block = np.asarray(block)
         if block.ndim == 1:
@@ -322,7 +332,7 @@ def ideal_closure(
         if block.shape[1] != ambient_dim:
             raise DimensionMismatch(f"seed width {block.shape[1]} != {ambient_dim}")
         s._insert_batch(block)
-        if s.is_full():
+        if s.dim in stop:
             return s
     actions = list(left_actions) + list(right_actions)
 
@@ -330,14 +340,14 @@ def ideal_closure(
         grown = []
         for _, _, images in _image_chunks(block, actions):
             grown.append(s._insert_batch(images))
-            if s.is_full():
+            if s.dim in stop:
                 break
         return np.concatenate(grown) if grown else block[:0]
 
     fresh = s.basis_matrix()            # no row has been acted on yet
-    while fresh.shape[0] and not s.is_full():
+    while fresh.shape[0] and s.dim not in stop:
         fresh = sweep(fresh)            # generation: images of the last sweep's rows
-        if not fresh.shape[0] and not s.is_full():
+        if not fresh.shape[0] and s.dim not in stop:
             fresh = sweep(s.basis_matrix())     # verification: a clean pass ends it
     return s
 

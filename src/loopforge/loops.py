@@ -3,7 +3,7 @@
 Loops carry their Cayley table as an int64 matrix with the identity fixed at
 index 0.  All heavy checks (Moufang, associativity, closures, centres) run as
 vectorised table gathers, chunked so that order-120 exhaustive triple scans
-stay in tens of megabytes.  Direct products above the dense-table bound are
+stay near ten megabytes.  Direct products above the dense-table bound are
 represented structurally and answer multiplication through their components.
 """
 from __future__ import annotations
@@ -30,7 +30,11 @@ MOUFANG_EXHAUSTIVE_ORDER = 300
 PROPERTY_SAMPLES = 10**6
 ORDER_BOUND = 2000  # largest order for lattices, group type and radicals
 DENSE_PRODUCT_BOUND = 4096
-_CHUNK_CELLS = 700_000  # triple-scan chunk size in table cells
+# triple-scan chunks, in table cells: the first holds about _FIRST_CHUNK_CELLS
+# and each later one twice as many, up to _CHUNK_CELLS; a Moufang chunk makes
+# a few int64 temporaries of that many cells, 2 MiB each at the top
+_FIRST_CHUNK_CELLS = 1 << 13
+_CHUNK_CELLS = 1 << 18
 _BLOCK_CHUNK_ENTRIES = 1 << 17  # labels per block-closure chunk, table entries per merge
 
 
@@ -82,6 +86,8 @@ class Loop:
         self.table = table
         self._props: dict = {}
         self._class_labels: Optional[np.ndarray] = None
+        self._closures: Optional[list] = None       # _element_closures
+        self._assoc_labels: Optional[np.ndarray] = None   # A(Q), see _associator_labels
         self._normal_lattice = None
         self._subloops: dict = {}   # SubloopSet.as_loop copies
 
@@ -329,13 +335,23 @@ def _assoc_mismatch_chunk(t: np.ndarray, xs: np.ndarray):
 
 
 def _scan_triples(t: np.ndarray, chunk_fn) -> Optional[tuple]:
+    """First failing triple in lexicographic order, scanning chunks of x rows.
+
+    The first chunk holds about _FIRST_CHUNK_CELLS cells and each later one
+    twice as many, up to _CHUNK_CELLS: a witness among the first rows costs
+    one small chunk, and a full scan only a few chunks more than at the top
+    size.  Chunks follow x, so the witness is the lexicographically first.
+    """
     n = t.shape[0]
-    step = max(1, _CHUNK_CELLS // max(n * n, 1))
-    for x0 in range(0, n, step):
+    cells, x0 = max(n * n, 1), 0
+    top = max(1, _CHUNK_CELLS // cells)
+    step = min(top, max(1, _FIRST_CHUNK_CELLS // cells))
+    while x0 < n:
         xs = np.arange(x0, min(x0 + step, n), dtype=np.int64)
         w = chunk_fn(t, xs)
         if w is not None:
             return w
+        x0, step = x0 + step, min(2 * step, top)
     return None
 
 
@@ -504,7 +520,8 @@ class SubloopSet:
         """The subloop relabelled 0..k-1 in member order.
 
         Cached on the parent per members and name, so the copy's own caches
-        (properties, conjugacy classes, lattice) are computed once.
+        (properties, conjugacy classes, element closures, associator
+        subloop, lattice) are computed once.
         """
         cache, key = self.parent._subloops, (self.members, name)
         if key in cache:
@@ -628,9 +645,12 @@ def normal_closure(loop: Loop, gens: Iterable[int]) -> SubloopSet:
 
 def _element_closures(loop: Loop) -> list[SubloopSet]:
     """Normal closures of single elements, as one batch over the conjugacy
-    classes (T(x)-orbits, cached): conjugates have the same closure."""
+    classes (T(x)-orbits): conjugates have the same closure.  Classes and
+    closures are cached on the loop; callers must not mutate the list."""
     if not loop.has_table():
         raise OrderBoundExceeded("normal closure needs a dense table")
+    if loop._closures is not None:
+        return loop._closures
     n = loop.order
     if loop._class_labels is None:
         lab, step = np.arange(n), max(1, _BLOCK_CHUNK_ENTRIES // n)
@@ -642,8 +662,9 @@ def _element_closures(loop: Loop) -> list[SubloopSet]:
     reps = np.flatnonzero(loop._class_labels == np.arange(n))[1:]
     seeds = np.zeros((reps.size, n), dtype=bool)
     seeds[np.arange(reps.size), reps] = True
-    return [SubloopSet(loop, tuple(np.flatnonzero(row == 0).tolist()))
-            for row in _block_labels(loop, seeds)]
+    loop._closures = [SubloopSet(loop, tuple(np.flatnonzero(row == 0).tolist()))
+                      for row in _block_labels(loop, seeds)]
+    return loop._closures
 
 
 def verify_normal(loop: Loop, sub: SubloopSet) -> Optional[tuple]:
@@ -929,33 +950,47 @@ def composition_factors(loop: Loop) -> list[Loop]:
     return composition_factors(top.as_loop()) + [factor]
 
 
-def is_group_type(loop: Loop) -> bool:
-    """True iff every composition factor is associative.
+def _associator_labels(loop: Loop) -> np.ndarray:
+    """The _block_labels row of A(Q), the associator subloop, cached on the loop.
 
-    By Jordan-Hölder for loops (Bruck) that holds exactly when the associator
-    series N ⊵ A(N) ⊵ A(A(N)) ⊵ ... reaches {e}; A(N), the least normal
-    subloop with associative quotient, is the normal closure of the
-    associators (x(yz))\\((xy)z).  Each term is built as alternator_ideal
-    builds I(Q): close over one associator, scan the quotient for the next
-    associativity failure, add the associator of its representatives and
-    close again, until the quotient is associative (K = A(N)) or K = N (not
-    group-type).  Scans follow check_properties' exhaustive-or-sampled rule.
+    A(Q) is the least normal subloop with an associative quotient (Bruck),
+    the normal closure of the associators (x(yz))\\((xy)z).  It is built as
+    alternator_ideal builds I(Q): close over one associator, scan the
+    quotient for the next associativity failure, add the associator of its
+    representatives and close again, until the quotient is associative or
+    has one class.  Scans follow check_properties' exhaustive-or-sampled
+    rule, and the first reuses its cached report.
     """
-    _check_order(loop)
-    while loop.order > 1:
+    if loop._assoc_labels is None:
         n = loop.order
-        reps, quot = np.arange(n), loop
+        lab, reps, quot = np.arange(n), np.arange(n), loop
         seeds = np.zeros((1, n), dtype=bool)
         while (w := _associator_witness(quot)) is not None:
             seeds[0, loop_assoc_comm(loop, *(int(reps[i]) for i in w))[0]] = True
             lab = _block_labels(loop, seeds)[0]
             reps, _, qtable = _class_quotient(loop, lab)
             if reps.size == 1:
-                return False
+                break
             quot = Loop(reps, qtable, _validated=True)
-        if quot is loop:
+        loop._assoc_labels = lab
+    return loop._assoc_labels
+
+
+def is_group_type(loop: Loop) -> bool:
+    """True iff every composition factor is associative.
+
+    By Jordan-Hölder for loops (Bruck) that holds exactly when the associator
+    series N ⊵ A(N) ⊵ A(A(N)) ⊵ ... reaches {e}; each term comes from
+    _associator_labels, and the series fails when A(N) = N.
+    """
+    _check_order(loop)
+    while loop.order > 1:
+        members = np.flatnonzero(_associator_labels(loop) == 0)
+        if members.size == loop.order:
+            return False
+        if members.size == 1:
             return True
-        loop = SubloopSet(loop, tuple(np.flatnonzero(lab == 0).tolist())).as_loop()
+        loop = SubloopSet(loop, tuple(members.tolist())).as_loop()
     return True
 
 

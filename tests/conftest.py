@@ -1,6 +1,44 @@
+import time
+
 import pytest
 
 import loopforge as lf
+
+
+class _SessionSetupClock:
+    """Set-up seconds of each session fixture, recorded when it is built.
+
+    Registered as a plugin rather than written as a hook of this file: a
+    conftest hook sees only the nodes under its directory, and session
+    fixtures are set up on the session node.  The fixtures a fixture depends
+    on are set up before the hook runs, so each entry is the fixture's own
+    time.
+    """
+
+    def __init__(self):
+        self.seconds: dict = {}
+
+    @pytest.hookimpl(hookwrapper=True)
+    def pytest_fixture_setup(self, fixturedef, request):
+        t0 = time.perf_counter()
+        yield
+        if fixturedef.scope == "session":
+            self.seconds.setdefault(fixturedef.argname, time.perf_counter() - t0)
+
+
+_CLOCK = _SessionSetupClock()
+
+
+def pytest_configure(config):
+    config.pluginmanager.register(_CLOCK, "loopforge-session-setup-clock")
+
+
+@pytest.fixture
+def session_setup_s(request):
+    """A function giving the set-up seconds of every session fixture this test
+    uses, directly or through other fixtures, each counted in full even when
+    an earlier test built it."""
+    return lambda: sum(_CLOCK.seconds.get(name, 0.0) for name in request.fixturenames)
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the criterion lines
-and timings.  Criterion 6 is split: its loop-side and verdict clauses are
+and timings.  A criterion's time includes the set-up of every session
+fixture it uses (tests/conftest.py records it), so a bundle built by a
+fixture counts against the budget of each criterion that uses it.  Criterion 6 is split: its loop-side and verdict clauses are
 verified, while the literal claim that the augmentation ideal of the
 order-120 simple fixture fills its alternative quotient is kept as stated
 and fails; see notes in the repository root for the analysis (the
@@ -14,6 +16,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
 import loopforge as lf
 from loopforge.algebras import associative_check_sampled, enumerate_carrier
@@ -23,8 +26,17 @@ GF2, GF3, GF5, GF7, GF11 = (lf.PrimeField(p) for p in (2, 3, 5, 7, 11))
 SEED = lf.DEFAULT_SEED
 
 
+_fixture_clock = [lambda: 0.0]
+
+
+@pytest.fixture(autouse=True)
+def _criterion_fixture_clock(session_setup_s):
+    _fixture_clock[0] = session_setup_s
+
+
 @contextmanager
 def criterion(number, label, budget_s):
+    """Time a criterion's body plus the set-up of the session fixtures it uses."""
     t0 = time.perf_counter()
     box = {}
     try:
@@ -32,9 +44,14 @@ def criterion(number, label, budget_s):
     except BaseException:
         print(f"criterion {number:02d} FAIL  {label}")
         raise
-    elapsed = time.perf_counter() - t0
-    print(f"criterion {number:02d} PASS  {label}  ({elapsed:.1f}s < {budget_s}s)")
-    assert elapsed < budget_s, f"criterion {number} exceeded its {budget_s}s budget"
+    body = time.perf_counter() - t0
+    fixtures = _fixture_clock[0]()
+    elapsed = body + fixtures
+    verdict = "PASS" if elapsed < budget_s else "FAIL"
+    print(f"criterion {number:02d} {verdict}  {label}  "
+          f"({body:.1f}s + {fixtures:.1f}s fixtures = {elapsed:.1f}s, budget {budget_s}s)")
+    assert elapsed < budget_s, \
+        f"criterion {number} took {elapsed:.1f}s with its fixtures, over its {budget_s}s budget"
 
 
 def test_criterion_01_paige_orders():

@@ -1,4 +1,5 @@
 import functools
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -526,6 +527,169 @@ def test_alternator_ideal_cml81_proper(cml81_gf3):
     assert not cml81_gf3.alternator.contains(cml81_gf3.fq.unit)
 
 
+# -- the A(Q) ceiling of the alternator closure ----------------------------------
+
+GF2, GF3, GF11 = (lf.PrimeField(p) for p in (2, 3, 11))
+
+
+def cold(loop):
+    """A copy of loop with empty caches: no A(Q) labels, closures or properties."""
+    return lf.Loop(loop.names, loop.table, name=loop.name)
+
+
+# the bases_golden.py pairs (field None is Q)
+GOLDEN_PAIRS = [("chein12", 2), ("chein12", 3), ("chein12", 7), ("chein12", None),
+                ("s3", 2), ("s3", 3), ("c6", 2), ("cml81", 2), ("cml81", 3), ("cml81", 5),
+                ("cml81", 7), ("paige2", 2), ("paige2", 3), ("paige2", 11), ("paige2_x_c2", 11)]
+# the pairs whose alternator ideal is the kernel of FQ -> F[Q/A(Q)]
+CEILING_HITS = {("chein12", 3), ("chein12", 7), ("chein12", None), ("s3", 2), ("s3", 3),
+                ("c6", 2), ("cml81", 2), ("cml81", 5), ("cml81", 7), ("paige2", 3),
+                ("paige2", 11), ("paige2_x_c2", 11)}
+
+
+def field_of(p):
+    return lf.QQ if p is None else lf.PrimeField(p)
+
+
+def without_ceiling(monkeypatch):
+    monkeypatch.setattr(algebras.LoopAlgebra, "associator_projection", property(lambda a: None))
+
+
+def count_scans(monkeypatch):
+    """A list that grows by one entry per alternator scan alternator_ideal starts."""
+    calls = []
+    scan = algebras._alternator_failures
+
+    def counted(*args):
+        calls.append(1)
+        return scan(*args)
+    monkeypatch.setattr(algebras, "_alternator_failures", counted)
+    return calls
+
+
+def first_closure(alg, ceiling):
+    """alternator_ideal's first closure, over the same seeds."""
+    f, t, n = alg.field, alg.loop.table, alg.dim
+    eye = algebras._eye(f, n)
+    pairs = np.random.default_rng(lf.DEFAULT_SEED).integers(
+        0, n, size=(algebras.ALTERNATOR_SEED_PAIRS, 2))
+    seeds = [f.canon(algebras._alternators(t, eye, fam, a, b, np.arange(n)))
+             for a, b in pairs for fam in (0, 1)]
+    return lf.ideal_closure(seeds, alg.left_actions(), alg.right_actions(), field=f,
+                            ambient_dim=n, ceiling=ceiling)
+
+
+@pytest.mark.parametrize("loop_name, p", GOLDEN_PAIRS + [("c64_x_c4", 3)])
+def test_ceiling_closure_equals_closure_without_ceiling(request, monkeypatch, loop_name, p):
+    loop = cold(request.getfixturevalue(loop_name)) if loop_name != "c64_x_c4" else \
+        lf.direct_product(lf.cyclic(64), lf.cyclic(4))
+    alg = lf.loop_algebra(field_of(p), loop)
+    ceiling = alg.alternator_ceiling
+    assert ceiling == alg.dim - np.unique(lf.loops._associator_labels(loop)).size
+    assert first_closure(alg, ceiling) == first_closure(alg, None)
+    scans = count_scans(monkeypatch)
+    fast = lf.alternator_ideal(alg)
+    hit = (loop_name, p) in CEILING_HITS or loop_name == "c64_x_c4"
+    assert (fast.dim == ceiling) == hit and (scans == []) == hit
+    if loop_name == "c64_x_c4":     # a group: the 59 s scan would only prove I(Q) = 0
+        assert fast.dim == 0 and lf.check_properties(loop).associative.ok
+        return
+    without_ceiling(monkeypatch)
+    assert lf.alternator_ideal(lf.loop_algebra(field_of(p), loop)) == fast
+
+
+@pytest.mark.parametrize("bundle, hit", [("cml81_gf3", False), ("cml81_gf5", True),
+                                         ("chein12_gf7", True), ("paige2_gf11", True)])
+def test_bundle_reports_ceiling_hit(request, bundle, hit):
+    assert request.getfixturevalue(bundle).ceiling_hit == hit
+
+
+def test_paige2_gf2_misses_the_ceiling(paige2):
+    b = lf.alternative_loop_algebra(GF2, cold(paige2))
+    assert not b.ceiling_hit and (b.alternator.dim, b.fq.dim - 1) == (111, 119)
+
+
+def three_block_labels(n, a, b):
+    """Class minima of {0..a-1}, {a..b-1}, {b..n-1}: blocks of indices, not cosets."""
+    lab = np.zeros(n, dtype=np.int64)
+    lab[a:b], lab[b:] = a, b
+    return lab
+
+
+@pytest.mark.parametrize("p", [3, 11])
+def test_ceiling_needs_the_closure_inside_the_kernel(monkeypatch, paige2, p):
+    # blocks whose quotient table (on the class minima 0, 1, 29) is
+    # associative, but which are no congruence: their kernel, of dimension
+    # 117, does not hold I(Q) (dim 119), and the closure passes dimension 117
+    loop = cold(paige2)
+    loop._assoc_labels = three_block_labels(120, 1, 29)
+    alg = lf.loop_algebra(lf.PrimeField(p), loop)
+    assert alg.associator_projection is not None
+    dims = []
+    closure = linalg.ideal_closure
+
+    def logged(*args, **kwargs):
+        out = closure(*args, **kwargs)
+        dims.append((kwargs["ceiling"], out.dim))
+        return out
+    monkeypatch.setattr(linalg, "ideal_closure", logged)
+    got = lf.alternator_ideal(alg)
+    assert dims[0] == (117, 117) and dims[1] == (None, 119)
+    assert got.dim == 119 and got == lf.alternator_ideal(lf.loop_algebra(lf.PrimeField(p), paige2))
+
+
+def test_ceiling_unused_for_a_nonassociative_quotient(monkeypatch, paige2):
+    # identity labels claim A(Q) = {e}: the quotient is Q itself, which the
+    # exhaustive scan finds nonassociative, so no ceiling is set
+    loop = cold(paige2)
+    loop._assoc_labels = np.arange(120)
+    alg = lf.loop_algebra(GF11, loop)
+    assert alg.associator_projection is None
+    scans = count_scans(monkeypatch)
+    assert lf.alternator_ideal(alg).dim == 119 and scans
+
+
+def test_ceiling_needs_a_quotient_within_the_exhaustive_order(paige2):
+    loop = lf.direct_product(paige2, lf.cyclic(3))      # order 360, A(Q) = paige2
+    alg = lf.loop_algebra(GF11, loop)
+    labels = lf.loops._associator_labels(loop)
+    assert np.count_nonzero(labels == 0) == 120 and np.unique(labels).size == 3
+    assert alg.associator_projection is not None
+    group = lf.direct_product(lf.cyclic(64), lf.cyclic(5))      # order 320 > 300
+    assert lf.loop_algebra(GF11, group).associator_projection is None
+
+
+def test_ceiling_unused_for_coarse_classes(monkeypatch, cml81):
+    # one class: ceiling 80, above I(Q) (dim 27), so the closure never stops there
+    loop = cold(cml81)
+    loop._assoc_labels = np.zeros(81, dtype=np.int64)
+    alg = lf.loop_algebra(GF3, loop)
+    assert alg.associator_projection is not None
+    scans = count_scans(monkeypatch)
+    got = lf.alternator_ideal(alg)
+    assert got.dim == 27 and scans
+    assert got == lf.alternator_ideal(lf.loop_algebra(GF3, cml81))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_paige3_bundle_cold_budget(p):
+    loop = lf.paige_loop(3)
+    t0 = time.perf_counter()
+    bundle = lf.alternative_loop_algebra(lf.PrimeField(p), cold(loop))
+    elapsed = time.perf_counter() - t0
+    assert bundle.ceiling_hit and (bundle.alternator.dim, bundle.dim) == (1079, 1)
+    assert elapsed < 10, f"{elapsed:.1f} s"
+
+
+def test_c64_x_c4_bundle_cold_budget():
+    loop = lf.direct_product(lf.cyclic(64), lf.cyclic(4))
+    t0 = time.perf_counter()
+    bundle = lf.alternative_loop_algebra(GF3, loop)
+    elapsed = time.perf_counter() - t0
+    assert bundle.ceiling_hit and (bundle.alternator.dim, bundle.dim) == (0, 256)
+    assert elapsed < 10, f"{elapsed:.1f} s"
+
+
 @pytest.mark.parametrize("mode", ["sampled", "exhaustive"])
 @pytest.mark.parametrize("bundle", ["cml81_gf3", "cml81_gf5", "chein12_gf7", "paige2_gf11"])
 def test_quotient_is_alternative_sampled(bundle, mode, request):
@@ -1012,6 +1176,52 @@ def test_circle_oracle_loop(cml81_gf3):
     p = cl.mul(x, y)
     assert cl.ldiv(x, p) == y
     assert cl.rdiv(p, y) == x
+
+
+def per_pair_circle_rows(alg, carrier, rows):
+    """Rows of the circle table, one circle() call and one tuple lookup per pair."""
+    elems = [v for _, v in enumerate_carrier(alg, carrier)]
+    index = {tuple(v.tolist()): i for i, v in enumerate(elems)}
+    return np.array([[index[tuple(lf.circle(alg, elems[i], b).tolist())] for b in elems]
+                     for i in rows])
+
+
+def generated_subalgebra(alg, rows):
+    sub = span_rows(alg.field, alg.dim, np.vstack(rows))
+    while True:
+        dim = sub.dim
+        sub._insert_batch(alg.mul_rows(sub.basis_matrix(), sub.basis_matrix()))
+        if sub.dim == dim:
+            return sub
+
+
+def test_circle_loop_matches_per_pair_table(cml81_gf3):
+    # every row on omega of GF(2)[C8] (128 elements); on the subalgebra of the
+    # cml81/GF(3) quotient generated by two elements of omega^4, 16 rows
+    alg = lf.loop_algebra(GF2, lf.cyclic(8))
+    omega = lf.augmentation_ideal(alg)
+    cl = lf.circle_loop(alg, omega)
+    assert cl.order == 128
+    assert np.array_equal(cl.table, per_pair_circle_rows(alg, omega, range(128)))
+    quot = cml81_gf3.algebra
+    omega4 = lf.subspace_power(cml81_gf3.omega, quot.mul_rows, 4)
+    rng = np.random.default_rng(lf.DEFAULT_SEED)
+    gens = GF3.canon(rng.integers(0, 3, (2, omega4.dim)) @ omega4.basis_matrix())
+    carrier = generated_subalgebra(quot, gens)
+    assert 2 < carrier.dim <= 7         # the generators have nonzero products
+    cl = lf.circle_loop(quot, carrier)
+    rows = np.sort(rng.choice(cl.order, 16, replace=False))
+    want = per_pair_circle_rows(quot, carrier, rows)
+    assert np.array_equal(cl.table[rows], want)
+
+
+def test_circle_loop_rejects_a_carrier_not_closed(monkeypatch):
+    # e - g spans no subalgebra of GF(3)[C3]: (e-g)^2 = e + g + g^2 - 3g
+    alg = lf.loop_algebra(GF3, lf.cyclic(3))
+    line = span_rows(GF3, 3, GF3.vector([1, -1, 0]).reshape(1, -1))
+    monkeypatch.setattr(algebras, "quasiinverse", lambda alg, v: v)
+    with pytest.raises(IdealNotStable):
+        lf.circle_loop(alg, line)
 
 
 # -- nilpotency and radicals --------------------------------------------------------

@@ -237,6 +237,24 @@ def test_ideal_closure_action_stability():
         assert aug.contains_rows(act(basis))
 
 
+def test_ideal_closure_stops_at_the_ceiling():
+    # the augmentation ideal of GF(3)[C3] has dimension 2; a ceiling is the
+    # caller's proof, so the closure trusts it and skips its remaining sweeps
+    f = lf.PrimeField(3)
+    calls = []
+    left, right = ([lambda m, a=a: calls.append(1) or a(m) for a in side]
+                   for side in _fc3_actions(f))
+    seed = [f.vector([1, -1, 0]).reshape(1, -1)]
+    runs = {}
+    for ceiling in (None, 3, 2, 1):
+        calls.clear()
+        s = lf.ideal_closure(seed, left, right, field=f, ambient_dim=3, ceiling=ceiling)
+        runs[ceiling] = (s.dim, len(calls))
+    assert runs[None] == runs[3] == (2, 18)    # never reached: three sweeps of 6 actions
+    assert runs[2] == (2, 6)                   # reached inside the first sweep
+    assert runs[1] == (1, 0)                   # reached after the seed block
+
+
 def test_subspace_power():
     f = lf.PrimeField(3)
     alg = lf.loop_algebra(f, lf.cyclic(3))

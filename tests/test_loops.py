@@ -552,6 +552,93 @@ def test_is_group_type_matches_composition_factors_on_random_loops(n, seed):
     assert_group_type_matches_oracle(lf.Loop([str(i) for i in range(n)], table))
 
 
+# -- cached closures, the associator subloop and the triple scan ------------------
+
+FIXTURES = ["s3", "c6", "chein12", "cml81", "paige2", "paige2_x_c2", "order5", "order5_x_s3",
+            "order5_x_chein12", "chein12_x_c3"]
+
+
+def cold(loop):
+    return lf.Loop(loop.names, loop.table, name=loop.name)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_cached_element_closures_equal_fresh_ones(name, request):
+    loop = request.getfixturevalue(name)
+    cached = _element_closures(loop)
+    assert _element_closures(loop) is cached
+    fresh = _element_closures(cold(loop))
+    assert [s.members for s in cached] == [s.members for s in fresh]
+
+
+def naive_associator_subloop(loop):
+    """Normal closure of every associator (x(yz))\\((xy)z), from the table."""
+    t, ld = loop.table, loop.ld_table
+    found = set()
+    for x in range(loop.order):
+        found.update(np.unique(ld[t[x][t], t[t[x]]]).tolist())      # [y, z]
+    return lf.normal_closure(loop, sorted(found)).members
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_associator_labels_match_naive_associator_subloop(name, request):
+    loop = cold(request.getfixturevalue(name))
+    labels = lf.loops._associator_labels(loop)
+    assert tuple(np.flatnonzero(labels == 0).tolist()) == naive_associator_subloop(loop)
+    q, proj = lf.quotient_loop(loop, lf.SubloopSet(loop, naive_associator_subloop(loop)))
+    assert np.array_equal(np.searchsorted(np.unique(labels), labels), proj)
+    assert lf.check_properties(q).associative.ok
+
+
+@pytest.mark.parametrize("name", ["cml81", "paige2", "chein12"])
+def test_associator_labels_shared_by_bundle_and_group_type(monkeypatch, name, request):
+    # whichever caller runs first builds A(Q); the other reuses it
+    calls = []
+    witness = lf.loops._associator_witness
+    monkeypatch.setattr(lf.loops, "_associator_witness",
+                        lambda q: calls.append(q) or witness(q))
+    for first_bundle in (True, False):
+        loop = cold(request.getfixturevalue(name))
+        if first_bundle:
+            lf.alternative_loop_algebra(lf.PrimeField(5), loop)
+        before = loop._assoc_labels
+        assert is_group_type(loop) == (name != "paige2")
+        if first_bundle:
+            assert loop._assoc_labels is before
+        else:
+            labels = loop._assoc_labels
+            lf.alternative_loop_algebra(lf.PrimeField(5), loop)
+            assert loop._assoc_labels is labels
+        assert sum(q is loop for q in calls) == 1
+        calls.clear()
+
+
+def naive_first_triple(t, chunk_fn):
+    """The whole scan as one chunk."""
+    return chunk_fn(t, np.arange(t.shape[0]))
+
+
+@pytest.mark.parametrize("name", [f for f in FIXTURES if f != "paige2_x_c2"])  # 14M cells
+@pytest.mark.parametrize("first", [1, 1 << 13, 1 << 18])
+def test_scan_triples_finds_the_first_witness(monkeypatch, name, first, request):
+    loop = request.getfixturevalue(name)
+    monkeypatch.setattr(lf.loops, "_FIRST_CHUNK_CELLS", first)
+    for fn in (lf.loops._assoc_mismatch_chunk, lf.loops._moufang_mismatch_chunk):
+        assert lf.loops._scan_triples(loop.table, fn) == naive_first_triple(loop.table, fn)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_scan_triples_in_one_row_chunks_finds_the_first_witness(n, seed):
+    table = random_normalised_latin_square(n, np.random.default_rng(seed))
+    first, lf.loops._FIRST_CHUNK_CELLS = lf.loops._FIRST_CHUNK_CELLS, 1
+    try:
+        for fn in (lf.loops._assoc_mismatch_chunk, lf.loops._moufang_mismatch_chunk):
+            assert lf.loops._scan_triples(table, fn) == naive_first_triple(table, fn)
+    finally:
+        lf.loops._FIRST_CHUNK_CELLS = first
+
+
 # -- identity (44) -----------------------------------------------------------------
 
 def test_identity44_holds_on_cml81(cml81):
