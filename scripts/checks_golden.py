@@ -1,0 +1,94 @@
+"""Record ``alternative_check`` outcomes, one JSON file per set of inputs.
+
+    python scripts/checks_golden.py OUTDIR
+
+``OUTDIR/quotients.json`` holds, for each loop/field pair of
+``bases_golden.py`` whose bundle builds, the check of its quotient in
+exhaustive mode and in sampled mode with 10^3 samples.
+``OUTDIR/loop_algebras.json`` holds the exhaustive check of FQ for s3, c6,
+chein12, cml81 and paige:2 over GF(2) and GF(3); a non-alternative FQ stops
+at its first witness.  ``OUTDIR/tensors.json`` holds the exhaustive check of
+the Zorn algebra over GF(2), GF(3) and Q, of the Zorn algebra over GF(3)
+plus n0 n0 = n1, n1 n0 = n2, and of seeded sparse algebras over GF(2),
+GF(3) and GF(7) of dimension 2, 3, 5 and 8, the inputs of the witness test
+in ``tests/test_algebras.py``.  Each entry is ``CheckOutcome.to_json()``.
+The program is imported from the ``src/`` tree next to this script, so two
+trees agree when ``diff -r OUTDIR_A OUTDIR_B`` prints nothing.
+"""
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from bases_golden import LOOPS, PAIRS, lf
+from loopforge.errors import AlternatorIdealFull
+
+FQ_LOOPS = {"s3": lf.s3, "c6": lambda: lf.cyclic(6), "chein12": lf.chein12,
+            "cml81": lf.cml81, "paige2": lambda: lf.paige_loop(2)}
+
+
+def sparse_tensor(p: int, d: int, s: int) -> lf.TensorAlgebra:
+    """Seeded d-dimensional algebra over GF(p) with two or three nonzero structure constants."""
+    rng = np.random.default_rng([p, d, s])
+    k = 2 + s % 2
+    c = np.zeros((d, d, d), dtype=np.int64)
+    c[tuple(rng.integers(0, d, size=(k, 3)).T)] = rng.integers(1, p, size=k)
+    return lf.TensorAlgebra(lf.PrimeField(p), c, [f"x{i}" for i in range(d)])
+
+
+def zorn_plus_3() -> lf.TensorAlgebra:
+    f3 = lf.PrimeField(3)
+    c = np.zeros((11, 11, 11), dtype=np.int64)
+    c[:8, :8, :8] = lf.zorn_algebra(f3).c
+    c[8, 8, 9] = c[9, 8, 10] = 1
+    return lf.TensorAlgebra(f3, c, [f"x{i}" for i in range(11)])
+
+
+def quotients() -> dict:
+    out = {}
+    for loop_name, spec in PAIRS:
+        try:
+            alg = lf.alternative_loop_algebra(lf.field_from_spec(spec), LOOPS[loop_name]()).algebra
+        except AlternatorIdealFull:
+            continue
+        out[f"{loop_name}_{spec}"] = {
+            "exhaustive": lf.alternative_check(alg, mode="exhaustive").to_json(),
+            "sampled": lf.alternative_check(alg, mode="sampled", samples=10**3).to_json()}
+    return out
+
+
+def loop_algebras() -> dict:
+    return {f"{name}_gf:{p}": lf.alternative_check(
+                lf.loop_algebra(lf.PrimeField(p), make()), mode="exhaustive").to_json()
+            for name, make in FQ_LOOPS.items() for p in (2, 3)}
+
+
+def tensors() -> dict:
+    algs = {f"zorn_{spec}": lf.zorn_algebra(lf.field_from_spec(spec))
+            for spec in ("gf:2", "gf:3", "q")}
+    algs["zorn_plus_3_gf:3"] = zorn_plus_3()
+    algs.update({f"sparse_gf:{p}_d{d}_s{s}": sparse_tensor(p, d, s)
+                 for p in (2, 3, 7) for d in (2, 3, 5, 8) for s in range(10)})
+    return {name: lf.alternative_check(alg, mode="exhaustive").to_json()
+            for name, alg in algs.items()}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    out.mkdir(parents=True, exist_ok=True)
+    for name, record in (("quotients", quotients), ("loop_algebras", loop_algebras),
+                         ("tensors", tensors)):
+        doc = record()
+        (out / f"{name}.json").write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        print(f"{name}: {len(doc)} inputs", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -110,8 +110,8 @@ class PrimeField:
     def vector(self, coords) -> np.ndarray:
         return np.asarray(coords, dtype=np.int64) % self.p
 
-    def zeros(self, n: int) -> np.ndarray:
-        return np.zeros(n, dtype=np.int64)
+    def zeros(self, shape) -> np.ndarray:
+        return np.zeros(shape, dtype=np.int64)
 
     def canon(self, arr: np.ndarray) -> np.ndarray:
         return arr % self.p
@@ -252,8 +252,8 @@ class RationalField:
             out[i] = c if isinstance(c, Fraction) else Fraction(c)
         return out
 
-    def zeros(self, n: int) -> np.ndarray:
-        out = np.empty(n, dtype=object)
+    def zeros(self, shape) -> np.ndarray:
+        out = np.empty(shape, dtype=object)
         out[:] = Fraction(0)
         return out
 

@@ -285,15 +285,6 @@ def _image_chunks(block: np.ndarray,
         yield k, rows, images
 
 
-def unstable_action(s: Subspace, actions: Sequence[Action]) -> Optional[int]:
-    """Index of the first action that maps a basis row of s out of s, else None."""
-    for k, rows, images in _image_chunks(s.basis_matrix(), actions):
-        bad = np.flatnonzero(_live(s.residues(images)))
-        if bad.size:
-            return k + int(bad[0]) // rows
-    return None
-
-
 def ideal_closure(
     seeds: Iterable[np.ndarray],
     left_actions: Sequence[Action],

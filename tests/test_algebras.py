@@ -360,18 +360,23 @@ def test_pairwise_over_q():
 
 # -- sampled checks report the oracle's first failing sample ------------------------
 
-def test_alternative_check_sampled_witness_matches_oracle():
-    # the Zorn algebra (alternative) plus n0 n0 = n1, n1 n0 = n2, whose
-    # alternator (x, x, y) = x_n0^2 y_n0 n2 fails on a fraction of the samples
+def zorn_plus_3():
+    """The Zorn algebra (alternative) over GF(3) plus n0 n0 = n1, n1 n0 = n2,
+    whose alternator (x, x, y) = x_n0^2 y_n0 n2 fails on some vectors."""
     f3 = lf.PrimeField(3)
     c = np.zeros((11, 11, 11), dtype=np.int64)
     c[:8, :8, :8] = lf.zorn_algebra(f3).c
     c[8, 8, 9] = c[9, 8, 10] = 1
-    alg = algebras.TensorAlgebra(f3, c, [f"x{i}" for i in range(11)])
+    return algebras.TensorAlgebra(f3, c, [f"x{i}" for i in range(11)])
+
+
+def test_alternative_check_sampled_witness_matches_oracle():
+    # the alternator fails on a fraction of the samples
+    alg = zorn_plus_3()
     samples, seed = 30, 0
     got = lf.alternative_check(alg, mode="sampled", samples=samples, seed=seed)
     rng = np.random.default_rng(seed)
-    xs, ys = algebras._random_rows(alg, rng, samples), algebras._random_rows(alg, rng, samples)
+    xs, ys = (algebras._random_rows(alg.field, rng, samples, alg.dim) for _ in range(2))
     oracle = tensor_oracle(alg.c, 3)
 
     def mul(u, v):
@@ -385,12 +390,67 @@ def test_alternative_check_sampled_witness_matches_oracle():
     assert first > 0 and not got.ok and got.witness == (first,)
 
 
+def per_basis_witness(alg):
+    """(kind, witness) of the dense exhaustive check as a loop over basis pairs.
+
+    For a = 0, 1, ...: the first b with (a,b,c) + (b,a,c) != 0 (kind 0),
+    then (a,a,c) (kind 1), then (c,a,a) (kind 2), each at its least c;
+    (None, None) when every alternator vanishes.
+    """
+    f, d = alg.field, alg.dim
+    basis = algebras._eye(f, d)
+
+    def assoc(x, y):        # (x, y, c) over every basis c
+        return f.canon(alg.mul_rows(alg.mul(x, y), basis) - alg.mul_rows(x, alg.mul_rows(y, basis)))
+
+    def first(rows):
+        hit = np.flatnonzero((rows != 0).any(axis=1))
+        return int(hit[0]) if hit.size else None
+    for a in range(d):
+        ea = basis[a]
+        for b in range(d):
+            c = first(f.canon(assoc(ea, basis[b]) + assoc(basis[b], ea)))
+            if c is not None:
+                return 0, (a, b, c)
+        c = first(assoc(ea, ea))
+        if c is not None:
+            return 1, (a, a, c)
+        c = first(f.canon(alg.mul_rows(alg.mul_rows(basis, ea), ea)
+                          - alg.mul_rows(basis, alg.mul(ea, ea))))
+        if c is not None:
+            return 2, (c, a, a)
+    return None, None
+
+
+def sparse_tensor(p, d, s):
+    """Seeded d-dimensional algebra over GF(p) with two or three nonzero
+    structure constants (scripts/checks_golden.py records the same ones)."""
+    rng = np.random.default_rng([p, d, s])
+    k = 2 + s % 2
+    c = np.zeros((d, d, d), dtype=np.int64)
+    c[tuple(rng.integers(0, d, size=(k, 3)).T)] = rng.integers(1, p, size=k)
+    return algebras.TensorAlgebra(lf.PrimeField(p), c, [f"x{i}" for i in range(d)])
+
+
+def test_associator_tensor_witness_matches_per_basis_loop():
+    algs = [lf.zorn_algebra(f) for f in (lf.PrimeField(2), lf.PrimeField(3), lf.QQ)]
+    algs += [zorn_plus_3()]
+    algs += [sparse_tensor(p, d, s) for p in (2, 3, 7) for d in (2, 3, 5, 8) for s in range(10)]
+    kinds = set()
+    for alg in algs:
+        kind, witness = per_basis_witness(alg)
+        got = lf.alternative_check(alg, mode="exhaustive")
+        assert (got.ok, got.mode, got.witness) == (kind is None, "exhaustive", witness)
+        kinds.add(kind)
+    assert kinds == {None, 0, 1, 2}
+
+
 def test_associative_check_sampled_witness_matches_oracle(cml81_gf3):
     quot = cml81_gf3.algebra
     samples, seed = 24, 5
     got = associative_check_sampled(quot, samples=samples, seed=seed)
     rng = np.random.default_rng(seed)
-    xs, ys, zs = (algebras._random_rows(quot, rng, samples) for _ in range(3))
+    xs, ys, zs = (algebras._random_rows(quot.field, rng, samples, quot.dim) for _ in range(3))
     # Python ints over the quotient's ~4,000 nonzero structure constants
     # (tensor_oracle would walk all 54^3 per product)
     nz = [(int(i), int(j), int(k), int(quot.c[i, j, k])) for i, j, k in zip(*np.nonzero(quot.c))]
@@ -690,12 +750,24 @@ def test_c64_x_c4_bundle_cold_budget():
     assert elapsed < 10, f"{elapsed:.1f} s"
 
 
-@pytest.mark.parametrize("mode", ["sampled", "exhaustive"])
+@pytest.mark.parametrize("mode", ["sampled", "exhaustive", "auto"])
 @pytest.mark.parametrize("bundle", ["cml81_gf3", "cml81_gf5", "chein12_gf7", "paige2_gf11"])
 def test_quotient_is_alternative_sampled(bundle, mode, request):
     alg = request.getfixturevalue(bundle).algebra
     report = lf.alternative_check(alg, mode=mode, samples=2000)
-    assert report.ok and report.mode == mode
+    assert report.ok and report.mode == ("exhaustive" if mode == "auto" else mode)
+
+
+def test_checks_reject_unknown_mode_and_no_samples(cml81_gf3):
+    zorn = lf.zorn_algebra(lf.PrimeField(3))
+    with pytest.raises(ValueError):
+        lf.alternative_check(zorn, mode="exhaustiv")
+    for check in (lambda: lf.alternative_check(zorn, samples=0),
+                  lambda: lf.alternative_check(zorn, mode="sampled", samples=0),
+                  lambda: associative_check_sampled(zorn, samples=0),
+                  lambda: lf.circle_iso_check(cml81_gf3.algebra, cml81_gf3.omega, samples=0)):
+        with pytest.raises(ValueError):
+            check()
 
 
 def test_fq_of_cml81_not_alternative(cml81):
@@ -794,6 +866,19 @@ def test_augmentation_is_zero_sum_hyperplane():
         rng = np.random.default_rng(5)
         v = rng.integers(0, p, alg.dim)
         assert omega.contains(f.canon(v)) == (int(v.sum()) % p == 0)
+
+
+@pytest.mark.parametrize("quotient", [False, True])
+def test_augmentation_cross_check_rejects_a_wrong_closure(cml81_gf3, monkeypatch, quotient):
+    alg = cml81_gf3.algebra if quotient else cml81_gf3.fq
+    f, n, rows = alg.field, alg.dim, lf.augmentation_ideal(alg).basis_matrix()
+    # a proper subspace of the zero-sum hyperplane, and a subspace of the
+    # same dimension that is not inside it
+    wrong = (span_rows(f, n, rows[1:]), span_rows(f, n, np.vstack([rows[1:], alg.unit])))
+    for sub in wrong:
+        monkeypatch.setattr(linalg, "ideal_closure", lambda *args, sub=sub, **kwargs: sub)
+        with pytest.raises(IdealNotStable):
+            lf.augmentation_ideal(alg)
 
 
 def test_augmentation_monotone_strict(chein12):
@@ -1165,6 +1250,13 @@ def test_circle_iso_exhaustive():
 def test_circle_iso_sampled_on_big_carrier(cml81_gf3):
     report = lf.circle_iso_check(cml81_gf3.algebra, cml81_gf3.omega, samples=3000)
     assert report.ok and report.mode == "sampled"
+
+
+def test_circle_iso_sampled_over_q(chein12):
+    bundle = lf.alternative_loop_algebra(lf.QQ, chein12)
+    assert bundle.omega.dim == 3
+    report = lf.circle_iso_check(bundle.algebra, bundle.omega, samples=40)
+    assert report.ok and (report.mode, report.pairs) == ("sampled", 40)
 
 
 def test_circle_oracle_loop(cml81_gf3):
