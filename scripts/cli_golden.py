@@ -4,9 +4,10 @@
 
 Runs ``algebra``, ``radical``, ``embed`` and ``report`` on each loop/field
 case, ``embed`` and ``radical`` on paige:2 over GF(11), ``embed`` on paige:2
-and on paige:2 x C2 over GF(2), and ``series --kind lower`` and ``--kind
-upper`` on cml81, chein12, s3 and paige:2, each in a fresh process against
-the ``src/`` tree next to this script.
+and on paige:2 x C2 over GF(2), ``embed`` on paige:3 (order 1080) over GF(2)
+and GF(3), and ``series --kind lower`` and ``--kind upper`` on cml81,
+chein12, s3 and paige:2, each in a fresh process against the ``src/`` tree
+next to this script.
 ``OUTDIR/<cmd>_<loop>_<field>.json`` (``series_<kind>_<loop>.json`` for the
 series) holds the command's stdout followed by a line with its exit code.
 Outputs of two trees are byte-identical when ``diff -r OUTDIR_A OUTDIR_B``
@@ -39,6 +40,7 @@ RUNS = [_field_run(cmd, loop, field) for loop, field in CASES for cmd in COMMAND
     + [_field_run(cmd, "paige:2", "gf:11") for cmd in ("embed", "radical")] \
     + [_field_run("embed", "paige:2", "gf:2"),
        ("embed_paige2xC2_gf:2", ["embed", "--loop", "paige2xC2.json", "--field", "gf:2"])] \
+    + [_field_run("embed", "paige:3", field) for field in ("gf:2", "gf:3")] \
     + [(f"series_{kind}_{loop}", ["series", "--loop", loop, "--kind", kind])
        for loop in SERIES_LOOPS for kind in ("lower", "upper")]
 

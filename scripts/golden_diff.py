@@ -4,11 +4,12 @@
 
 DIR is the root of a checkout holding ``scripts/`` and ``src/``.  Each of
 ``cli_golden.py``, ``bases_golden.py``, ``loopside_golden.py``,
-``units_golden.py`` and ``checks_golden.py`` runs from each tree into its
-own directory under one temporary directory, and the two outputs of each
-script are compared with ``diff -r``.  A tree that lacks a script runs the
-change's copy against its own ``src/``: the copy sits in a temporary tree
-holding the change's ``scripts/`` and a link to that ``src/``.  The script
+``units_golden.py`` and ``checks_golden.py`` runs against each tree's
+``src/`` into its own directory under one temporary directory, and the two
+outputs of each script are compared with ``diff -r``.  Both trees run the
+change's copy of each script, so a script that the change extends or adds
+compares like with like: the parent's run sits in a temporary tree holding
+the change's ``scripts/`` and a link to the parent's ``src/``.  The script
 prints nothing and exits 0 when every output is identical.  Otherwise it
 prints each difference and each failed command with its stderr, and exits
 1.  Only the standard library and the ``diff`` program are used.
@@ -27,32 +28,23 @@ SCRIPTS = ("cli_golden.py", "bases_golden.py", "loopside_golden.py", "units_gold
 TREES = ("parent", "change")
 
 
-def script_path(root: Path, script: str, change: Path, shim: Path) -> Path:
-    """``root``'s copy of ``script``, or the change's copy in ``shim``, a tree
-    whose ``src`` links to ``root/src``."""
-    path = root / "scripts" / script
-    if path.exists():
-        return path
-    if not shim.exists():
-        shutil.copytree(change / "scripts", shim / "scripts")
-        (shim / "src").symlink_to(root / "src")
-    return shim / "scripts" / script
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     args = ap.parse_args(argv)
-    failed = False
+    change, failed = args.change.resolve(), False
     with tempfile.TemporaryDirectory() as tmp:
+        # the change's scripts/ beside a link to the parent's src/
+        shim = Path(tmp, "shim")
+        shutil.copytree(change / "scripts", shim / "scripts")
+        (shim / "src").symlink_to(args.parent.resolve() / "src")
         for script in SCRIPTS:
             outs = []
-            for tree in TREES:
+            for tree, scripts in zip(TREES, (shim / "scripts", change / "scripts")):
                 root = getattr(args, tree).resolve()
                 out = Path(tmp, tree, Path(script).stem)
-                path = script_path(root, script, args.change.resolve(), Path(tmp, "trees", tree))
-                proc = subprocess.run([sys.executable, str(path), str(out)],
+                proc = subprocess.run([sys.executable, str(scripts / script), str(out)],
                                       cwd=root, capture_output=True, text=True)
                 if proc.returncode:
                     print(f"{tree}: scripts/{script} exited {proc.returncode}\n{proc.stderr}",

@@ -105,9 +105,6 @@ class Algebra:
     def associator(self, a, b, c) -> np.ndarray:
         return self.field.canon(self.mul(self.mul(a, b), c) - self.mul(a, self.mul(b, c)))
 
-    def commutator(self, a, b) -> np.ndarray:
-        return self.field.canon(self.mul(a, b) - self.mul(b, a))
-
 
 class LoopAlgebra(Algebra):
     """The loop algebra FQ: free module on the loop, table-driven products."""
@@ -342,10 +339,9 @@ def alternator_ideal(alg: LoopAlgebra) -> Subspace:
             continue
         if ideal.contains(alg.unit):
             return ideal
-        quot = QuotientAlgebra(alg, ideal, verify=False)
-        cols = quot.section_cols
+        cols = ideal.free_cols
         lifts = (f.canon(_alternators(t, eye, fam, cols[a], cols[b], cols[c]))
-                 for fam, a, b, c in _alternator_failures(t, quot.basis_images, cols, f))
+                 for fam, a, b, c in _alternator_failures(t, ideal.residues(eye), cols, f))
         head = next(lifts, None)
         if head is None:
             return ideal
@@ -652,10 +648,9 @@ class UnitizedAlgebra(TensorAlgebra):
             prods = ambient.mul_rows(basis, basis)
             if not carrier.contains_rows(prods):
                 raise IdealNotStable("carrier is not multiplicatively closed")
-            prods = prods.reshape(s, s, ambient.dim)
-            for i in range(s):
-                for j in range(s):
-                    tensor[i, j, :s] = carrier.coords(prods[i, j])
+            # the echelon basis is the identity on the pivot columns, so a
+            # member's coordinates are its entries there
+            tensor[:s, :s, :s] = prods.reshape(s, s, ambient.dim)[..., list(carrier.pivot_cols)]
         for i in range(s + 1):
             tensor[i, s, i] = tensor[i, s, i] + 1
             if i < s:

@@ -11,7 +11,9 @@ that: O(rows * dim * d) work and one ``canon`` on rows x d entries, so a
 membership screen of a nearly full subspace is cheap.  Insertion reduces a
 whole block with one ``field.matmul``, echelonises only the surviving rows
 (at most n at a time), clears the new pivot columns from the old rows with
-one rank-k product and merges the rows by pivot.
+one rank-k product and merges the rows by pivot.  One Gauss-Jordan
+elimination with delayed reduction (``_echelon``) serves both insertion
+and ``solve_matrix``, under one stated int64 bound.
 """
 from __future__ import annotations
 
@@ -36,8 +38,7 @@ class Subspace:
     """A linear subspace held as a row-reduced echelon basis.
 
     Treat instances as immutable values; the underscore methods that grow a
-    basis are reserved for the construction routines in this module.  They
-    replace the arrays rather than write into them, so copies share them.
+    basis are reserved for the construction routines in this module.
     """
 
     __slots__ = ("field", "ambient_dim", "_basis", "_pivots", "_free")
@@ -114,11 +115,6 @@ class Subspace:
             raise ValueError("vector is not in the subspace")
         return v[self._pivots]
 
-    def copy(self) -> "Subspace":
-        s = Subspace(self.field, self.ambient_dim)
-        s._basis, s._pivots, s._free = self._basis, self._pivots, self._free
-        return s
-
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
@@ -174,29 +170,44 @@ class Subspace:
 
 
 def _echelon(field, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced echelon form of the nonzero canonical rows m: (rows, pivots) by pivot."""
-    m = m.copy()
-    out = np.empty_like(m[:m.shape[1]])
+    """Reduced row echelon form of the rows of m: (rows, pivots), by pivot.
+
+    Gauss-Jordan with delayed reduction (Dumas, Giorgi & Pernet, ACM TOMS
+    35(3), 2008).  Each row in turn is reduced to find its leading column;
+    a row that reduces to zero is dropped.  The row is scaled to 1 there,
+    and one unreduced rank-1 update clears that column from every other row
+    whose entry in it is nonzero; the row is zero before its leading column,
+    so the update starts there.  The kept rows are reduced once, at the end.
+    Pivots need not arrive in column order: a new pivot row is zero mod p
+    before its leading column and on every earlier pivot column, later
+    pivots clear their columns from it, and none of them touches its
+    leading column, so sorting the kept rows by pivot gives the RREF.
+
+    Over GF(p) the entries of m are canonical and each update subtracts a
+    product of two residues, at most (p-1)^2, so with k pivots every entry
+    stays below p + k*(p-1)^2 in absolute value: under 2^62 in int64 until
+    2^22 pivots at p <= 2^20 (MAX_PRIME).  Over Q, ``canon`` is the
+    identity and this is plain Gauss-Jordan.
+    """
+    m = np.array(m)
+    kept: list[int] = []
     pivots: list[int] = []
-    while m.shape[0]:
-        lead = int(np.flatnonzero(m[0])[0])
-        v = field.canon(m[0] * field.inv(m[0, lead]))
-        m = m[1:]
-        _clear(field, m, lead, v)
-        _clear(field, out[:len(pivots)], lead, v)
-        out[len(pivots)] = v
+    for i in range(m.shape[0]):
+        v = field.canon(m[i])
+        nz = np.flatnonzero(v)
+        if not nz.size:
+            continue
+        lead = int(nz[0])
+        v = field.canon(v[lead:] * field.inv(v[lead]))
+        c = field.canon(m[:, lead])
+        hit = np.flatnonzero(c)         # row i among them: it is replaced by v
+        m[hit, lead:] -= c[hit, None] * v
+        m[i, lead:] = v
+        kept.append(i)
         pivots.append(lead)
-        m = m[_live(m)]
     order = np.argsort(pivots)
-    return out[:len(pivots)][order], np.asarray(pivots, dtype=np.int64)[order]
-
-
-def _clear(field, a: np.ndarray, col: int, v: np.ndarray) -> None:
-    """Subtract multiples of v (1 at col) from the rows of a, in place, to zero col."""
-    c = a[:, col]
-    hit = np.flatnonzero(c)
-    if hit.size:
-        a[hit] = field.canon(a[hit] - c[hit, None] * v)
+    return field.canon(m[np.asarray(kept, dtype=np.int64)[order]]), \
+        np.asarray(pivots, dtype=np.int64)[order]
 
 
 def span_rows(field, ambient_dim: int, rows) -> Subspace:
@@ -210,47 +221,21 @@ def span_rows(field, ambient_dim: int, rows) -> Subspace:
 def solve_matrix(a: np.ndarray, rhs: np.ndarray, field) -> Optional[np.ndarray]:
     """Solve a @ x = rhs for an explicit coefficient matrix a (n x m).
 
-    Gauss-Jordan on the augmented matrix [a | rhs] with delayed reduction.
-    Pivots are leftmost: each column's first nonzero row at or below the
-    rank is swapped up.  A pivot reduces only its column, to find the pivot
-    and the multiples to clear, and the pivot row, which it scales to 1;
-    one unreduced rank-1 update then clears the column from every other
-    row.  The rhs column is reduced once, at the end.  Free variables are
-    0; returns None when the system is inconsistent.
-
-    Over GF(p) each update subtracts a product of two residues, at most
-    (p-1)^2, so every entry stays below p + min(n, m)*(p-1)^2 in absolute
-    value: under 2^62 in int64 until 2^22 pivots at p <= 2^20 (MAX_PRIME).
-    Over Q, ``canon`` is the identity and this is plain Gauss-Jordan.
+    Reads the reduced row echelon form of [a | rhs] (``_echelon``): the
+    system is inconsistent, and None is returned, exactly when the rhs
+    column m is a pivot; otherwise x is read off the pivot rows, with free
+    variables 0.
     """
     a, b = np.asarray(a), np.asarray(rhs)
     if a.ndim != 2 or a.shape[0] != b.shape[0]:
         raise DimensionMismatch("matrix/rhs shape mismatch")
-    n, m = a.shape
+    m = a.shape[1]
     aug = field.canon(np.column_stack((a, b)).astype(field.dtype, copy=False))
-    pivots: list[int] = []
-    for col in range(m):
-        r = len(pivots)
-        if r == n:
-            break
-        piv = field.canon(aug[:, col])
-        nz = piv[r:].nonzero()[0]
-        if nz.size == 0:
-            continue
-        if nz[0]:
-            aug[r], aug[r + nz[0]] = aug[r + nz[0]], aug[r].copy()
-            piv = field.canon(aug[:, col])
-        # row i loses piv[i] times the scaled pivot row; columns up to col
-        # are never read again
-        row = field.canon(field.canon(aug[r, col + 1:]) * field.inv(piv[r]))
-        aug[:, col + 1:] -= piv[:, None] * row
-        aug[r, col + 1:] = row
-        pivots.append(col)
-    rank, last = len(pivots), field.canon(aug[:, m])
-    if last[rank:].any():
+    rows, pivots = _echelon(field, aug)
+    if pivots.size and pivots[-1] == m:
         return None
     x = field.zeros(m)
-    x[pivots] = last[:rank]
+    x[pivots] = rows[:, m]
     return x
 
 
@@ -261,20 +246,19 @@ Action = Callable[[np.ndarray], np.ndarray]
 IMAGE_CHUNK_ENTRIES = 2**15
 
 
-def _image_chunks(block: np.ndarray,
-                  actions: Sequence[Action]) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (k, rows, images): the images of ``block`` under ``actions[k:]``.
+def _image_chunks(block: np.ndarray, actions: Sequence[Action]) -> Iterator[np.ndarray]:
+    """Yield the images of ``block`` under ``actions``, in stacked chunks.
 
-    ``images`` stacks act(block) for consecutive actions, ``rows`` rows per
-    action, or holds a slice of one action's image when the block alone
-    exceeds ``IMAGE_CHUNK_ENTRIES``; chunks follow the order of the actions.
+    A chunk stacks act(block) for consecutive actions, or holds a slice of
+    one action's image when the block alone exceeds ``IMAGE_CHUNK_ENTRIES``;
+    chunks follow the order of the actions, and rows within each.
     """
     rows, n = block.shape
     step = max(1, IMAGE_CHUNK_ENTRIES // max(n, 1))
     if rows > step:
-        for k, act in enumerate(actions):
+        for act in actions:
             for s in range(0, rows, step):
-                yield k, step, act(block[s:s + step])
+                yield act(block[s:s + step])
         return
     per = max(1, step // max(rows, 1))
     for k in range(0, len(actions), per):
@@ -282,7 +266,7 @@ def _image_chunks(block: np.ndarray,
         images = np.empty((len(group) * rows, n), dtype=block.dtype)
         for i, act in enumerate(group):
             images[i * rows:(i + 1) * rows] = act(block)
-        yield k, rows, images
+        yield images
 
 
 def ideal_closure(
@@ -329,7 +313,7 @@ def ideal_closure(
 
     def sweep(block):
         grown = []
-        for _, _, images in _image_chunks(block, actions):
+        for images in _image_chunks(block, actions):
             grown.append(s._insert_batch(images))
             if s.dim in stop:
                 break

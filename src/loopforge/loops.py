@@ -869,16 +869,6 @@ def central_series(loop: Loop, kind: str) -> SeriesReport:
     raise ValueError(f"unknown series kind {kind!r}")
 
 
-def nilpotency_class(loop: Loop) -> Optional[int]:
-    up = upper_central_series(loop)
-    low = lower_central_series(loop)
-    if up.nilpotency_class != low.nilpotency_class:
-        raise SeriesMismatch(
-            f"upper/lower central series disagree on {loop.name}: "
-            f"{up.nilpotency_class} vs {low.nilpotency_class}")
-    return up.nilpotency_class
-
-
 # -- simplicity, products, radical ----------------------------------------
 
 def is_simple(loop: Loop) -> tuple[bool, Optional[SubloopSet]]:

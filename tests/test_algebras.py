@@ -16,6 +16,7 @@ from loopforge.algebras import (
     is_quasiregular_element,
 )
 from loopforge.errors import (
+    DimensionBoundExceeded,
     IdealNotProper,
     IdealNotStable,
     NotNil,
@@ -585,6 +586,17 @@ def test_alternator_ideal_zero_for_groups(s3):
 def test_alternator_ideal_cml81_proper(cml81_gf3):
     assert cml81_gf3.alternator.dim == 27
     assert not cml81_gf3.alternator.contains(cml81_gf3.fq.unit)
+
+
+def test_alternator_ideal_builds_no_intermediate_quotient(monkeypatch, cml81, cml81_gf3):
+    # FQ/I(Q) of cml81 over GF(3) has dimension 54 and its intermediate
+    # quotients more: only the bundle's own quotient meets the entry bound
+    monkeypatch.setattr(algebras, "QUOTIENT_ENTRY_BOUND", 53**3)
+    fq = lf.loop_algebra(lf.PrimeField(3), cml81)
+    ideal = lf.alternator_ideal(fq)
+    assert ideal.dim == 27 and ideal == cml81_gf3.alternator
+    with pytest.raises(DimensionBoundExceeded, match="QUOTIENT_ENTRY_BOUND"):
+        lf.alternative_loop_algebra(lf.PrimeField(3), cml81)
 
 
 # -- the A(Q) ceiling of the alternator closure ----------------------------------

@@ -53,18 +53,43 @@ def gf_matrix(draw):
     return p, n, entries
 
 
-@given(gf_matrix())
-@settings(max_examples=150, deadline=None)
+P_CAP = 1048573   # largest prime <= 2^20, the PrimeField cap
+
+
+@st.composite
+def gf_batch(draw):
+    """Rows over GF(p), p up to the cap, possibly more rows than columns; a
+    row may be a combination of earlier ones, so that rows reduce to zero
+    part-way through an elimination at every p."""
+    p = draw(st.sampled_from([2, 3, 5, 7, P_CAP]))
+    n = draw(st.integers(min_value=1, max_value=6))
+    k = draw(st.integers(min_value=1, max_value=2 * n + 2))
+    entry = st.integers(0, p - 1) | st.just(p - 1)
+    rows = []
+    for _ in range(k):
+        if rows and draw(st.booleans()):
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            x, y = draw(entry), draw(entry)
+            rows.append([(x * a + y * b) % p for a, b in zip(u, v)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=n, max_size=n)))
+    return p, n, rows
+
+
+@given(gf_batch())
+@settings(max_examples=200, deadline=None)
 def test_rref_matches_naive_oracle(data):
     p, n, entries = data
     f = lf.PrimeField(p)
-    s = span_rows(f, n, f.canon(np.asarray(entries, dtype=np.int64)))
+    m = np.asarray(entries, dtype=np.int64)
     expected = naive_rref(entries, p)
+    s = span_rows(f, n, m)
     assert s.dim == len(expected)
     assert [r.tolist() for r in s.rows] == expected
-
-
-P_CAP = 1048573   # largest prime <= 2^20, the PrimeField cap
+    # the kernel alone, on the whole batch at once
+    rows, pivots = linalg._echelon(f, m)
+    assert rows.tolist() == expected
+    assert pivots.tolist() == [next(i for i, x in enumerate(r) if x) for r in expected]
 
 
 @given(st.data())
@@ -433,7 +458,7 @@ def test_image_chunks_cover_every_action_and_row_in_order(monkeypatch, chunk):
     block = np.arange(4 * 6, dtype=np.int64).reshape(4, 6)
     actions = [lambda m, k=k: m + 100 * k for k in range(5)]
     chunks = list(linalg._image_chunks(block, actions))
-    got = np.concatenate([images for _, _, images in chunks])
-    assert np.array_equal(got, np.concatenate([act(block) for act in actions]))
-    for k, rows, images in chunks:     # the first row of a chunk belongs to actions[k]
-        assert images.shape[0] % rows == 0 and np.array_equal(images[0] // 100, np.full(6, k))
+    # every image row once, in action order and row order within an action
+    assert np.array_equal(np.concatenate(chunks), np.concatenate([act(block) for act in actions]))
+    # a chunk stays within the entry bound, or is one row when a row exceeds it
+    assert all(images.size <= max(chunk, block.shape[1]) for images in chunks)
