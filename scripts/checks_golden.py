@@ -11,12 +11,18 @@ at its first witness.  ``OUTDIR/tensors.json`` holds the exhaustive check of
 the Zorn algebra over GF(2), GF(3) and Q, of the Zorn algebra over GF(3)
 plus n0 n0 = n1, n1 n0 = n2, and of seeded sparse algebras over GF(2),
 GF(3) and GF(7) of dimension 2, 3, 5 and 8, the inputs of the witness test
-in ``tests/test_algebras.py``.  Each entry is ``CheckOutcome.to_json()``.
+in ``tests/test_algebras.py``.  ``OUTDIR/sampled.json`` holds, with 10^3
+samples, ``alternative_check`` and ``associative_check_sampled`` on each of
+those tensors (under ``tensors``), and ``circle_iso_check`` on the ω of each
+quotient above whose check samples rather than enumerates its pairs (under
+``omegas``).  Each entry is ``CheckOutcome.to_json()`` or
+``CircleIsoReport.to_json()``.
 The program is imported from the ``src/`` tree next to this script, so two
 trees agree when ``diff -r OUTDIR_A OUTDIR_B`` prints nothing.
 """
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from pathlib import Path
@@ -47,17 +53,24 @@ def zorn_plus_3() -> lf.TensorAlgebra:
     return lf.TensorAlgebra(f3, c, [f"x{i}" for i in range(11)])
 
 
-def quotients() -> dict:
+@functools.lru_cache(maxsize=None)
+def bundles() -> dict:
+    """The bundle of each loop/field pair of ``bases_golden.py`` that builds."""
     out = {}
     for loop_name, spec in PAIRS:
         try:
-            alg = lf.alternative_loop_algebra(lf.field_from_spec(spec), LOOPS[loop_name]()).algebra
+            out[f"{loop_name}_{spec}"] = lf.alternative_loop_algebra(
+                lf.field_from_spec(spec), LOOPS[loop_name]())
         except AlternatorIdealFull:
             continue
-        out[f"{loop_name}_{spec}"] = {
-            "exhaustive": lf.alternative_check(alg, mode="exhaustive").to_json(),
-            "sampled": lf.alternative_check(alg, mode="sampled", samples=10**3).to_json()}
     return out
+
+
+def quotients() -> dict:
+    return {name: {"exhaustive": lf.alternative_check(b.algebra, mode="exhaustive").to_json(),
+                   "sampled": lf.alternative_check(b.algebra, mode="sampled",
+                                                   samples=10**3).to_json()}
+            for name, b in bundles().items()}
 
 
 def loop_algebras() -> dict:
@@ -66,14 +79,30 @@ def loop_algebras() -> dict:
             for name, make in FQ_LOOPS.items() for p in (2, 3)}
 
 
-def tensors() -> dict:
+def tensor_algebras() -> dict:
     algs = {f"zorn_{spec}": lf.zorn_algebra(lf.field_from_spec(spec))
             for spec in ("gf:2", "gf:3", "q")}
     algs["zorn_plus_3_gf:3"] = zorn_plus_3()
     algs.update({f"sparse_gf:{p}_d{d}_s{s}": sparse_tensor(p, d, s)
                  for p in (2, 3, 7) for d in (2, 3, 5, 8) for s in range(10)})
+    return algs
+
+
+def tensors() -> dict:
     return {name: lf.alternative_check(alg, mode="exhaustive").to_json()
-            for name, alg in algs.items()}
+            for name, alg in tensor_algebras().items()}
+
+
+def sampled() -> dict:
+    out = {"tensors": {name: {
+        "alternative": lf.alternative_check(alg, mode="sampled", samples=10**3).to_json(),
+        "associative": lf.algebras.associative_check_sampled(alg, samples=10**3).to_json()}
+        for name, alg in tensor_algebras().items()}, "omegas": {}}
+    for name, b in bundles().items():
+        report = lf.circle_iso_check(b.algebra, b.omega, samples=10**3)
+        if report.mode == "sampled":
+            out["omegas"][name] = report.to_json()
+    return out
 
 
 def main(argv: list[str]) -> int:
@@ -83,7 +112,7 @@ def main(argv: list[str]) -> int:
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
     for name, record in (("quotients", quotients), ("loop_algebras", loop_algebras),
-                         ("tensors", tensors)):
+                         ("tensors", tensors), ("sampled", sampled)):
         doc = record()
         (out / f"{name}.json").write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
         print(f"{name}: {len(doc)} inputs", file=sys.stderr)

@@ -10,6 +10,10 @@ elements), so multiplication and the ideal-closure actions are index
 gathers; general algebras carry a dense structure-constant tensor and
 multiply through the field's product kernels, ``field.matmul`` for
 ``mul_rows`` and the actions and ``field.pairwise`` for ``mul_pairwise``.
+The sampled checks run in blocks of rows through the two stages of the
+pairwise kernel (``Algebra.operators``, ``Algebra.contract``): each operand's
+left and right multiplication operators are built once per block and serve
+every product that operand takes part in.
 """
 from __future__ import annotations
 
@@ -33,7 +37,7 @@ from .errors import (
     SidedInverseMismatch,
     UnsupportedRadical,
 )
-from .fields import PrimeField
+from .fields import PAIRWISE_CHUNK_ENTRIES, PrimeField
 from .linalg import Subspace
 from .loops import (
     DEFAULT_SEED,
@@ -90,6 +94,30 @@ class Algebra:
     def mul_pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Row-by-row products: out[k] = a[k] * b[k]."""
         raise NotImplementedError
+
+    def operators(self, x: np.ndarray, sides: str, out=None):
+        """Stage 1 of the products of each row x[r]: its left (z -> x z) and
+        right (z -> z x) multiplication operators, ``sides`` being "l", "r"
+        or "lr", in the form ``contract`` reads; ``out``, operators an
+        earlier block returned, may be reused.  Here an operator is the row
+        itself and ``contract`` a ``mul_pairwise``, so the products are the
+        ones ``mul_pairwise`` makes."""
+        return x, sides
+
+    def contract(self, z: np.ndarray, ops, side: int) -> np.ndarray:
+        """Stage 2: out[r, t] is operator number ``side`` of ``ops[r]`` applied to
+        z[r, t], for z of shape (k, t, d); operators of one row serve every r."""
+        x, sides = ops
+        k, t, d = z.shape
+        x = np.broadcast_to(x[:, None], z.shape).reshape(k * t, d)
+        z = z.reshape(k * t, d)
+        out = self.mul_pairwise(x, z) if sides[side] == "l" else self.mul_pairwise(z, x)
+        return out.reshape(k, t, -1)
+
+    def block_rows(self, operators: int) -> Optional[int]:
+        """Rows per block of a sampled check holding ``operators`` d x d
+        operators per row; None, one block, unless the operators are arrays."""
+        return None
 
     def basis_vec(self, i: int) -> np.ndarray:
         v = self.field.zeros(self.dim)
@@ -219,6 +247,31 @@ class TensorAlgebra(Algebra):
     def mul_pairwise(self, a, b):
         a, b = np.atleast_2d(np.asarray(a)), np.atleast_2d(np.asarray(b))
         return self.field.pairwise(a, b, self._c)
+
+    @cached_property
+    def _sides(self) -> np.ndarray:
+        """C beside its (1, 0, 2) transpose C', one d x 2d^2 stage operand:
+        x.C holds the left operators of x and x.C' the right ones.  Built by
+        the first sampled check, so no algebra carries it from the start."""
+        d, c = self.dim, self.c
+        return self.field.stage_operand(np.concatenate(
+            [c.reshape(d, d * d), c.transpose(1, 0, 2).reshape(d, d * d)], axis=1))
+
+    def operators(self, x, sides, out=None):
+        """The field's stage 1 on the columns of ``_sides`` that ``sides`` names:
+        one GEMM for both sides, an array of shape (k, len(sides), d, d)."""
+        d, k, w = self.dim, len(x), len(sides) * self.dim**2
+        cols = slice(d * d if sides == "r" else 0, d * d if sides == "l" else 2 * d * d)
+        if out is not None:
+            out = out[:k].reshape(k, w)
+        return self.field.operators(x, self._sides[:, cols], out).reshape(k, len(sides), d, d)
+
+    def contract(self, z, ops, side):
+        return self.field.contract(z, ops[:, side])
+
+    def block_rows(self, operators):
+        """Blocks whose operators hold at most PAIRWISE_CHUNK_ENTRIES entries."""
+        return max(1, PAIRWISE_CHUNK_ENTRIES // max(operators * self.dim**2, 1))
 
     def mul_basis(self, i: int, j: int) -> np.ndarray:
         return self.c[i, j].copy()
@@ -516,7 +569,9 @@ def alternative_check(alg: Algebra, mode: str = "auto", samples: int = 10**4,
     Auto mode follows one rule: exhaustive for a loop-backed algebra with
     m^3 <= 10^7 or a structure tensor with d <= 32, otherwise sampled on
     ``samples`` random pairs.  An unknown mode, or ``samples`` < 1, raises
-    ValueError.
+    ValueError.  Sampled mode takes two stage-1 operators per block of rows,
+    both sides of x and of y: xx, xy, x(xy) come from L_x, yx and (yx)x from
+    R_x, y(xx) and (xx)y from L_y and R_y.
     """
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown alternativity check mode {mode!r}")
@@ -541,13 +596,20 @@ def alternative_check(alg: Algebra, mode: str = "auto", samples: int = 10**4,
     rng = np.random.default_rng(seed)
     xs = _random_rows(alg.field, rng, samples, alg.dim)
     ys = _random_rows(alg.field, rng, samples, alg.dim)
-    xx = alg.mul_pairwise(xs, xs)
-    lhs = alg.field.canon(alg.mul_pairwise(xx, ys) - alg.mul_pairwise(xs, alg.mul_pairwise(xs, ys)))
-    rhs = alg.field.canon(alg.mul_pairwise(ys, xx) - alg.mul_pairwise(alg.mul_pairwise(ys, xs), xs))
-    bad = np.flatnonzero(lhs.any(axis=1) | rhs.any(axis=1))
-    if bad.size:
-        return CheckOutcome(ok=False, mode="sampled", witness=(int(bad[0]),),
-                            samples=samples, seed=seed)
+    step, ox, oy = alg.block_rows(4) or samples, None, None
+    for s in range(0, samples, step):
+        x, y = xs[s:s + step], ys[s:s + step]
+        ox, oy = alg.operators(x, "lr", ox), alg.operators(y, "lr", oy)
+        xx_xy = alg.contract(np.stack([x, y], axis=1), ox, 0)
+        xx, xy = xx_xy[:, :1], xx_xy[:, 1:]
+        yx = alg.contract(y[:, None], ox, 1)
+        # (x,x,y) = (xx)y - x(xy) and (y,x,x) = (yx)x - y(xx), canonical terms
+        fails = ((alg.contract(xx, oy, 1) != alg.contract(xy, ox, 0))
+                 | (alg.contract(yx, ox, 1) != alg.contract(xx, oy, 0)))
+        bad = np.flatnonzero(fails.any(axis=(1, 2)))
+        if bad.size:
+            return CheckOutcome(ok=False, mode="sampled", witness=(s + int(bad[0]),),
+                                samples=samples, seed=seed)
     return CheckOutcome(ok=True, mode="sampled", samples=samples, seed=seed)
 
 
@@ -589,16 +651,23 @@ def _random_rows(field, rng, k: int, n: int) -> np.ndarray:
 
 def associative_check_sampled(alg: Algebra, samples: int = 10**4,
                               seed: int = DEFAULT_SEED) -> CheckOutcome:
-    """Sampled check of full associativity (x,y,z) = 0 on ``samples`` >= 1 random triples."""
+    """Sampled check of full associativity (x,y,z) = 0 on ``samples`` >= 1 random triples.
+
+    Per block of rows, (xy)z is y through L_x, then R_z, and x(yz) is y
+    through R_z, then L_x: two stage-1 operators, L_x and R_z.
+    """
     _check_samples(samples)
     rng = np.random.default_rng(seed)
     xs, ys, zs = (_random_rows(alg.field, rng, samples, alg.dim) for _ in range(3))
-    lhs = alg.mul_pairwise(alg.mul_pairwise(xs, ys), zs)
-    rhs = alg.mul_pairwise(xs, alg.mul_pairwise(ys, zs))
-    bad = np.flatnonzero(alg.field.canon(lhs - rhs).any(axis=1))
-    if bad.size:
-        return CheckOutcome(ok=False, mode="sampled", witness=(int(bad[0]),),
-                            samples=samples, seed=seed)
+    step, lx, rz = alg.block_rows(2) or samples, None, None
+    for s in range(0, samples, step):
+        lx, rz = alg.operators(xs[s:s + step], "l", lx), alg.operators(zs[s:s + step], "r", rz)
+        y = ys[s:s + step, None]
+        xy, yz = alg.contract(y, lx, 0), alg.contract(y, rz, 0)
+        bad = np.flatnonzero((alg.contract(xy, rz, 0) != alg.contract(yz, lx, 0)).any(axis=(1, 2)))
+        if bad.size:
+            return CheckOutcome(ok=False, mode="sampled", witness=(s + int(bad[0]),),
+                                samples=samples, seed=seed)
     return CheckOutcome(ok=True, mode="sampled", samples=samples, seed=seed)
 
 
@@ -786,10 +855,6 @@ def circle(alg: Algebra, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return alg.field.canon(np.asarray(a) + np.asarray(b) - alg.mul(a, b))
 
 
-def circle_pairwise(alg: Algebra, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return alg.field.canon(a + b - alg.mul_pairwise(a, b))
-
-
 def enumerate_carrier(alg: Algebra, carrier: Subspace):
     """All carrier elements in lexicographic coefficient order (zero first)."""
     if not isinstance(alg.field, PrimeField):
@@ -939,34 +1004,40 @@ def circle_iso_check(alg: Algebra, carrier: Subspace, samples: int = 10**5,
 
     Every pair when a GF(p) carrier has at most 2^8 elements, else
     ``samples`` >= 1 random pairs, drawn as ``alternative_check`` draws its
-    vectors, in carrier coordinates.
+    vectors, in carrier coordinates.  Per block of pairs the one stage-1
+    operator is L_a: ab = b L_a and (e-a)(e-b) = (e-b) L_e - (e-b) L_a, with
+    L_e made once.
     """
-    if alg.unit is None:
+    f, e = alg.field, alg.unit
+    if e is None:
         raise ValueError("circle isomorphism checks need a unital algebra")
-    count = alg.field.p ** carrier.dim if isinstance(alg.field, PrimeField) else None
+    count = f.p ** carrier.dim if isinstance(f, PrimeField) else None
     if count is not None and count * count <= 2**16:
-        elems = np.vstack([v for _, v in enumerate_carrier(alg, carrier)])
-        k = elems.shape[0]
-        a = elems[np.repeat(np.arange(k), k)]
-        b = elems[np.tile(np.arange(k), k)]
-        mode, pairs, used_seed = "exhaustive", k * k, None
+        coeffs = np.asarray(list(itertools.product(range(f.p), repeat=carrier.dim)),
+                            dtype=np.int64).reshape(count, carrier.dim)
+        ca, cb = coeffs[np.repeat(np.arange(count), count)], np.tile(coeffs, (count, 1))
+        mode, pairs, used_seed = "exhaustive", count * count, None
     else:
         _check_samples(samples)
         rng = np.random.default_rng(seed)
-        basis = alg.field.operand(carrier.basis_matrix())
-        ca = _random_rows(alg.field, rng, samples, carrier.dim)
-        cb = _random_rows(alg.field, rng, samples, carrier.dim)
-        a = alg.field.canon(alg.field.matmul(ca, basis))
-        b = alg.field.canon(alg.field.matmul(cb, basis))
+        ca = _random_rows(f, rng, samples, carrier.dim)
+        cb = _random_rows(f, rng, samples, carrier.dim)
         mode, pairs, used_seed = "sampled", samples, seed
-    ab = alg.mul_pairwise(a, b)
-    circ = alg.field.canon(a + b - ab)
-    e = alg.unit[None, :]
-    lhs = alg.mul_pairwise(alg.field.canon(e - a), alg.field.canon(e - b))
-    eta_ok = bool(not alg.field.canon(lhs - (e - circ)).any())
-    otimes = alg.field.canon(ab - a - b)       # (-a)(-b) + (-a) + (-b)
-    phi_ok = bool(not alg.field.canon(otimes + circ).any())
-    return CircleIsoReport(eta_ok=eta_ok, phi_ok=phi_ok, mode=mode, pairs=pairs, seed=used_seed)
+    basis = f.operand(carrier.basis_matrix())
+    le = alg.operators(e[None, :], "l")
+    eta_ok = phi_ok = True
+    step, la = alg.block_rows(1) or pairs, None
+    for s in range(0, pairs, step):
+        a, b = (f.canon(f.matmul(m[s:s + step], basis)) for m in (ca, cb))
+        la = alg.operators(a, "l", la)
+        eb = f.canon(e - b)
+        ab, a_eb = alg.contract(np.stack([b, eb], axis=1), la, 0).transpose(1, 0, 2)
+        otimes = ab - a - b                # (-a)⊗(-b) = (-a)(-b) + (-a) + (-b), unreduced
+        lhs = alg.contract(eb[:, None], le, 0)[:, 0] - a_eb                # (e-a)(e-b)
+        eta_ok = eta_ok and not f.canon(lhs - e - otimes).any()           # a∘b = -otimes
+        phi_ok = phi_ok and not f.canon(f.canon(otimes) - otimes).any()   # (-a)⊗(-b) + a∘b
+    return CircleIsoReport(eta_ok=bool(eta_ok), phi_ok=bool(phi_ok), mode=mode, pairs=pairs,
+                           seed=used_seed)
 
 
 # -- nilpotency and the quasiregular radical --------------------------------

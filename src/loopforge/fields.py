@@ -6,12 +6,17 @@ object also provides an array layer (``vector``/``zeros``/``canon``, and
 the two product kernels: ``matmul`` for dense matrix products and
 ``pairwise`` for row-by-row products through a structure tensor); GF(p)
 vectors are int64 numpy arrays, rational vectors are object arrays of
-Fractions.
+Fractions.  ``pairwise`` is a loop over blocks of rows through two stages
+that are field methods of their own, ``operators`` (u = a.C, one GEMM) and
+``contract`` (the batched b[r].u[r]), so that products sharing an operand
+can share its stage-1 operators (the sampled checks in ``algebras`` do).
 
 Over GF(p) both kernels run float BLAS, which is exact while every partial
 sum is an integer below 2^24 (float32) or 2^53 (float64).  Each states the
 bound of its sums and takes float32 whenever it stays below 2^24, float64
-otherwise, reducing mod p between steps when even that would overflow.
+otherwise, reducing mod p between steps when even that would overflow;
+``contract`` reduces its sums to canonical values while still in float, by
+a floor division exact below the same two bounds.
 """
 from __future__ import annotations
 
@@ -26,8 +31,9 @@ from .errors import EnumerationUnsupported
 # gather adds at most LOOP_ALGEBRA_DIM_BOUND products, n*(p-1)^2 < 2^51.
 MAX_PRIME = 2**20
 
-# rows per chunk of the pairwise kernel: a chunk's stage-1 product a.C holds
-# at most this many entries (4 MiB in float32)
+# rows per block of the pairwise stages: a block's stage-1 operators (a.C in
+# ``pairwise``, all operators of a sampled check in ``algebras``) hold at most
+# this many entries (4 MiB in float32)
 PAIRWISE_CHUNK_ENTRIES = 2**20
 
 
@@ -44,6 +50,26 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def _pairwise(field, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Row r is sum_ij a[r, i] b[r, j] c[i, j, :], canonical, for a d x d x d tensor c.
+
+    One loop over blocks of rows through the field's two stages: u = a.C by
+    ``operators``, with C as a d x d^2 matrix, then out[r] = b[r].u[r] by
+    ``contract``.  A block's u holds at most PAIRWISE_CHUNK_ENTRIES entries,
+    and every block after the first writes into the first one's buffer.
+    """
+    k, d = a.shape[0], c.shape[0]
+    c = field.stage_operand(c.reshape(d, d * d))
+    out = np.empty((k, d), dtype=field.dtype)
+    step = max(1, PAIRWISE_CHUNK_ENTRIES // max(d * d, 1))
+    u = None
+    for s in range(0, k, step):
+        rows = a[s:s + step]
+        u = field.operators(rows, c, None if u is None else u[:len(rows)])
+        out[s:s + step] = field.contract(b[s:s + step, None], u.reshape(len(rows), d, d))[:, 0]
+    return out
 
 
 class PrimeField:
@@ -161,32 +187,65 @@ class PrimeField:
             out += np.matmul(x[..., s:s + n], y[..., s:s + n, :]).astype(np.int64) % p
         return out
 
-    def pairwise(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Row r is sum_ij a[r, i] b[r, j] c[i, j, :] mod p, for int64 a, b and canonical c.
+    def _stages(self, d: int):
+        """(float type, reduce u first) of the pairwise stages on d x d x d constants.
 
-        a and b are reduced mod p first unless their entries already lie in
-        0..p-1 (measured), so the kernel sees canonical operands only.  Two
-        stages per chunk of rows: u = a.C, one GEMM with C as a (d x d^2)
-        matrix, then out[r] = b[r].u[r], one batched contraction of d terms.
-        No partial sum of canonical entries exceeds the full one, below
-        d^2 (p-1)^3, and that bound picks one float type for both stages:
+        No partial sum of canonical entries in either stage exceeds
+        d^2 (p-1)^3 (stage 1 sums d products below (p-1)^2, stage 2 d products
+        of those with entries below p), and that bound picks one float type:
         - float32 if d^2 (p-1)^3 < 2^24;
         - float64 if d^2 (p-1)^3 < 2^53;
-        - otherwise float64 with u reduced mod p between the stages: both
-          stages then sum d products below (p-1)^2, exact while
+        - otherwise float64 with u reduced mod p (``np.fmod``, exact) between
+          the stages: both then sum d products below (p-1)^2, exact while
           d (p-1)^2 < 2^53, which holds for every d < 2^13 (a dense d^3
           tensor of 2^39 entries, beyond any memory).
-        Returns canonical int64 rows.
         """
-        p, d = self.p, c.shape[0]
-        a, b = self._canonical(a), self._canonical(b)
-        top = d * d * (p - 1)**3
-        if top < 2**24:
-            out = _pairwise(a, b, c, np.float32)
-        else:
-            out = _pairwise(a, b, c, np.float64, None if top < 2**53 else p)
-        out %= p
-        return out
+        top = d * d * (self.p - 1)**3
+        return (np.float32 if top < 2**24 else np.float64), top >= 2**53
+
+    def stage_operand(self, c: np.ndarray) -> np.ndarray:
+        """A canonical d x m operand of ``operators`` in its stage type; convert a reused one once."""
+        return np.asarray(c, dtype=self._stages(c.shape[0])[0])
+
+    def operators(self, a: np.ndarray, c: np.ndarray, out=None) -> np.ndarray:
+        """Stage 1 of the pairwise kernel: u = a.C, one GEMM, for int64 rows a
+        and a canonical d x m operand c (a structure tensor as d x d^2).
+
+        a is reduced mod p first unless its entries already lie in 0..p-1
+        (measured).  u is returned in the stage type of d (``_stages``),
+        reduced mod p only above 2^53; ``out``, a buffer of u's shape and
+        type, lets row blocks reuse one allocation.
+        """
+        dtype, reduce = self._stages(c.shape[0])
+        u = np.matmul(np.asarray(self._canonical(a), dtype), np.asarray(c, dtype), out=out)
+        if reduce:
+            np.fmod(u, self.p, out=u)
+        return u
+
+    def contract(self, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Stage 2: out[r] = z[r] . u[r], batched, for int64 z of shape (k, t, d)
+        and stage-1 operators u of shape (k, d, m) (or (1, d, m), shared by
+        every r); canonical int64 of shape (k, t, m).
+
+        z is made canonical as in ``operators``, so every sum stays below the
+        bound that picked u's type.  The sums w are reduced while still in
+        float, as w - p floor(w / p), and cast once.  That reduction is exact
+        for every integer 0 <= w < 2^24 in float32 and w < 2^53 in float64,
+        the bounds of the sums themselves, so the switches stay where they
+        are and no correction step runs: w / p is correctly rounded, with an
+        error of at most w 2^-24 / p < 1/p (2^-53 in float64), while the
+        exact quotient is an integer or lies at least 1/p from one, so the
+        floor is the true quotient.  For float32 this was also checked for
+        every w < 2^24 and every prime p <= 4093.
+        """
+        w = np.matmul(np.asarray(self._canonical(z), u.dtype), u)
+        q = w / self.p
+        np.floor(q, out=q)
+        q *= self.p
+        w -= q
+        return w.astype(np.int64)
+
+    pairwise = _pairwise
 
     def _canonical(self, arr: np.ndarray) -> np.ndarray:
         """``arr`` itself if its entries lie in 0..p-1, else ``canon(arr)``."""
@@ -266,9 +325,18 @@ class RationalField:
     def matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.matmul(x, y)
 
-    def pairwise(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Row r is sum_ij a[r, i] b[r, j] c[i, j, :], in PrimeField.pairwise's two stages."""
-        return _pairwise(a, b, c, object)
+    def stage_operand(self, c: np.ndarray) -> np.ndarray:
+        return c
+
+    def operators(self, a: np.ndarray, c: np.ndarray, out=None) -> np.ndarray:
+        """Stage 1 of the pairwise kernel on Fractions: u = a.C."""
+        return np.matmul(a, c, out=out)
+
+    def contract(self, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Stage 2 on Fractions: out[r] = z[r] . u[r]."""
+        return np.matmul(z, u)
+
+    pairwise = _pairwise
 
     @property
     def spec(self) -> str:
@@ -285,26 +353,6 @@ class RationalField:
 
 
 QQ = RationalField()
-
-
-def _pairwise(a, b, c, dtype, p=None):
-    """The two stages of ``pairwise`` in ``dtype``, converting one chunk at a time.
-
-    Float stages fill an int64 result, object (Fraction) stages an object
-    one.  With ``p`` given, the stage-1 product is reduced mod p before
-    stage 2.
-    """
-    k, d = a.shape[0], c.shape[0]
-    c = np.asarray(c, dtype=dtype).reshape(d, d * d)
-    out = np.empty((k, d), dtype=object if dtype is object else np.int64)
-    step = max(1, PAIRWISE_CHUNK_ENTRIES // max(d * d, 1))
-    for s in range(0, k, step):
-        fa, fb = np.asarray(a[s:s + step], dtype=dtype), np.asarray(b[s:s + step], dtype=dtype)
-        u = np.matmul(fa, c).reshape(fa.shape[0], d, d)        # [r, j, k]
-        if p is not None:
-            u = np.fmod(u, p)
-        out[s:s + step] = np.matmul(fb[:, None, :], u)[:, 0]
-    return out
 
 
 def field_from_spec(spec: str):

@@ -288,16 +288,14 @@ def circle_embedding(loop: Loop, field,
     quot = bundle.algebra
     images = bundle.images
     n = images.shape[0]
-    e = quot.unit[None, :]
-    b = quot.field.canon(e - images)
-    ia = np.repeat(np.arange(n), n)
-    ib = np.tile(np.arange(n), n)
-    lhs = algebras.circle_pairwise(quot, b[ia], b[ib])
-    rhs = quot.field.canon(e - quot.mul_rows(images, images).reshape(n * n, quot.dim))
-    # e - q is 0 exactly at q = e; the ∘-identity matches
-    ok = bool(np.array_equal(lhs, quot.field.canon(rhs)))
-    exp = quot.field.canon((e - images)[loop.table[ia, ib]])
-    ok = ok and bool(np.array_equal(lhs, exp))
+    f, e = quot.field, quot.unit[None, :]
+    b = f.canon(e - images)
+    # row i n + j of each side is the pair (q_i, q_j); e - q is 0 exactly at
+    # q = e, where the ∘-identity matches
+    lhs = f.canon((b[:, None] + b[None, :]).reshape(n * n, quot.dim) - quot.mul_rows(b, b))
+    rhs = f.canon(e - quot.mul_rows(images, images))
+    ok = bool(np.array_equal(lhs, rhs))
+    ok = ok and bool(np.array_equal(lhs, b[loop.table.reshape(-1)]))
     return CircleEmbeddingReport(ok=ok, pairs=n * n)
 
 

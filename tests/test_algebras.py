@@ -309,10 +309,13 @@ def top_rows(rng, p, shape):
     return rng.integers(p - 4, p, size=shape)
 
 
-# d^2 (p-1)^3 either side of 2^24 (float32 | float64) and of 2^53 (float64 |
-# reduce a.C mod p first); 129 is not prime, and 127 sits at the same switch
+# d^2 (p-1)^3 below and at each switch: 2^24 (float32 | float64) and 2^53
+# (float64 | reduce u = a.C mod p first); 129 is not prime, so 127 sits at
+# the same switch, and 157 | 163 are the last and first d = 2 primes either
+# side of it (only all-(p-1) operands reach 2^24 at 163, so no narrow guard)
 @pytest.mark.parametrize("p, d, limit, over, narrow", [
-    (127, 2, 2**24, False, None), (127, 3, 2**24, True, np.float32),
+    (127, 2, 2**24, False, None), (157, 2, 2**24, False, None),
+    (163, 2, 2**24, True, None), (127, 3, 2**24, True, np.float32),
     (65521, 5, 2**53, False, None), (65521, 6, 2**53, True, np.float64)])
 def test_pairwise_exact_at_each_switch(p, d, limit, over, narrow):
     assert (d * d * (p - 1)**3 >= limit) == over
@@ -327,10 +330,38 @@ def test_pairwise_exact_at_each_switch(p, d, limit, over, narrow):
     # operands far outside 0..p-1 are reduced before the float stages
     assert np.array_equal(alg.mul_pairwise(a - p * 2**20, b + p * 2**20), got)
     assert_products(alg, a[:3], b[:3], tensor_oracle(alg.c, p))
-    if over:
+    # each stage against Python ints: u = a.C exact in the stage type (mod p
+    # above 2^53), then b[r].u[r] reduced to canonical values in float
+    cmat = alg.c.reshape(d, d * d)
+    u = f.operators(a, f.stage_operand(cmat))
+    exact = a.astype(object) @ cmat.astype(object)
+    assert u.dtype == (np.float64 if over or limit == 2**53 else np.float32)
+    assert u.astype(np.int64).tolist() == (exact % p if limit == 2**53 and over else exact).tolist()
+    z = np.stack([b, a], axis=1)                  # two rows per operator
+    w = f.contract(z, u.reshape(-1, d, d))
+    assert w.dtype == np.int64
+    assert w.tolist() == (np.matmul(z.astype(object), exact.reshape(-1, d, d)) % p).tolist()
+    if narrow is not None:
         # the narrower type's two stages, unreduced, round some of these sums
-        wrong = fields._pairwise(a, b, alg.c, narrow).astype(np.int64) % p
+        un = np.matmul(a.astype(narrow), cmat.astype(narrow)).reshape(-1, d, d)
+        wrong = np.matmul(b.astype(narrow)[:, None], un)[:, 0].astype(np.int64) % p
         assert (wrong != oracle(a, b)).any()
+
+
+# the reduction w - p floor(w / p) of ``contract`` on the largest sums of each
+# float type, just below its switch (2^24 | 2^53), against Python ints
+@pytest.mark.parametrize("p, dtype, top", [
+    (2, np.float32, 2**24), (3, np.float32, 2**24), (157, np.float32, 2**24),
+    (4093, np.float32, 2**24), (65521, np.float64, 2**53), (P_CAP, np.float64, 2**53)])
+def test_contract_reduces_exactly_below_each_switch(p, dtype, top):
+    rng = np.random.default_rng(p)
+    w = np.concatenate([np.arange(top - 2**12, top), rng.integers(0, top, 2**12),
+                        np.arange(2**12) * p, np.arange(2**12) * p - 1])
+    w = w[w >= 0]
+    assert w.max() == top - 1 and np.array_equal(w.astype(dtype).astype(np.int64), w)
+    got = lf.PrimeField(p).contract(np.ones((len(w), 1, 1), dtype=np.int64),
+                                    w.astype(dtype).reshape(-1, 1, 1))
+    assert got.dtype == np.int64 and got.ravel().tolist() == [x % p for x in w.tolist()]
 
 
 @pytest.mark.parametrize("p", [127, 65521, P_CAP])   # float32, float64, reduce-first at d = 2
@@ -466,6 +497,163 @@ def test_associative_check_sampled_witness_matches_oracle(cml81_gf3):
               != quot.mul_pairwise(xs, quot.mul_pairwise(ys, zs))).any(axis=1)
     assert kernel.tolist() == fails
     assert not got.ok and got.witness == (fails.index(True),)
+
+
+# -- sampled checks across row blocks ------------------------------------------------
+
+def matrices_beside(field, extra, unit=None):
+    """The 2 x 2 matrices (E11, E12, E21, E22; E_ij E_jk = E_ik, associative
+    and not commutative) beside further basis elements 4, 5, ..., whose
+    nonzero products are ``extra``, a dict {(i, j): k}."""
+    d = 1 + max(max(i, j, k) for (i, j), k in extra.items())
+    c = np.zeros((d, d, d), dtype=np.int64)
+    for i, j, k in product(range(2), repeat=3):
+        c[2 * i + j, 2 * j + k, 2 * i + k] = 1
+    for (i, j), k in extra.items():
+        c[i, j, k] = 1
+    if not field.finite:
+        c, unit = c.astype(object), None if unit is None else field.vector(unit)
+    return algebras.TensorAlgebra(field, c, [f"x{i}" for i in range(d)], unit=unit)
+
+
+def m2_plus_n(field):
+    """Matrices beside n0, n1, n2 with n0 n0 = n1 and n1 n0 = n2: the
+    associator is (x, y, z) = x_n0 y_n0 z_n0 n2, so a sample fails the
+    alternative laws exactly when x_n0 y_n0 != 0, and associativity when
+    x_n0 y_n0 z_n0 != 0."""
+    return matrices_beside(field, {(4, 4): 5, (5, 4): 6})
+
+
+def left_unit(field):
+    """Matrices beside n0, n1 with E11 n = n, every other product with an n
+    being 0: I = E11 + E22 is a left unit but n I = 0, so
+    (I - a)(I - b) - (I - a∘b) = a - aI is the n-part of a."""
+    return matrices_beside(field, {(0, 4): 4, (0, 5): 5}, unit=[1, 0, 0, 1, 0, 0])
+
+
+RANDOM_ROWS = algebras._random_rows
+
+
+def plant(monkeypatch, cols, planted):
+    """Every draw of a sampled check has 0 in ``cols`` except at the rows
+    ``planted``, where the first of them is 1; the rng draws as before."""
+    def edited(field, rng, k, n):
+        out = RANDOM_ROWS(field, rng, k, n)
+        rest = np.setdiff1d(np.arange(k), planted)
+        out[np.ix_(rest, cols)] = field.zero
+        out[planted, cols[0]] = field.one
+        return out
+    monkeypatch.setattr(algebras, "_random_rows", edited)
+
+
+def rows_mul(alg):
+    """Row-by-row products in Python ints (Fractions over Q), all rows at
+    once, from the nonzero structure constants or the Cayley table."""
+    if isinstance(alg, algebras.TensorAlgebra):
+        consts = [(i, j, k, alg.c[i, j, k]) for i, j, k in zip(*np.nonzero(alg.c))]
+    else:
+        t = alg.loop.table
+        consts = [(i, j, int(t[i, j]), 1) for i in range(alg.dim) for j in range(alg.dim)]
+    consts = [(i, j, k, c if isinstance(c, Fraction) else int(c)) for i, j, k, c in consts]
+
+    def mul(u, v):
+        u, v = np.asarray(u).astype(object), np.asarray(v).astype(object)
+        out = np.zeros(u.shape, dtype=object)
+        for i, j, k, c in consts:
+            out[:, k] += u[:, i] * v[:, j] * c
+        return out % alg.field.p if alg.field.finite else out
+    return mul
+
+
+def oracle_witness(alg, check, samples, seed):
+    """The first failing sample of ``check``, all samples at once, or None."""
+    rng, mul = np.random.default_rng(seed), rows_mul(alg)
+    if check == "alternative":
+        x, y = (algebras._random_rows(alg.field, rng, samples, alg.dim) for _ in range(2))
+        xx = mul(x, x)
+        fails = ((mul(xx, y) != mul(x, mul(x, y))).any(axis=1)
+                 | (mul(mul(y, x), x) != mul(y, xx)).any(axis=1))
+    else:
+        x, y, z = (algebras._random_rows(alg.field, rng, samples, alg.dim) for _ in range(3))
+        fails = (mul(mul(x, y), z) != mul(x, mul(y, z))).any(axis=1)
+    return int(np.flatnonzero(fails)[0]) if fails.any() else None
+
+
+def run_check(alg, check, samples, seed):
+    if check == "alternative":
+        return lf.alternative_check(alg, mode="sampled", samples=samples, seed=seed)
+    return associative_check_sampled(alg, samples=samples, seed=seed)
+
+
+# blocks of a few rows (a small PAIRWISE_CHUNK_ENTRIES) or of the real size;
+# over Q only the few-row blocks, as Fraction products are slow
+@pytest.mark.parametrize("spec, blocks", [("gf:3", "few"), ("gf:3", "real"), ("q", "few")])
+@pytest.mark.parametrize("check, operators", [("alternative", 4), ("associative", 2)])
+def test_sampled_witness_across_blocks(monkeypatch, check, operators, spec, blocks):
+    alg = m2_plus_n(lf.field_from_spec(spec))
+    if blocks == "few":
+        monkeypatch.setattr(algebras, "PAIRWISE_CHUNK_ENTRIES", 3 * operators * alg.dim**2)
+    step = alg.block_rows(operators)
+    assert step == (3 if blocks == "few" else 2**20 // (operators * alg.dim**2))
+    samples, seed = 2 * step + 2, 3                 # the last block holds two rows
+    for planted in ([samples - 1], [0, samples - 1], []):
+        plant(monkeypatch, [4], planted)
+        got = run_check(alg, check, samples, seed)
+        first = oracle_witness(alg, check, samples, seed)
+        assert first == (planted[0] if planted else None)
+        assert (got.ok, got.witness) == (first is None, None if first is None else (first,))
+
+
+@pytest.mark.parametrize("check", ["alternative", "associative"])
+def test_sampled_witness_on_fq_matches_oracle(monkeypatch, chein12, check):
+    # FQ multiplies by table gathers in one block; samples supported on the
+    # group generated by two elements pass, as its group algebra is associative
+    fq = lf.loop_algebra(lf.PrimeField(3), chein12)
+    group = lf.loops.subloop_generated(chein12, [1, 2]).members
+    outside = [i for i in range(fq.dim) if i not in group]
+    assert fq.block_rows(4) is None and 1 < len(group) < fq.dim
+    samples, seed = 20, 5
+    for planted in ([samples - 1], [0], []):
+        plant(monkeypatch, outside, planted)
+        got = run_check(fq, check, samples, seed)
+        first = oracle_witness(fq, check, samples, seed)
+        assert first == (planted[0] if planted else None)
+        assert (got.ok, got.witness) == (first is None, None if first is None else (first,))
+
+
+@pytest.mark.parametrize("spec, blocks", [("gf:3", "few"), ("gf:3", "real"), ("q", "few")])
+def test_circle_iso_sampled_across_blocks(monkeypatch, spec, blocks):
+    f = lf.field_from_spec(spec)
+    alg = left_unit(f)
+    carrier = span_rows(f, alg.dim, algebras._eye(f, alg.dim))
+    if blocks == "few":
+        monkeypatch.setattr(algebras, "PAIRWISE_CHUNK_ENTRIES", 3 * alg.dim**2)
+    step = alg.block_rows(1)
+    samples, seed = 2 * step + 2, 4
+    mul, e = rows_mul(alg), alg.unit.astype(object)
+    for planted in ([samples - 1], [0], []):
+        plant(monkeypatch, [4, 5], planted)
+        got = lf.circle_iso_check(alg, carrier, samples=samples, seed=seed)
+        rng = np.random.default_rng(seed)
+        a, b = (algebras._random_rows(f, rng, samples, alg.dim).astype(object)
+                @ carrier.basis_matrix().astype(object) for _ in range(2))
+        lhs, rhs = mul(e - a, e - b), e - (a + b - mul(a, b))
+        fails = ((lhs - rhs) % f.p if f.finite else lhs - rhs).any(axis=1)
+        assert fails.tolist() == [r in planted for r in range(samples)]
+        assert (got.mode, got.pairs, got.eta_ok, got.phi_ok) == ("sampled", samples, not planted,
+                                                                 True)
+
+
+def test_circle_iso_sampled_on_fq_matches_oracle(chein12):
+    fq = lf.loop_algebra(lf.PrimeField(3), chein12)
+    omega = lf.augmentation_ideal(fq)
+    got = lf.circle_iso_check(fq, omega, samples=30, seed=6)
+    rng, mul = np.random.default_rng(6), rows_mul(fq)
+    a, b = (algebras._random_rows(fq.field, rng, 30, omega.dim) @ omega.basis_matrix()
+            for _ in range(2))
+    e = fq.unit
+    assert not ((mul(e - a, e - b) - (e - (a + b - mul(a, b)))) % 3).any()
+    assert (got.ok, got.mode, got.pairs) == (True, "sampled", 30)
 
 
 # -- alternator ideal -----------------------------------------------------------
@@ -1269,6 +1457,23 @@ def test_circle_iso_sampled_over_q(chein12):
     assert bundle.omega.dim == 3
     report = lf.circle_iso_check(bundle.algebra, bundle.omega, samples=40)
     assert report.ok and (report.mode, report.pairs) == ("sampled", 40)
+
+
+def test_sampled_checks_over_q_across_blocks(monkeypatch, chein12):
+    # the chein12/Q quotient in blocks of three rows against Fraction oracles
+    bundle = lf.alternative_loop_algebra(lf.QQ, chein12)
+    quot, omega = bundle.algebra, bundle.omega
+    monkeypatch.setattr(algebras, "PAIRWISE_CHUNK_ENTRIES", 3 * 2 * quot.dim**2)
+    samples, seed = 20, 8
+    got = associative_check_sampled(quot, samples=samples, seed=seed)
+    first = oracle_witness(quot, "associative", samples, seed)
+    assert (got.ok, got.witness) == (first is None, None if first is None else (first,))
+    report = lf.circle_iso_check(quot, omega, samples=samples, seed=seed)
+    rng, mul, e = np.random.default_rng(seed), rows_mul(quot), quot.unit
+    a, b = (algebras._random_rows(lf.QQ, rng, samples, omega.dim) @ omega.basis_matrix()
+            for _ in range(2))
+    assert not (mul(e - a, e - b) - (e - (a + b - mul(a, b)))).any()
+    assert report.ok and (report.mode, report.pairs) == ("sampled", samples)
 
 
 def test_circle_oracle_loop(cml81_gf3):
