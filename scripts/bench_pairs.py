@@ -15,7 +15,17 @@ The output maps each workload to a record of every run's end-to-end metrics
 ``fail_frac`` (failed over attempted jobs), and for each metric the median
 and quartiles of both trees, the number of pairs the change wins, and
 whether the change's median beats the parent's by more than the parent's
-quartile distance.  Each record also keeps the ``# machine:`` line run.py
+quartile distance.  Each metric also gets a verdict against its ``bound`` in
+BENCHMARK.json, a fraction of the parent's median (``fail_frac`` has no
+bound there and takes 0):
+
+- ``worse``: the change's median is worse than the parent's by more than
+  the bound;
+- ``unresolved``: the parent's IQR is wider than the bound, and not every
+  change run beats every parent run;
+- ``within bound``: otherwise.
+
+Each record also keeps the ``# machine:`` line run.py
 prints.  The file is rewritten after every pair.  The script reads run.py's
 output only; it imports nothing from ``perfbench/``.
 """
@@ -60,16 +70,29 @@ def stats(values: list) -> dict:
     return {"median": mid, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarise(pairs: list, name: str, better: str) -> dict:
+def summarise(pairs: list, name: str, better: str, bound: float) -> dict:
     sign = 1 if better == "lower" else -1
-    out = {"better": better}
+    out = {"better": better, "bound": bound}
     for tree in TREES:
         out[tree] = stats([p[tree][name] for p in pairs])
     out["change_wins"] = sum(sign * (p["parent"][name] - p["change"][name]) > 0 for p in pairs)
     out["pairs"] = len(pairs)
     gain = sign * (out["parent"]["median"] - out["change"]["median"])
     out["median_gain_exceeds_parent_iqr"] = gain > out["parent"]["iqr"]
+    out["verdict"] = verdict(pairs, name, sign, out["parent"], out["change"], bound)
     return out
+
+
+def verdict(pairs: list, name: str, sign: int, parent: dict, change: dict, bound: float) -> str:
+    allowed = bound * abs(parent["median"])
+    if sign * (change["median"] - parent["median"]) > allowed:
+        return "worse"
+    # signed so that lower is better: every change run beats every parent run
+    change_beats_all = max(sign * p["change"][name] for p in pairs) < \
+        min(sign * p["parent"][name] for p in pairs)
+    if parent["iqr"] > allowed and not change_beats_all:
+        return "unresolved"
+    return "within bound"
 
 
 def main(argv=None) -> int:
@@ -83,8 +106,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    better["fail_frac"] = "lower"
+    better = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+    better["fail_frac"] = ("lower", 0.0)
 
     out = {}
     for workload in args.workload:
@@ -105,7 +128,8 @@ def main(argv=None) -> int:
                 "command": f"python3 perfbench/run.py --workload {workload} --seed N",
                 "seeds": [p["seed"] for p in runs],
                 "machine": machine,
-                "summary": {name: summarise(runs, name, b) for name, b in better.items()},
+                "summary": {name: summarise(runs, name, b, bound)
+                            for name, (b, bound) in better.items()},
                 "runs": runs,
             }
             args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
@@ -113,7 +137,7 @@ def main(argv=None) -> int:
         for name, s in doc["summary"].items():
             print(f"{workload} {name}: parent {s['parent']['median']:.4g} "
                   f"(IQR {s['parent']['iqr']:.3g}) -> change {s['change']['median']:.4g}, "
-                  f"change wins {s['change_wins']}/{s['pairs']}")
+                  f"change wins {s['change_wins']}/{s['pairs']}: {s['verdict']}")
     return 0
 
 

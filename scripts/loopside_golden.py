@@ -10,6 +10,13 @@ error a series raises), the table and projection of ``quotient_loop`` by
 every member of the lattice, and the witness of
 ``find_simple_nonassociative_subloop``.  The loops are s3, c6, chein12, cml81, paige:2,
 paige:2 x C2 and chein12 x C3, each built afresh so that no cache is shared.
+``OUTDIR/scans.json`` holds ``check_properties`` of the same seven loops,
+of a non-Moufang loop of order 5 and of its products with s3, chein12 and
+cml81, and of cml81 x C5, each also under two seeded relabellings that fix
+the identity, so that the Moufang and associativity witnesses fall in
+different rows.  The two loops of order 405 are above
+``MOUFANG_EXHAUSTIVE_ORDER``, so their checks sample; cml81 x C5 is Moufang,
+so its Moufang check also scans the triples of 2-generated subloops.
 The program is imported from the ``src/`` tree next to this script, so the
 loop sides of two trees are identical when ``diff -r OUTDIR_A OUTDIR_B``
 prints nothing.
@@ -19,6 +26,8 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
@@ -40,6 +49,40 @@ LOOPS = {
     "paige2xC2": lambda: lf.direct_product(lf.paige_loop(2), lf.cyclic(2)),
     "chein12xC3": lambda: lf.direct_product(lf.chein12(), lf.cyclic(3)),
 }
+
+# not left alternative: (11)2 = 2 but 1(12) = 4
+ORDER5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+SCAN_LOOPS = {
+    **LOOPS,
+    "order5": lambda: lf.Loop("01234", ORDER5),
+    "order5xs3": lambda: lf.direct_product(lf.Loop("01234", ORDER5), lf.s3()),
+    "order5xchein12": lambda: lf.direct_product(lf.Loop("01234", ORDER5), lf.chein12()),
+    "order5xcml81": lambda: lf.direct_product(lf.Loop("01234", ORDER5), lf.cml81()),
+    "cml81xC5": lambda: lf.direct_product(lf.cml81(), lf.cyclic(5)),
+}
+RELABEL_SEEDS = (1, 2)
+
+
+def _relabelled(loop, seed: int):
+    """An isomorphic copy under a seeded permutation fixing the identity."""
+    n = loop.order
+    perm = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(n - 1)])
+    table = np.empty_like(loop.table)
+    table[perm[:, None], perm[None, :]] = perm[loop.table]
+    names = [None] * n
+    for old, new in enumerate(perm.tolist()):
+        names[new] = loop.names[old]
+    return lf.Loop(names, table, name=loop.name)
+
+
+def scans() -> dict:
+    doc = {}
+    for name, build in SCAN_LOOPS.items():
+        loop = build()
+        doc[name] = lf.check_properties(loop).to_json()
+        for seed in RELABEL_SEEDS:
+            doc[f"{name}@{seed}"] = lf.check_properties(_relabelled(loop, seed)).to_json()
+    return doc
 
 
 def _series(loop, kind: str) -> dict:
@@ -85,6 +128,8 @@ def main(argv: list[str]) -> int:
         doc = loop_side(build())
         (out / f"{name}.json").write_text(json.dumps(doc, sort_keys=True) + "\n")
         print(f"{name}: {len(doc['normal_subloops'])} normal subloops", file=sys.stderr)
+    (out / "scans.json").write_text(json.dumps(scans(), sort_keys=True) + "\n")
+    print("scans: done", file=sys.stderr)
     return 0
 
 

@@ -45,7 +45,7 @@ from .loops import (
     CheckOutcome,
     Loop,
     SubloopSet,
-    _assoc_mismatch_chunk,
+    _assoc_row,
     _associator_labels,
     _check_order,
     _class_quotient,
@@ -182,7 +182,7 @@ class LoopAlgebra(Algebra):
         """
         reps, proj, qtable = _class_quotient(self.loop, _associator_labels(self.loop))
         if reps.size > MOUFANG_EXHAUSTIVE_ORDER or \
-                _scan_triples(qtable, _assoc_mismatch_chunk) is not None:
+                _scan_triples(qtable, _assoc_row) is not None:
             return None
         return proj
 

@@ -2,8 +2,8 @@
 
 Loops carry their Cayley table as an int64 matrix with the identity fixed at
 index 0.  All heavy checks (Moufang, associativity, closures, centres) run as
-vectorised table gathers, chunked so that order-120 exhaustive triple scans
-stay near ten megabytes.  Direct products above the dense-table bound are
+vectorised table gathers; exhaustive triple scans gather one x row of n^2
+cells at a time.  Direct products above the dense-table bound are
 represented structurally and answer multiplication through their components.
 """
 from __future__ import annotations
@@ -30,11 +30,6 @@ MOUFANG_EXHAUSTIVE_ORDER = 300
 PROPERTY_SAMPLES = 10**6
 ORDER_BOUND = 2000  # largest order for lattices, group type and radicals
 DENSE_PRODUCT_BOUND = 4096
-# triple-scan chunks, in table cells: the first holds about _FIRST_CHUNK_CELLS
-# and each later one twice as many, up to _CHUNK_CELLS; a Moufang chunk makes
-# a few int64 temporaries of that many cells, 2 MiB each at the top
-_FIRST_CHUNK_CELLS = 1 << 13
-_CHUNK_CELLS = 1 << 18
 _BLOCK_CHUNK_ENTRIES = 1 << 17  # labels per block-closure chunk, table entries per merge
 
 
@@ -307,51 +302,34 @@ def _strip_prime(o: int, p: int) -> int:
     return o
 
 
-def _moufang_mismatch_chunk(t: np.ndarray, xs: np.ndarray):
-    """Violations of (x*yx)z = x(y*xz) for x in xs; smallest (x,y,z) or None."""
-    t_yx = t[:, xs]                                # [y, xi] = y*x
-    x_yx = t[xs[None, :], t_yx]                    # [y, xi] = x*(y*x)
-    lhs = t[x_yx]                                  # [y, xi, z]
-    t_xz = t[xs, :]                                # [xi, z] = x*z
-    y_xz = t[:, t_xz]                              # [y, xi, z] = y*(x*z)
-    rhs = t[xs[None, :, None], y_xz]               # [y, xi, z] = x*(y*(x*z))
-    bad = (lhs != rhs).transpose(1, 0, 2)          # order by (xi, y, z)
-    first = np.argmax(bad)
-    if not bad.flat[first]:
-        return None
-    xi, y, z = np.unravel_index(first, bad.shape)
-    return int(xs[xi]), int(y), int(z)
+def _moufang_row(t: np.ndarray, x: int):
+    """(x*yx)z and x(y*xz) for one x, as [y, z] arrays."""
+    tx = t[x]
+    return t[tx[t[:, x]]], tx[t[:, tx]]
 
 
-def _assoc_mismatch_chunk(t: np.ndarray, xs: np.ndarray):
-    lhs = t[t[xs, :]]                              # [xi, y, z] = (xy)z
-    rhs = t[xs][:, t]                              # [xi, y, z] = x(yz)
-    bad = lhs != rhs
-    first = np.argmax(bad)
-    if not bad.flat[first]:
-        return None
-    xi, y, z = np.unravel_index(first, bad.shape)
-    return int(xs[xi]), int(y), int(z)
+def _assoc_row(t: np.ndarray, x: int):
+    """(xy)z and x(yz) for one x, as [y, z] arrays."""
+    tx = t[x]
+    return t[tx], tx[t]
 
 
-def _scan_triples(t: np.ndarray, chunk_fn) -> Optional[tuple]:
-    """First failing triple in lexicographic order, scanning chunks of x rows.
+def _scan_triples(t: np.ndarray, row_fn) -> Optional[tuple]:
+    """First failing triple (x, y, z) in lexicographic order, or None.
 
-    The first chunk holds about _FIRST_CHUNK_CELLS cells and each later one
-    twice as many, up to _CHUNK_CELLS: a witness among the first rows costs
-    one small chunk, and a full scan only a few chunks more than at the top
-    size.  Chunks follow x, so the witness is the lexicographically first.
+    Rows are scanned x = 0, 1, ... and each [y, z] row is flat in y-major
+    order, so the first mismatch of the first failing row is the
+    lexicographically first witness.  The gathers index the int64 table
+    itself: numpy casts a narrower index array back to intp on every gather,
+    and uint8 to int32 copies measured slower than int64 up to n = 240.
     """
     n = t.shape[0]
-    cells, x0 = max(n * n, 1), 0
-    top = max(1, _CHUNK_CELLS // cells)
-    step = min(top, max(1, _FIRST_CHUNK_CELLS // cells))
-    while x0 < n:
-        xs = np.arange(x0, min(x0 + step, n), dtype=np.int64)
-        w = chunk_fn(t, xs)
-        if w is not None:
-            return w
-        x0, step = x0 + step, min(2 * step, top)
+    for x in range(n):
+        lhs, rhs = row_fn(t, x)
+        bad = lhs != rhs
+        first = int(np.argmax(bad))
+        if bad.flat[first]:
+            return (x,) + divmod(first, n)
     return None
 
 
@@ -383,10 +361,10 @@ def _assoc_violated_arr(loop: Loop, x, y, z):
     return lhs != rhs
 
 
-def _check_triple_identity(loop: Loop, chunk_fn, violated_fn, samples: int, seed: int) -> CheckOutcome:
+def _check_triple_identity(loop: Loop, row_fn, violated_fn, samples: int, seed: int) -> CheckOutcome:
     n = loop.order
     if loop.has_table() and n <= MOUFANG_EXHAUSTIVE_ORDER:
-        w = _scan_triples(loop.table, chunk_fn)
+        w = _scan_triples(loop.table, row_fn)
         return CheckOutcome(ok=w is None, mode="exhaustive", witness=w)
     w = _sample_triples(loop, violated_fn, samples, seed)
     if w is None:
@@ -397,7 +375,7 @@ def _check_triple_identity(loop: Loop, chunk_fn, violated_fn, samples: int, seed
             sub = subloop_generated(loop, g, max_order=128)
             if sub is None:
                 continue
-            ww = _scan_triples(sub.as_loop().table, chunk_fn)
+            ww = _scan_triples(sub.as_loop().table, row_fn)
             if ww is not None:
                 m = sub.members
                 w = (m[ww[0]], m[ww[1]], m[ww[2]])
@@ -410,7 +388,7 @@ def _associator_witness(loop: Loop) -> Optional[tuple]:
     props = loop._props.get((PROPERTY_SAMPLES, DEFAULT_SEED))
     if props is not None:
         return props.associative.witness
-    return _check_triple_identity(loop, _assoc_mismatch_chunk, _assoc_violated_arr,
+    return _check_triple_identity(loop, _assoc_row, _assoc_violated_arr,
                                   PROPERTY_SAMPLES, DEFAULT_SEED).witness
 
 
@@ -421,9 +399,9 @@ def check_properties(loop: Loop, samples: int = PROPERTY_SAMPLES,
         return loop._props[key]
     n = loop.order
 
-    moufang = _check_triple_identity(loop, _moufang_mismatch_chunk, _moufang_violated_arr,
+    moufang = _check_triple_identity(loop, _moufang_row, _moufang_violated_arr,
                                      samples, seed)
-    associative = _check_triple_identity(loop, _assoc_mismatch_chunk, _assoc_violated_arr,
+    associative = _check_triple_identity(loop, _assoc_row, _assoc_violated_arr,
                                          samples, seed)
 
     if loop.has_table():

@@ -613,30 +613,59 @@ def test_associator_labels_shared_by_bundle_and_group_type(monkeypatch, name, re
         calls.clear()
 
 
-def naive_first_triple(t, chunk_fn):
-    """The whole scan as one chunk."""
-    return chunk_fn(t, np.arange(t.shape[0]))
+def chunk_moufang_first(t):
+    """(x*yx)z = x(y*xz) as the former 3-D chunk kernel, run on the whole table."""
+    xs = np.arange(t.shape[0])
+    lhs = t[t[xs[None, :], t[:, xs]]]                      # [y, x, z]
+    rhs = t[xs[None, :, None], t[:, t[xs, :]]]
+    return first_in_xyz(lhs.transpose(1, 0, 2), rhs.transpose(1, 0, 2))
+
+
+def chunk_assoc_first(t):
+    """(xy)z = x(yz) as the former 3-D chunk kernel, run on the whole table."""
+    xs = np.arange(t.shape[0])
+    return first_in_xyz(t[t[xs, :]], t[xs][:, t])          # [x, y, z]
+
+
+def first_in_xyz(lhs, rhs):
+    bad = lhs != rhs
+    first = np.argmax(bad)
+    if not bad.flat[first]:
+        return None
+    return tuple(int(i) for i in np.unravel_index(first, bad.shape))
+
+
+SCANS = [(lf.loops._assoc_row, chunk_assoc_first), (lf.loops._moufang_row, chunk_moufang_first)]
+
+
+def assert_scans_match_oracle(t):
+    witnesses = []
+    for row_fn, oracle in SCANS:
+        w = lf.loops._scan_triples(t, row_fn)
+        assert w == oracle(t)
+        witnesses.append(w)
+    return witnesses
 
 
 @pytest.mark.parametrize("name", [f for f in FIXTURES if f != "paige2_x_c2"])  # 14M cells
-@pytest.mark.parametrize("first", [1, 1 << 13, 1 << 18])
-def test_scan_triples_finds_the_first_witness(monkeypatch, name, first, request):
-    loop = request.getfixturevalue(name)
-    monkeypatch.setattr(lf.loops, "_FIRST_CHUNK_CELLS", first)
-    for fn in (lf.loops._assoc_mismatch_chunk, lf.loops._moufang_mismatch_chunk):
-        assert lf.loops._scan_triples(loop.table, fn) == naive_first_triple(loop.table, fn)
+def test_scan_triples_finds_the_first_witness(name, request):
+    t = request.getfixturevalue(name).table
+    assert_scans_match_oracle(t)
+    # plant a failure in row r: every row reads the whole table, so an earlier
+    # row may fail first, but never a later one
+    n = t.shape[0]
+    for r in (1, n // 2, n - 1):
+        planted = t.copy()
+        planted[r, [1, n - 1]] = planted[r, [n - 1, 1]]
+        for (row_fn, _), w in zip(SCANS, assert_scans_match_oracle(planted)):
+            lhs, rhs = row_fn(planted, r)
+            assert (lhs != rhs).any() and w[0] <= r
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-def test_scan_triples_in_one_row_chunks_finds_the_first_witness(n, seed):
-    table = random_normalised_latin_square(n, np.random.default_rng(seed))
-    first, lf.loops._FIRST_CHUNK_CELLS = lf.loops._FIRST_CHUNK_CELLS, 1
-    try:
-        for fn in (lf.loops._assoc_mismatch_chunk, lf.loops._moufang_mismatch_chunk):
-            assert lf.loops._scan_triples(table, fn) == naive_first_triple(table, fn)
-    finally:
-        lf.loops._FIRST_CHUNK_CELLS = first
+def test_scan_triples_finds_the_first_witness_on_random_loops(n, seed):
+    assert_scans_match_oracle(random_normalised_latin_square(n, np.random.default_rng(seed)))
 
 
 # -- identity (44) -----------------------------------------------------------------
