@@ -613,51 +613,68 @@ def test_associator_labels_shared_by_bundle_and_group_type(monkeypatch, name, re
         calls.clear()
 
 
-def chunk_moufang_first(t):
-    """(x*yx)z = x(y*xz) as the former 3-D chunk kernel, run on the whole table."""
-    xs = np.arange(t.shape[0])
-    lhs = t[t[xs[None, :], t[:, xs]]]                      # [y, x, z]
+def chunk_moufang_first(t, xs):
+    """(x*yx)z = x(y*xz) for x in xs, as the former 3-D chunk kernel."""
+    lhs = t[t[xs[None, :], t[:, xs]]]                      # [y, xi, z]
     rhs = t[xs[None, :, None], t[:, t[xs, :]]]
-    return first_in_xyz(lhs.transpose(1, 0, 2), rhs.transpose(1, 0, 2))
+    return first_in_xyz(xs, lhs.transpose(1, 0, 2), rhs.transpose(1, 0, 2))
 
 
-def chunk_assoc_first(t):
-    """(xy)z = x(yz) as the former 3-D chunk kernel, run on the whole table."""
-    xs = np.arange(t.shape[0])
-    return first_in_xyz(t[t[xs, :]], t[xs][:, t])          # [x, y, z]
+def chunk_assoc_first(t, xs):
+    """(xy)z = x(yz) for x in xs, as the former 3-D chunk kernel."""
+    return first_in_xyz(xs, t[t[xs, :]], t[xs][:, t])      # [xi, y, z]
 
 
-def first_in_xyz(lhs, rhs):
+def first_in_xyz(xs, lhs, rhs):
     bad = lhs != rhs
     first = np.argmax(bad)
     if not bad.flat[first]:
         return None
-    return tuple(int(i) for i in np.unravel_index(first, bad.shape))
+    xi, y, z = np.unravel_index(first, bad.shape)
+    return int(xs[xi]), int(y), int(z)
+
+
+def chunk_scan_first(t, chunk_fn, first=1 << 18, top=1 << 18):
+    """The former chunk scheduler: x rows in chunks of about `first` cells,
+    doubling up to `top` cells; the first chunk with a mismatch gives the witness."""
+    n = t.shape[0]
+    cells, x0 = max(n * n, 1), 0
+    top = max(1, top // cells)
+    step = min(top, max(1, first // cells))
+    while x0 < n:
+        w = chunk_fn(t, np.arange(x0, min(x0 + step, n), dtype=np.int64))
+        if w is not None:
+            return w
+        x0, step = x0 + step, min(2 * step, top)
+    return None
 
 
 SCANS = [(lf.loops._assoc_row, chunk_assoc_first), (lf.loops._moufang_row, chunk_moufang_first)]
 
 
-def assert_scans_match_oracle(t):
+def assert_scans_match_oracle(t, first=1 << 18):
     witnesses = []
-    for row_fn, oracle in SCANS:
+    for row_fn, chunk_fn in SCANS:
         w = lf.loops._scan_triples(t, row_fn)
-        assert w == oracle(t)
+        assert w == chunk_scan_first(t, chunk_fn, first)
         witnesses.append(w)
     return witnesses
 
 
 @pytest.mark.parametrize("name", [f for f in FIXTURES if f != "paige2_x_c2"])  # 14M cells
-def test_scan_triples_finds_the_first_witness(name, request):
+@pytest.mark.parametrize("first", [1, 1 << 13, 1 << 18])
+def test_scan_triples_finds_the_first_witness(name, first, request):
+    """The row scan returns the witness of the former chunk scan, whatever
+    its first-chunk size: one row, some rows, or the whole table at once."""
     t = request.getfixturevalue(name).table
-    assert_scans_match_oracle(t)
+    assert_scans_match_oracle(t, first)
     # plant a failure in row r: every row reads the whole table, so an earlier
     # row may fail first, but never a later one
     n = t.shape[0]
     for r in (1, n // 2, n - 1):
         planted = t.copy()
         planted[r, [1, n - 1]] = planted[r, [n - 1, 1]]
-        for (row_fn, _), w in zip(SCANS, assert_scans_match_oracle(planted)):
+        for (row_fn, _), w in zip(SCANS, assert_scans_match_oracle(planted, first)):
             lhs, rhs = row_fn(planted, r)
             assert (lhs != rhs).any() and w[0] <= r
 
@@ -665,7 +682,8 @@ def test_scan_triples_finds_the_first_witness(name, request):
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
 def test_scan_triples_finds_the_first_witness_on_random_loops(n, seed):
-    assert_scans_match_oracle(random_normalised_latin_square(n, np.random.default_rng(seed)))
+    table = random_normalised_latin_square(n, np.random.default_rng(seed))
+    assert_scans_match_oracle(table, first=1)
 
 
 # -- identity (44) -----------------------------------------------------------------
