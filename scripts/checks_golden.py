@@ -6,10 +6,11 @@
 ``bases_golden.py`` whose bundle builds, the check of its quotient in
 exhaustive mode and in sampled mode with 10^3 samples.
 ``OUTDIR/loop_algebras.json`` holds the exhaustive check of FQ for s3, c6,
-chein12, cml81 and paige:2 over GF(2) and GF(3); a non-alternative FQ stops
-at its first witness.  ``OUTDIR/tensors.json`` holds the exhaustive check of
-the Zorn algebra over GF(2), GF(3) and Q, of the Zorn algebra over GF(3)
-plus n0 n0 = n1, n1 n0 = n2, and of seeded sparse algebras over GF(2),
+chein12, cml81 and paige:2 over GF(2), GF(3) and GF(65537), and for s3, c6
+and chein12 over Q; a non-alternative FQ stops at its first witness.
+``OUTDIR/tensors.json`` holds the exhaustive check of the Zorn algebra over
+GF(2), GF(3) and Q, of the Zorn algebra over GF(3) plus n0 n0 = n1,
+n1 n0 = n2, and of seeded sparse algebras over GF(2),
 GF(3) and GF(7) of dimension 2, 3, 5 and 8, the inputs of the witness test
 in ``tests/test_algebras.py``.  ``OUTDIR/sampled.json`` holds, with 10^3
 samples, ``alternative_check`` and ``associative_check_sampled`` on each of
@@ -74,9 +75,12 @@ def quotients() -> dict:
 
 
 def loop_algebras() -> dict:
-    return {f"{name}_gf:{p}": lf.alternative_check(
-                lf.loop_algebra(lf.PrimeField(p), make()), mode="exhaustive").to_json()
-            for name, make in FQ_LOOPS.items() for p in (2, 3)}
+    pairs = [(name, spec) for name in FQ_LOOPS for spec in ("gf:2", "gf:3", "gf:65537")]
+    pairs += [(name, "q") for name in ("s3", "c6", "chein12")]
+    return {f"{name}_{spec}": lf.alternative_check(
+                lf.loop_algebra(lf.field_from_spec(spec), FQ_LOOPS[name]()),
+                mode="exhaustive").to_json()
+            for name, spec in pairs}
 
 
 def tensor_algebras() -> dict:

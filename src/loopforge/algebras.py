@@ -308,6 +308,18 @@ ALTERNATOR_SEED_PAIRS = 4
 _SCAN_ENTRIES = 2**18
 
 
+def _associators(t, fam: int, a, b, c) -> list:
+    """The loop elements ((xy)z, x(yz)) of each associator (x, y, z) of family
+    ``fam`` on loop triples (a, b, c); index arrays broadcast."""
+    n, flat = t.shape[0], t.ravel()
+
+    def mul(x, y):      # a flat gather takes half the time of t[x, y]
+        return flat[x * n + y]
+    abc = (a, b, c)
+    return [(mul(mul(abc[i], abc[j]), abc[k]), mul(abc[i], mul(abc[j], abc[k])))
+            for i, j, k in _ALTERNATOR_FORMS[fam]]
+
+
 def _alternators(t, img, fam: int, a, b, c) -> np.ndarray:
     """Alternators of family ``fam`` on loop triples (a, b, c), one row each.
 
@@ -317,12 +329,36 @@ def _alternators(t, img, fam: int, a, b, c) -> np.ndarray:
     projection is a homomorphism.  Index arrays broadcast; rows are not
     reduced.
     """
-    abc = (a, b, c)
     out = 0
-    for i, j, k in _ALTERNATOR_FORMS[fam]:
-        x, y, z = abc[i], abc[j], abc[k]
-        out = out + img[t[t[x, y], z]] - img[t[x, t[y, z]]]
+    for left, right in _associators(t, fam, a, b, c):
+        out = out + img[left] - img[right]
     return out
+
+
+def _sum_classes(img, field) -> np.ndarray:
+    """Dense ids of the pair sums img[u] + img[v], flat at u * n + v: two
+    ids are equal exactly when the two sum rows are.
+
+    Column by column, the canonical sums of the column's distinct values are
+    renumbered by ``np.unique`` (exact over GF(p) and over Q alike), and
+    each pair's number is folded into an int64 key as one more digit, of
+    radix that column's count of distinct sums.  The keys are renumbered
+    whenever the next digit would take them to 2^62, and at the end; n^2
+    keys and one column at a time, so the memory is O(n^2).
+    """
+    n = img.shape[0]
+    keys, top = np.zeros(n * n, dtype=np.int64), 1
+    for col in img.T:
+        vals, val_id = np.unique(col, return_inverse=True)
+        sums, sum_id = np.unique(field.canon(vals[:, None] + vals[None, :]).ravel(),
+                                 return_inverse=True)
+        radix = len(sums)
+        if top * radix >= 2**62:
+            keys = np.unique(keys, return_inverse=True)[1]
+            top = int(keys.max()) + 1
+        keys = keys * radix + sum_id.reshape(len(vals), -1)[val_id[:, None], val_id].ravel()
+        top *= radix
+    return np.unique(keys, return_inverse=True)[1]
 
 
 def _alternator_failures(t, img, elems, field):
@@ -334,13 +370,17 @@ def _alternator_failures(t, img, elems, field):
     same vector and the least failing triple is canonical.  Blocks of pairs
     (a, b) run over their c and hold at most 2^18 entries counted at the loop
     algebra's width n >= d, so a block of failures lifted into FQ is no
-    larger than the block scanned.  GF(p) images are gathered as int32: an
-    alternator sums four canonical rows, below 2^22.
+    larger than the block scanned.
+
+    Each alternator is img[u1] - img[u2] + img[u3] - img[u4] for the loop
+    elements u of its associators (``_associators``; a one-associator family
+    takes u3 = u4 = e), so it vanishes exactly when the pair sums
+    img[u1] + img[u3] and img[u2] + img[u4] are equal: one comparison of
+    ``_sum_classes`` ids per triple, no image row gathered.
     """
-    if img.dtype == np.int64:
-        img = img.astype(np.int32)
-    m = len(elems)
-    step = max(1, _SCAN_ENTRIES // (m * t.shape[0]))
+    n, m = t.shape[0], len(elems)
+    ids = _sum_classes(img, field)
+    step = max(1, _SCAN_ENTRIES // (m * n))
     diag = np.arange(m)
     pairs = (np.triu_indices(m), np.divmod(np.arange(m * m), m), (diag, diag), (diag, diag))
     for fam, (pa, pb) in enumerate(pairs):
@@ -348,8 +388,9 @@ def _alternator_failures(t, img, elems, field):
             a, b = pa[s:s + step], pb[s:s + step]
             rows, c = np.nonzero(np.arange(m) >= b[:, None] * (fam == 1))  # family 1: c >= b
             a, b = a[rows], b[rows]
-            vals = field.canon(_alternators(t, img, fam, elems[a], elems[b], elems[c]))
-            hit = np.flatnonzero((vals != 0).any(axis=-1))
+            terms = _associators(t, fam, elems[a], elems[b], elems[c])
+            (u1, u2), (u3, u4) = (terms + [(0, 0)])[:2]
+            hit = np.flatnonzero(ids[u1 * n + u3] != ids[u2 * n + u4])
             if hit.size:
                 yield fam, a[hit], b[hit], c[hit]
 

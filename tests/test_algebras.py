@@ -736,8 +736,9 @@ def test_alternator_scan_matches_table(order5):
 
 
 def test_alternator_scan_int32_matches_int64_at_cap(chein12):
-    # the scan gathers GF(p) images as int32; with image rows near p-1 at the
-    # modulus cap, every failure, and so the first one, equals the int64 result
+    # image rows near p-1 at the modulus cap: every pair sum wraps mod p
+    # before the scan compares its class, and every failure, and so the first
+    # one, equals the one found on the alternators themselves in int64
     loop, n = chein12, chein12.order
     img = np.random.default_rng(P_CAP).integers(P_CAP - 64, P_CAP, size=(n, n))
     failures = algebras._alternator_failures(loop.table, img, np.arange(n), GF_CAP)
@@ -751,6 +752,120 @@ def test_alternator_scan_int32_matches_int64_at_cap(chein12):
                 if (fam < 2 or a == b) and ((form(a, b, c) @ img) % P_CAP).any()]
     assert expected and scanned[0] == expected[0] == (0, 3, 6, 1)
     assert_canonical_half(scanned, expected)
+
+
+def dwide_scan(t, img, elems, field):
+    """The former alternator scan, the oracle of the pair-sum scan: the same
+    blocks and canonical triples, each alternator summed from four d-wide
+    image rows and tested for a nonzero entry."""
+    m = len(elems)
+    step = max(1, algebras._SCAN_ENTRIES // (m * t.shape[0]))
+    diag = np.arange(m)
+    pairs = (np.triu_indices(m), np.divmod(np.arange(m * m), m), (diag, diag), (diag, diag))
+    for fam, (pa, pb) in enumerate(pairs):
+        for s in range(0, len(pa), step):
+            a, b = pa[s:s + step], pb[s:s + step]
+            rows, c = np.nonzero(np.arange(m) >= b[:, None] * (fam == 1))
+            a, b = a[rows], b[rows]
+            vals = field.canon(algebras._alternators(t, img, fam, elems[a], elems[b], elems[c]))
+            hit = np.flatnonzero((vals != 0).any(axis=-1))
+            if hit.size:
+                yield fam, a[hit], b[hit], c[hit]
+
+
+def assert_scans_agree(t, img, elems, field):
+    """Every yield of the scan equals the d-wide scan's, in order; the yields."""
+    got = list(algebras._alternator_failures(t, img, elems, field))
+    want = list(dwide_scan(t, img, elems, field))
+    assert len(got) == len(want)
+    for (fam, *abc), (want_fam, *want_abc) in zip(got, want):
+        assert fam == want_fam
+        assert all(np.array_equal(x, y) for x, y in zip(abc, want_abc))
+    return want
+
+
+# FQ and F[Q] of the fixtures; paige2 (n = 120) stays out, its FQ oracle
+# scan gathers about 10^9 image entries
+SCAN_PAIRS = [(name, p) for name in ("s3", "c6", "chein12", "order5", "cml81")
+              for p in (2, 3, 65537)] + [("s3", None), ("chein12", None)]
+
+
+@pytest.mark.parametrize("loop_name, p", SCAN_PAIRS)
+def test_alternator_scan_matches_dwide_scan(request, loop_name, p):
+    loop, f = request.getfixturevalue(loop_name), field_of(p)
+    t, n = loop.table, loop.order
+    fq = lf.loop_algebra(f, loop)
+    failing = assert_scans_agree(t, fq.basis_images, np.arange(n), f)
+    # FQ of a group is associative, and FQ of chein12 is alternative in characteristic 2
+    assert bool(failing) == (loop_name not in ("s3", "c6") and (loop_name, p) != ("chein12", 2))
+    ideal = lf.alternator_ideal(fq)
+    if not ideal.contains(fq.unit):
+        assert not assert_scans_agree(t, ideal.residues(fq.basis_images), ideal.free_cols, f)
+
+
+@given(st.sampled_from(["s3", "chein12", "order5", "c6"]), st.sampled_from([2, 3, 65537, None]),
+       st.integers(0, 8), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_alternator_scan_matches_dwide_scan_on_random_residues(s3, chein12, order5, c6,
+                                                               loop_name, p, k, seed):
+    # the residues modulo a random span of k rows, entries in -2..2 (over Q
+    # divided by 1..3), whenever that span misses the unit
+    loop = {"s3": s3, "chein12": chein12, "order5": order5, "c6": c6}[loop_name]
+    f, n = field_of(p), loop.order
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-2, 3, size=(k, n))
+    if p is None:
+        rows = np.array([[Fraction(int(x), int(d)) for x, d in zip(row, rng.integers(1, 4, n))]
+                         for row in rows], dtype=object).reshape(k, n)
+    span = span_rows(f, n, f.canon(rows))
+    eye = algebras._eye(f, n)
+    if not span.contains(eye[0]):
+        assert_scans_agree(loop.table, span.residues(eye), span.free_cols, f)
+
+
+def assert_sum_classes(img, field):
+    """``_sum_classes`` against a dict of the sum rows as tuples: the same
+    partition of the pairs, numbered densely from 0."""
+    n = img.shape[0]
+    ids = algebras._sum_classes(img, field)
+    sums = [tuple(field.canon(img[u] + img[v]).tolist()) for u in range(n) for v in range(n)]
+    first = {}
+    for key, i in zip(sums, ids.tolist()):
+        assert first.setdefault(key, i) == i
+    assert sorted(first.values()) == list(range(len(first)))
+
+
+def test_sum_classes_at_the_cap_across_the_fold_limit():
+    # columns of 16 and 8 distinct pair sums (the value sets (0,1,2,3,5,11)
+    # and (0,1,2,4), shifted to wrap mod P_CAP): after two 16s and seventeen
+    # 8s the next digit takes the keys to 16^2 8^18 = 2^62 exactly, and 30
+    # more columns follow.  Rows 0 and 1 differ only in column 0, so keys
+    # folded on past 2^64 unrenumbered would lose that digit and merge (0, v)
+    # with (1, v)
+    rng, n = np.random.default_rng(62), 12
+    cols = []
+    for j, values in enumerate([(0, 1, 2, 3, 5, 11)] * 2 + [(0, 1, 2, 4)] * 48):
+        values = np.array(values)
+        rest = values[rng.integers(0, len(values), n - len(values))]
+        # every value occurs; column 0 gives rows 0 and 1 its first two
+        col = np.r_[values, rest] if j == 0 else np.r_[values[:1], values[:1], values, rest[2:]]
+        cols.append((P_CAP - 7 - j + col) % P_CAP)
+    img = np.stack(cols, axis=1)
+    counts = [len(np.unique((c[:, None] + c[None, :]) % P_CAP)) for c in cols]
+    assert counts == [16, 16] + [8] * 48
+    assert (img[0, 1:] == img[1, 1:]).all() and img[0, 0] != img[1, 0]
+    assert_sum_classes(img, GF_CAP)
+
+
+def test_sum_classes_over_q():
+    # halves collide: 0 + 1 = 1/2 + 1/2 in a column, and -1/3 + 1/3 = 0 + 0
+    rng = np.random.default_rng(7)
+    values = [Fraction(x) for x in (0, 1, "1/2", "3/2", "-1/3", "1/3")]
+    img = np.array([[values[i] for i in row] for row in rng.integers(0, 6, size=(9, 4))],
+                   dtype=object)
+    img[1] = img[0]
+    assert_sum_classes(img, lf.QQ)
+    assert_sum_classes(np.array([[Fraction(0)], [Fraction(1)], [Fraction(1, 2)]]), lf.QQ)
 
 
 @pytest.mark.parametrize("p", [4093, 4099])
