@@ -17,6 +17,9 @@ the identity, so that the Moufang and associativity witnesses fall in
 different rows.  The two loops of order 405 are above
 ``MOUFANG_EXHAUSTIVE_ORDER``, so their checks sample; cml81 x C5 is Moufang,
 so its Moufang check also scans the triples of 2-generated subloops.
+``OUTDIR/associators.json`` holds the labels of the associator subloop A(Q)
+(the least element of each class) and ``is_group_type`` of paige:2 x C3 and
+cml81 x C5, two loops above that order.
 The program is imported from the ``src/`` tree next to this script, so the
 loop sides of two trees are identical when ``diff -r OUTDIR_A OUTDIR_B``
 prints nothing.
@@ -61,6 +64,10 @@ SCAN_LOOPS = {
     "cml81xC5": lambda: lf.direct_product(lf.cml81(), lf.cyclic(5)),
 }
 RELABEL_SEEDS = (1, 2)
+ASSOCIATOR_LOOPS = {
+    "paige2xC3": lambda: lf.direct_product(lf.paige_loop(2), lf.cyclic(3)),
+    "cml81xC5": lambda: lf.direct_product(lf.cml81(), lf.cyclic(5)),
+}
 
 
 def _relabelled(loop, seed: int):
@@ -82,6 +89,15 @@ def scans() -> dict:
         doc[name] = lf.check_properties(loop).to_json()
         for seed in RELABEL_SEEDS:
             doc[f"{name}@{seed}"] = lf.check_properties(_relabelled(loop, seed)).to_json()
+    return doc
+
+
+def associators() -> dict:
+    doc = {}
+    for name, build in ASSOCIATOR_LOOPS.items():
+        loop = build()
+        doc[name] = {"labels": loops._associator_labels(loop).tolist(),
+                     "is_group_type": loops.is_group_type(loop)}
     return doc
 
 
@@ -130,6 +146,8 @@ def main(argv: list[str]) -> int:
         print(f"{name}: {len(doc['normal_subloops'])} normal subloops", file=sys.stderr)
     (out / "scans.json").write_text(json.dumps(scans(), sort_keys=True) + "\n")
     print("scans: done", file=sys.stderr)
+    (out / "associators.json").write_text(json.dumps(associators(), sort_keys=True) + "\n")
+    print("associators: done", file=sys.stderr)
     return 0
 
 

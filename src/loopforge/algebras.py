@@ -41,15 +41,13 @@ from .fields import PAIRWISE_CHUNK_ENTRIES, PrimeField
 from .linalg import Subspace
 from .loops import (
     DEFAULT_SEED,
-    MOUFANG_EXHAUSTIVE_ORDER,
     CheckOutcome,
     Loop,
     SubloopSet,
-    _assoc_row,
     _associator_labels,
     _check_order,
     _class_quotient,
-    _scan_triples,
+    _is_associative,
 )
 
 LOOP_ALGEBRA_DIM_BOUND = 2048
@@ -172,24 +170,21 @@ class LoopAlgebra(Algebra):
 
     @cached_property
     def associator_projection(self) -> Optional[np.ndarray]:
-        """Class numbers of Q -> Q/A(Q), or None unless Q/A(Q) is associative
-        by an exhaustive scan here, so only when |Q/A(Q)| <= MOUFANG_EXHAUSTIVE_ORDER.
+        """Class numbers of Q -> Q/A(Q), or None unless Light's test
+        (``loops._is_associative``, exact at every order) certifies Q/A(Q).
 
         A(Q) is the associator subloop, whose labels ``loops`` builds once
-        per loop.  Its quotient is rescanned here, not taken on trust: the
+        per loop.  Its quotient is tested here, not taken on trust: the
         kernel of FQ -> F[Q/A(Q)] bounds the alternator ideal only when
         F[Q/A(Q)] is associative (see ``alternator_ideal``).
         """
         reps, proj, qtable = _class_quotient(self.loop, _associator_labels(self.loop))
-        if reps.size > MOUFANG_EXHAUSTIVE_ORDER or \
-                _scan_triples(qtable, _assoc_row) is not None:
-            return None
-        return proj
+        return proj if _is_associative(Loop(reps, qtable, _validated=True)) else None
 
     @property
     def alternator_ceiling(self) -> Optional[int]:
         """n - |Q/A(Q)|, the dimension of the kernel of FQ -> F[Q/A(Q)], when
-        ``associator_projection`` certifies that kernel; else None."""
+        ``associator_projection`` certifies Q/A(Q) (at any order); else None."""
         proj = self.associator_projection
         return None if proj is None else self.dim - int(proj.max()) - 1
 
@@ -407,14 +402,14 @@ def alternator_ideal(alg: LoopAlgebra) -> Subspace:
     makes FQ/I alternative, so it contains I(Q).  Zero output (associative
     loop) is valid.
 
-    The closures stop at a ceiling.  When Q/A(Q) is certified associative
-    (``LoopAlgebra.associator_projection``), F[Q/A(Q)] is an alternative
-    image of FQ, so the kernel K of FQ -> F[Q/A(Q)] is an ideal containing
-    I(Q), of dimension n - |Q/A(Q)|.  A closure that reaches that dimension
-    is returned without the alternator scan once its basis rows sum to zero
-    over every class of A(Q): it then lies in K, so it is K = I(Q).  A
-    group has ceiling 0 and a simple loop n - 1.  Should that check fail,
-    the ceiling is dropped and the closure runs on as without one.
+    The closures stop at a ceiling.  When Light's test certifies Q/A(Q)
+    associative at any order (``LoopAlgebra.associator_projection``),
+    F[Q/A(Q)] is an alternative image of FQ, so the kernel K of FQ ->
+    F[Q/A(Q)] is an ideal containing I(Q), of dimension n - |Q/A(Q)|.  A
+    closure that reaches it is returned without the alternator scan once its
+    basis rows sum to zero over every class of A(Q): it then lies in K, so it
+    is K = I(Q).  A group has ceiling 0, a simple loop n - 1.  Should that
+    check fail, the ceiling is dropped and the closure runs on without one.
     """
     f, t, n = alg.field, alg.loop.table, alg.dim
     eye = alg.basis_images

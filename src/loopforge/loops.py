@@ -383,15 +383,6 @@ def _check_triple_identity(loop: Loop, row_fn, violated_fn, samples: int, seed: 
     return CheckOutcome(ok=w is None, mode="sampled", witness=w, samples=samples, seed=seed)
 
 
-def _associator_witness(loop: Loop) -> Optional[tuple]:
-    """First failure of (xy)z = x(yz), found (or reused) as check_properties finds it."""
-    props = loop._props.get((PROPERTY_SAMPLES, DEFAULT_SEED))
-    if props is not None:
-        return props.associative.witness
-    return _check_triple_identity(loop, _assoc_row, _assoc_violated_arr,
-                                  PROPERTY_SAMPLES, DEFAULT_SEED).witness
-
-
 def check_properties(loop: Loop, samples: int = PROPERTY_SAMPLES,
                      seed: int = DEFAULT_SEED) -> PropertyReport:
     key = (samples, seed)
@@ -918,29 +909,43 @@ def composition_factors(loop: Loop) -> list[Loop]:
     return composition_factors(top.as_loop()) + [factor]
 
 
+def _generators(loop: Loop) -> list[int]:
+    """A greedy generating set: the least element outside the subloop generated
+    so far, until that subloop is the loop.  Adding g outside a subloop H adds
+    the coset gH, disjoint from H, so the set has at most log2(n) elements."""
+    gens, mask = [], np.arange(loop.order) == 0
+    while not mask.all():
+        gens.append(int(np.argmin(mask)))
+        mask[gens[-1]] = True
+        mask = _mul_closure(loop, mask)
+    return gens
+
+
+def _is_associative(loop: Loop) -> bool:
+    """Light's test (Clifford & Preston I): (xg)y = x(gy) for all x, y and each
+    g of _generators.  The g that pass, the middle nucleus, are closed under
+    products, (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y), so they form
+    a subloop, and it is the loop exactly when every generator passes."""
+    t = loop.table
+    return all(np.array_equal(t[t[:, g]], t[:, t[g]]) for g in _generators(loop))
+
+
 def _associator_labels(loop: Loop) -> np.ndarray:
     """The _block_labels row of A(Q), the associator subloop, cached on the loop.
 
-    A(Q) is the least normal subloop with an associative quotient (Bruck),
-    the normal closure of the associators (x(yz))\\((xy)z).  It is built as
-    alternator_ideal builds I(Q): close over one associator, scan the
-    quotient for the next associativity failure, add the associator of its
-    representatives and close again, until the quotient is associative or
-    has one class.  Scans follow check_properties' exhaustive-or-sampled
-    rule, and the first reuses its cached report.
+    A(Q), the least normal subloop with an associative quotient (Bruck), is
+    the normal closure N of the associators (x(gy))\\((xg)y) over all x, y and
+    the g of _generators: they lie in A(Q), and in Q/N each g lies in the
+    middle nucleus, so Q/N passes Light's test (_is_associative).
     """
     if loop._assoc_labels is None:
-        n = loop.order
-        lab, reps, quot = np.arange(n), np.arange(n), loop
-        seeds = np.zeros((1, n), dtype=bool)
-        while (w := _associator_witness(quot)) is not None:
-            seeds[0, loop_assoc_comm(loop, *(int(reps[i]) for i in w))[0]] = True
-            lab = _block_labels(loop, seeds)[0]
-            reps, _, qtable = _class_quotient(loop, lab)
-            if reps.size == 1:
-                break
-            quot = Loop(reps, qtable, _validated=True)
-        loop._assoc_labels = lab
+        t, seeds = loop.table, np.zeros((1, loop.order), dtype=bool)
+        for g in _generators(loop):
+            lhs, rhs = t[:, t[g]], t[t[:, g]]                  # [x, y]: x(gy), (xg)y
+            bad = lhs != rhs
+            if bad.any():
+                seeds[0, loop.ld_table[lhs[bad], rhs[bad]]] = True
+        loop._assoc_labels = _block_labels(loop, seeds)[0]
     return loop._assoc_labels
 
 

@@ -94,6 +94,27 @@ def chein12_x_c3(chein12):
     return lf.direct_product(chein12, lf.cyclic(3))
 
 
+@pytest.fixture(scope="session")
+def c3_x_s3(s3):
+    return lf.direct_product(lf.cyclic(3), s3)
+
+
+@pytest.fixture(scope="session")
+def c4_x_chein12(chein12):
+    return lf.direct_product(lf.cyclic(4), chein12)
+
+
+# above MOUFANG_EXHAUSTIVE_ORDER (300), where check_properties samples
+@pytest.fixture(scope="session")
+def paige2_x_c3(paige2):
+    return lf.direct_product(paige2, lf.cyclic(3))
+
+
+@pytest.fixture(scope="session")
+def cml81_x_c5(cml81):
+    return lf.direct_product(cml81, lf.cyclic(5))
+
+
 # alternative loop algebra bundles are the expensive objects; build each once
 @pytest.fixture(scope="session")
 def cml81_gf3(cml81):

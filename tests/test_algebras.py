@@ -1014,8 +1014,8 @@ def test_ceiling_needs_the_closure_inside_the_kernel(monkeypatch, paige2, p):
 
 
 def test_ceiling_unused_for_a_nonassociative_quotient(monkeypatch, paige2):
-    # identity labels claim A(Q) = {e}: the quotient is Q itself, which the
-    # exhaustive scan finds nonassociative, so no ceiling is set
+    # identity labels claim A(Q) = {e}: the quotient is Q itself, which
+    # Light's test finds nonassociative, so no ceiling is set
     loop = cold(paige2)
     loop._assoc_labels = np.arange(120)
     alg = lf.loop_algebra(GF11, loop)
@@ -1024,14 +1024,18 @@ def test_ceiling_unused_for_a_nonassociative_quotient(monkeypatch, paige2):
     assert lf.alternator_ideal(alg).dim == 119 and scans
 
 
-def test_ceiling_needs_a_quotient_within_the_exhaustive_order(paige2):
+def test_ceiling_certified_above_the_exhaustive_order(monkeypatch, paige2):
+    # Light's test certifies Q/A(Q) at every order, not only up to 300
     loop = lf.direct_product(paige2, lf.cyclic(3))      # order 360, A(Q) = paige2
     alg = lf.loop_algebra(GF11, loop)
     labels = lf.loops._associator_labels(loop)
     assert np.count_nonzero(labels == 0) == 120 and np.unique(labels).size == 3
     assert alg.associator_projection is not None
     group = lf.direct_product(lf.cyclic(64), lf.cyclic(5))      # order 320 > 300
-    assert lf.loop_algebra(GF11, group).associator_projection is None
+    alg = lf.loop_algebra(GF3, group)
+    assert alg.alternator_ceiling == 0
+    scans = count_scans(monkeypatch)
+    assert lf.alternator_ideal(alg).dim == 0 and scans == []
 
 
 def test_ceiling_unused_for_coarse_classes(monkeypatch, cml81):

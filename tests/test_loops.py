@@ -574,18 +574,18 @@ def test_cached_element_closures_equal_fresh_ones(name, request):
 def naive_associator_subloop(loop):
     """Normal closure of every associator (x(yz))\\((xy)z), from the table."""
     t, ld = loop.table, loop.ld_table
-    found = set()
+    found = np.zeros(loop.order, dtype=bool)
     for x in range(loop.order):
-        found.update(np.unique(ld[t[x][t], t[t[x]]]).tolist())      # [y, z]
-    return lf.normal_closure(loop, sorted(found)).members
+        found[ld[t[x][t], t[t[x]]]] = True      # [y, z]
+    return lf.normal_closure(loop, np.flatnonzero(found).tolist()).members
 
 
-@pytest.mark.parametrize("name", FIXTURES)
+@pytest.mark.parametrize("name", FIXTURES + ["paige2_x_c3", "cml81_x_c5"])
 def test_associator_labels_match_naive_associator_subloop(name, request):
     loop = cold(request.getfixturevalue(name))
-    labels = lf.loops._associator_labels(loop)
-    assert tuple(np.flatnonzero(labels == 0).tolist()) == naive_associator_subloop(loop)
-    q, proj = lf.quotient_loop(loop, lf.SubloopSet(loop, naive_associator_subloop(loop)))
+    labels, naive = lf.loops._associator_labels(loop), naive_associator_subloop(loop)
+    assert tuple(np.flatnonzero(labels == 0).tolist()) == naive
+    q, proj = lf.quotient_loop(loop, lf.SubloopSet(loop, naive))
     assert np.array_equal(np.searchsorted(np.unique(labels), labels), proj)
     assert lf.check_properties(q).associative.ok
 
@@ -594,9 +594,8 @@ def test_associator_labels_match_naive_associator_subloop(name, request):
 def test_associator_labels_shared_by_bundle_and_group_type(monkeypatch, name, request):
     # whichever caller runs first builds A(Q); the other reuses it
     calls = []
-    witness = lf.loops._associator_witness
-    monkeypatch.setattr(lf.loops, "_associator_witness",
-                        lambda q: calls.append(q) or witness(q))
+    generators = lf.loops._generators
+    monkeypatch.setattr(lf.loops, "_generators", lambda q: calls.append(q) or generators(q))
     for first_bundle in (True, False):
         loop = cold(request.getfixturevalue(name))
         if first_bundle:
@@ -611,6 +610,33 @@ def test_associator_labels_shared_by_bundle_and_group_type(monkeypatch, name, re
             assert loop._assoc_labels is labels
         assert sum(q is loop for q in calls) == 1
         calls.clear()
+
+
+LIGHT_LOOPS = FIXTURES + ["c3_x_s3", "c4_x_chein12"]
+
+
+@pytest.mark.parametrize("name", LIGHT_LOOPS)
+def test_generators_are_greedy_and_generate(name, request):
+    loop = request.getfixturevalue(name)
+    gens = lf.loops._generators(loop)
+    for k, g in enumerate(gens):
+        sub = lf.subloop_generated(loop, gens[:k])
+        assert g == min(set(range(loop.order)) - sub.member_set())
+    assert lf.subloop_generated(loop, gens).is_full() and 2 ** len(gens) <= loop.order
+
+
+@pytest.mark.parametrize("name", LIGHT_LOOPS)
+def test_light_test_matches_the_row_scan(name, request):
+    """Light's test against the exhaustive associativity scan on the loop, its
+    proper normal subloops and its quotients by them."""
+    loop = request.getfixturevalue(name)
+    cases = [loop]
+    for sub in lf.normal_subloops(loop):
+        if not (sub.is_full() or sub.is_trivial()):
+            cases += [sub.as_loop(), lf.quotient_loop(loop, sub)[0]]
+    for q in cases:
+        scan = lf.loops._scan_triples(q.table, lf.loops._assoc_row)
+        assert lf.loops._is_associative(q) == (scan is None)
 
 
 def chunk_moufang_first(t, xs):
