@@ -17,7 +17,12 @@ samples, ``alternative_check`` and ``associative_check_sampled`` on each of
 those tensors (under ``tensors``), and ``circle_iso_check`` on the ω of each
 quotient above whose check samples rather than enumerates its pairs (under
 ``omegas``).  Each entry is ``CheckOutcome.to_json()`` or
-``CircleIsoReport.to_json()``.
+``CircleIsoReport.to_json()``.  ``OUTDIR/products.json`` holds, on seeded
+rows, ``mul_rows`` (5 x 3 rows), ``mul_pairwise`` (5 pairs) and the left and
+right multiplication matrices of one row, for the quotient of each bundle
+above, the Zorn algebra over GF(2), GF(3), GF(1048573) and Q, and the
+64-dimensional sum of eight Zorn algebras over GF(3), there with 300 x 2
+rows and 300 pairs, past the first block of 256 rows.
 The program is imported from the ``src/`` tree next to this script, so two
 trees agree when ``diff -r OUTDIR_A OUTDIR_B`` prints nothing.
 """
@@ -26,11 +31,12 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from bases_golden import LOOPS, PAIRS, lf
+from bases_golden import LOOPS, PAIRS, _matrix, lf
 from loopforge.errors import AlternatorIdealFull
 
 FQ_LOOPS = {"s3": lf.s3, "c6": lambda: lf.cyclic(6), "chein12": lf.chein12,
@@ -109,6 +115,44 @@ def sampled() -> dict:
     return out
 
 
+def zorn_sum(copies: int, field) -> lf.TensorAlgebra:
+    """The direct sum of ``copies`` Zorn algebras, one 8 x 8 x 8 block each."""
+    z, d = lf.zorn_algebra(field).c, 8 * copies
+    c = field.zeros((d, d, d))
+    for s in range(0, d, 8):
+        c[s:s + 8, s:s + 8, s:s + 8] = z
+    return lf.TensorAlgebra(field, c, [f"x{i}" for i in range(d)])
+
+
+def seeded_rows(field, rng, k: int, d: int) -> np.ndarray:
+    """k rows of width d: residues over GF(p), fractions a/b with |a| <= 9, 1 <= b <= 5 over Q."""
+    if field.finite:
+        return rng.integers(0, field.p, size=(k, d))
+    num, den = rng.integers(-9, 10, size=(k, d)), rng.integers(1, 6, size=(k, d))
+    return np.array([[Fraction(int(x), int(y)) for x, y in zip(*r)] for r in zip(num, den)],
+                    dtype=object).reshape(k, d)
+
+
+def product_record(alg, ka: int, kb: int, seed: int) -> dict:
+    """The products of ``ka`` seeded rows with ``kb`` rows, with ``ka`` rows
+    pairwise, and the multiplication matrices of one more row."""
+    f, d, rng = alg.field, alg.dim, np.random.default_rng(seed)
+    a, b, c, u = (seeded_rows(f, rng, k, d) for k in (ka, kb, ka, 1))
+    return {"mul_rows": _matrix(f, alg.mul_rows(a, b)),
+            "mul_pairwise": _matrix(f, alg.mul_pairwise(a, c)),
+            "left": _matrix(f, lf.algebras.left_mult_matrix(alg, u[0])),
+            "right": _matrix(f, lf.algebras.right_mult_matrix(alg, u[0]))}
+
+
+def products() -> dict:
+    out = {name: product_record(b.algebra, 5, 3, i)
+           for i, (name, b) in enumerate(bundles().items())}
+    for spec in ("gf:2", "gf:3", "gf:1048573", "q"):
+        out[f"zorn_{spec}"] = product_record(lf.zorn_algebra(lf.field_from_spec(spec)), 5, 3, 7)
+    out["zorn_sum_8_gf:3"] = product_record(zorn_sum(8, lf.PrimeField(3)), 300, 2, 8)
+    return out
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
@@ -116,7 +160,7 @@ def main(argv: list[str]) -> int:
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
     for name, record in (("quotients", quotients), ("loop_algebras", loop_algebras),
-                         ("tensors", tensors), ("sampled", sampled)):
+                         ("tensors", tensors), ("sampled", sampled), ("products", products)):
         doc = record()
         (out / f"{name}.json").write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
         print(f"{name}: {len(doc)} inputs", file=sys.stderr)

@@ -7,13 +7,16 @@ radical in the supported regimes.
 
 Loop algebras keep their permutation structure (basis products are basis
 elements), so multiplication and the ideal-closure actions are index
-gathers; general algebras carry a dense structure-constant tensor and
-multiply through the field's product kernels, ``field.matmul`` for
-``mul_rows`` and the actions and ``field.pairwise`` for ``mul_pairwise``.
-The sampled checks run in blocks of rows through the two stages of the
-pairwise kernel (``Algebra.operators``, ``Algebra.contract``): each operand's
-left and right multiplication operators are built once per block and serve
-every product that operand takes part in.
+gathers; general algebras carry a dense structure-constant tensor.  Every
+product runs through two stages, ``Algebra.operators`` (the left or right
+multiplication operators of a block of rows) and ``Algebra.contract``
+(those operators applied to other rows): for a structure tensor they are
+the field's stages ``operators`` (one GEMM) and ``contract`` (a batched
+product reduced in float), for a loop algebra a table gather.
+``mul_rows``, ``mul_pairwise``, the multiplication matrices and the sampled
+checks all take this route, so each operand's operators are built once per
+block and serve every product it takes part in.  ``field.matmul`` serves
+only linear algebra and the ideal-closure actions.
 """
 from __future__ import annotations
 
@@ -84,37 +87,51 @@ class Algebra:
         return self.mul_rows(np.asarray(v).reshape(1, -1), np.asarray(w).reshape(1, -1))[0]
 
     def mul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """All pairwise products of rows of a with rows of b, row-major."""
-        a = np.atleast_2d(np.asarray(a))
-        b = np.atleast_2d(np.asarray(b))
-        return self.mul_pairwise(np.repeat(a, b.shape[0], axis=0), np.tile(b, (a.shape[0], 1)))
+        """All pairwise products of rows of a with rows of b, row-major: the
+        left operators of each block of a, applied to all of b."""
+        a, b = np.atleast_2d(np.asarray(a)), np.atleast_2d(np.asarray(b))
+        return self._left_products(a, b[None]).reshape(len(a) * len(b), self.dim)
 
     def mul_pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Row-by-row products: out[k] = a[k] * b[k]."""
         raise NotImplementedError
 
+    def _left_products(self, a: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """out[r, t] = a[r] z[r, t] for z of shape (k, t, d), or (1, t, d)
+        shared by every r: per block of ``block_rows(1)`` rows of a, their
+        left operators once, then ``contract``."""
+        out = np.empty((len(a), z.shape[1], self.dim), dtype=self.field.dtype)
+        step, ops = self.block_rows(1) or max(len(a), 1), None
+        for s in range(0, len(a), step):
+            ops = self.operators(a[s:s + step], "l", ops)
+            out[s:s + step] = self.contract(z if len(z) == 1 else z[s:s + step], ops, 0)
+        return out
+
     def operators(self, x: np.ndarray, sides: str, out=None):
         """Stage 1 of the products of each row x[r]: its left (z -> x z) and
         right (z -> z x) multiplication operators, ``sides`` being "l", "r"
         or "lr", in the form ``contract`` reads; ``out``, operators an
-        earlier block returned, may be reused.  Here an operator is the row
-        itself and ``contract`` a ``mul_pairwise``, so the products are the
-        ones ``mul_pairwise`` makes."""
+        earlier block returned, may be reused.  Here, the fallback of an
+        algebra without a structure tensor, an operator is the row itself
+        and ``contract`` a ``mul_pairwise``, so the products are the ones
+        ``mul_pairwise`` makes (a table gather in FQ)."""
         return x, sides
 
     def contract(self, z: np.ndarray, ops, side: int) -> np.ndarray:
         """Stage 2: out[r, t] is operator number ``side`` of ``ops[r]`` applied to
-        z[r, t], for z of shape (k, t, d); operators of one row serve every r."""
+        z[r, t], for z of shape (k, t, d) or (1, t, d); operators of one row
+        serve every r, and one row of z serves every operator."""
         x, sides = ops
+        z = np.broadcast_to(z, (len(x),) + z.shape[1:]) if len(z) == 1 else z
         k, t, d = z.shape
         x = np.broadcast_to(x[:, None], z.shape).reshape(k * t, d)
         z = z.reshape(k * t, d)
         out = self.mul_pairwise(x, z) if sides[side] == "l" else self.mul_pairwise(z, x)
-        return out.reshape(k, t, -1)
+        return out.reshape(k, t, d)
 
     def block_rows(self, operators: int) -> Optional[int]:
-        """Rows per block of a sampled check holding ``operators`` d x d
-        operators per row; None, one block, unless the operators are arrays."""
+        """Rows per block of a product or sampled check holding ``operators``
+        d x d operators per row; None, one block, unless they are arrays."""
         return None
 
     def basis_vec(self, i: int) -> np.ndarray:
@@ -218,36 +235,18 @@ class TensorAlgebra(Algebra):
             raise DimensionMismatch("structure tensor must be cubic")
         self.names = tuple(names)
         self.unit = None if unit is None else field.canon(np.asarray(unit))
-        self._c = field.operand(self.c)
-
-    def mul_rows(self, a, b):
-        f, d = self.field, self.dim
-        a, b = np.atleast_2d(np.asarray(a)), np.atleast_2d(np.asarray(b))
-        # two stages that contract the shorter operand with C first: a.C then
-        # (a.C).b costs |a| d^3 + |a| |b| d^2, C.b then a.(C.b) costs
-        # |b| d^3 + |a| |b| d^2; a Kronecker product over all pairs would cost
-        # |a| |b| d^3.  The first stage's product stays unreduced as the
-        # second matmul's x, and only the other operand, its y, is reduced
-        if b.shape[0] < a.shape[0]:
-            cb = f.matmul(b, self._c).reshape(d, -1)                         # [i, (v, k)]
-            out = f.matmul(cb.T, f.canon(a).T)                               # [(v, k), u]
-            out = out.reshape(b.shape[0], d, a.shape[0]).transpose(2, 0, 1)  # [u, v, k]
-            return f.canon(out.reshape(-1, d))
-        b = f.canon(b)
-        ac = f.matmul(a, self._c.reshape(d, d * d))                          # [u, (j, k)]
-        ac = ac.reshape(a.shape[0], d, d).transpose(0, 2, 1).reshape(-1, d)  # [(u, k), j]
-        out = f.matmul(ac, b.T).reshape(a.shape[0], d, b.shape[0])          # [u, k, v]
-        return f.canon(out.transpose(0, 2, 1).reshape(-1, d))
 
     def mul_pairwise(self, a, b):
         a, b = np.atleast_2d(np.asarray(a)), np.atleast_2d(np.asarray(b))
-        return self.field.pairwise(a, b, self._c)
+        return self._left_products(a, b[:, None])[:, 0]
 
     @cached_property
     def _sides(self) -> np.ndarray:
-        """C beside its (1, 0, 2) transpose C', one d x 2d^2 stage operand:
-        x.C holds the left operators of x and x.C' the right ones.  Built by
-        the first sampled check, so no algebra carries it from the start."""
+        """C beside its (1, 0, 2) transpose C', one d x 2d^2 stage operand and
+        the only converted copy of C: x.C holds the left operators of x and
+        x.C' the right ones, and row g holds C[g] and C[:, g], the matrices
+        of the left and right actions of e_g.  Built by the first product or
+        action, so no algebra carries it from the start."""
         d, c = self.dim, self.c
         return self.field.stage_operand(np.concatenate(
             [c.reshape(d, d * d), c.transpose(1, 0, 2).reshape(d, d * d)], axis=1))
@@ -272,10 +271,10 @@ class TensorAlgebra(Algebra):
         return self.c[i, j].copy()
 
     def left_actions(self):
-        return [_matrix_action(self.field, self._c[g]) for g in range(self.dim)]
+        return [_matrix_action(self.field, g.reshape(2, self.dim, -1)[0]) for g in self._sides]
 
     def right_actions(self):
-        return [_matrix_action(self.field, self._c[:, g]) for g in range(self.dim)]
+        return [_matrix_action(self.field, g.reshape(2, self.dim, -1)[1]) for g in self._sides]
 
 
 def _matrix_action(field, w):
@@ -785,20 +784,19 @@ def unitize(ambient: Algebra, carrier: Subspace) -> UnitizedAlgebra:
 
 # -- inverses, quasiinverses, circle ----------------------------------------
 
+def _mult_matrix(alg: Algebra, u: np.ndarray, side: str) -> np.ndarray:
+    """Matrix with column j = u * e_j (side "l") or e_j * u (side "r"): the
+    identity contracted through u's operator on that side."""
+    ops = alg.operators(np.asarray(u).reshape(1, -1), side)
+    return alg.contract(_eye(alg.field, alg.dim)[None], ops, 0)[0].T
+
+
 def left_mult_matrix(alg: Algebra, u: np.ndarray) -> np.ndarray:
-    """Matrix with column j = u * e_j; for a structure tensor, u.C reshaped."""
-    u, f, d = np.asarray(u).reshape(1, -1), alg.field, alg.dim
-    if isinstance(alg, TensorAlgebra):   # mul_rows's first stage, same matmul bound
-        return f.canon(f.matmul(u, alg._c.reshape(d, d * d)).reshape(d, d)).T
-    return alg.mul_rows(u, _eye(f, d)).T
+    return _mult_matrix(alg, u, "l")
 
 
 def right_mult_matrix(alg: Algebra, u: np.ndarray) -> np.ndarray:
-    """Matrix with column j = e_j * u; for a structure tensor, C.u reshaped."""
-    u, f, d = np.asarray(u).reshape(1, -1), alg.field, alg.dim
-    if isinstance(alg, TensorAlgebra):   # [j, 0, k] = (e_j u)_k, as in mul_rows
-        return f.canon(f.matmul(u, alg._c).reshape(d, d)).T
-    return alg.mul_rows(_eye(f, d), u).T
+    return _mult_matrix(alg, u, "r")
 
 
 def _nil_series(alg: Algebra, n: np.ndarray) -> Optional[np.ndarray]:

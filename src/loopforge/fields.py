@@ -2,14 +2,14 @@
 
 Scalars are plain Python values in canonical form: residues 0..p-1 (ints)
 for GF(p), reduced ``fractions.Fraction`` for the rationals.  Each field
-object also provides an array layer (``vector``/``zeros``/``canon``, and
-the two product kernels: ``matmul`` for dense matrix products and
-``pairwise`` for row-by-row products through a structure tensor); GF(p)
-vectors are int64 numpy arrays, rational vectors are object arrays of
-Fractions.  ``pairwise`` is a loop over blocks of rows through two stages
-that are field methods of their own, ``operators`` (u = a.C, one GEMM) and
-``contract`` (the batched b[r].u[r]), so that products sharing an operand
-can share its stage-1 operators (the sampled checks in ``algebras`` do).
+object also provides an array layer (``vector``/``zeros``/``canon``) and two
+kinds of product kernel; GF(p) vectors are int64 numpy arrays, rational
+vectors are object arrays of Fractions.  ``matmul`` is the dense matrix
+product of linear algebra and of the ideal-closure actions.  Every product
+of an algebra with a structure tensor runs through two stages of its own,
+``operators`` (u = a.C, one GEMM) and ``contract`` (the batched b[r].u[r]),
+so that products sharing an operand share its stage-1 operators
+(``algebras`` runs them in blocks of rows).
 
 Over GF(p) both kernels run float BLAS, which is exact while every partial
 sum is an integer below 2^24 (float32) or 2^53 (float64).  Each states the
@@ -26,14 +26,15 @@ import numpy as np
 
 from .errors import EnumerationUnsupported
 
-# Largest modulus accepted.  Below it every kernel is exact: field.matmul
-# bounds its float sums (see PrimeField.matmul), and a loop algebra's int64
-# gather adds at most LOOP_ALGEBRA_DIM_BOUND products, n*(p-1)^2 < 2^51.
+# Largest modulus accepted.  Below it every kernel is exact: field.matmul and
+# the two stages bound their float sums (PrimeField.matmul, _stages), and a
+# loop algebra's int64 gather adds at most LOOP_ALGEBRA_DIM_BOUND products,
+# n*(p-1)^2 < 2^51.
 MAX_PRIME = 2**20
 
-# rows per block of the pairwise stages: a block's stage-1 operators (a.C in
-# ``pairwise``, all operators of a sampled check in ``algebras``) hold at most
-# this many entries (4 MiB in float32)
+# rows per block of the two stages: a block's stage-1 operators (the left
+# operators of a product in ``algebras``, all operators of a sampled check)
+# hold at most this many entries (4 MiB in float32)
 PAIRWISE_CHUNK_ENTRIES = 2**20
 
 
@@ -50,26 +51,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-def _pairwise(field, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Row r is sum_ij a[r, i] b[r, j] c[i, j, :], canonical, for a d x d x d tensor c.
-
-    One loop over blocks of rows through the field's two stages: u = a.C by
-    ``operators``, with C as a d x d^2 matrix, then out[r] = b[r].u[r] by
-    ``contract``.  A block's u holds at most PAIRWISE_CHUNK_ENTRIES entries,
-    and every block after the first writes into the first one's buffer.
-    """
-    k, d = a.shape[0], c.shape[0]
-    c = field.stage_operand(c.reshape(d, d * d))
-    out = np.empty((k, d), dtype=field.dtype)
-    step = max(1, PAIRWISE_CHUNK_ENTRIES // max(d * d, 1))
-    u = None
-    for s in range(0, k, step):
-        rows = a[s:s + step]
-        u = field.operators(rows, c, None if u is None else u[:len(rows)])
-        out[s:s + step] = field.contract(b[s:s + step, None], u.reshape(len(rows), d, d))[:, 0]
-    return out
 
 
 class PrimeField:
@@ -188,7 +169,7 @@ class PrimeField:
         return out
 
     def _stages(self, d: int):
-        """(float type, reduce u first) of the pairwise stages on d x d x d constants.
+        """(float type, reduce u first) of the two stages on d x d x d constants.
 
         No partial sum of canonical entries in either stage exceeds
         d^2 (p-1)^3 (stage 1 sums d products below (p-1)^2, stage 2 d products
@@ -208,7 +189,7 @@ class PrimeField:
         return np.asarray(c, dtype=self._stages(c.shape[0])[0])
 
     def operators(self, a: np.ndarray, c: np.ndarray, out=None) -> np.ndarray:
-        """Stage 1 of the pairwise kernel: u = a.C, one GEMM, for int64 rows a
+        """Stage 1 of a product: u = a.C, one GEMM, for int64 rows a
         and a canonical d x m operand c (a structure tensor as d x d^2).
 
         a is reduced mod p first unless its entries already lie in 0..p-1
@@ -224,8 +205,8 @@ class PrimeField:
 
     def contract(self, z: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Stage 2: out[r] = z[r] . u[r], batched, for int64 z of shape (k, t, d)
-        and stage-1 operators u of shape (k, d, m) (or (1, d, m), shared by
-        every r); canonical int64 of shape (k, t, m).
+        and stage-1 operators u of shape (k, d, m); either may have one row,
+        shared by every r.  Canonical int64 of shape (k, t, m).
 
         z is made canonical as in ``operators``, so every sum stays below the
         bound that picked u's type.  The sums w are reduced while still in
@@ -244,8 +225,6 @@ class PrimeField:
         q *= self.p
         w -= q
         return w.astype(np.int64)
-
-    pairwise = _pairwise
 
     def _canonical(self, arr: np.ndarray) -> np.ndarray:
         """``arr`` itself if its entries lie in 0..p-1, else ``canon(arr)``."""
@@ -329,14 +308,12 @@ class RationalField:
         return c
 
     def operators(self, a: np.ndarray, c: np.ndarray, out=None) -> np.ndarray:
-        """Stage 1 of the pairwise kernel on Fractions: u = a.C."""
+        """Stage 1 of a product on Fractions: u = a.C."""
         return np.matmul(a, c, out=out)
 
     def contract(self, z: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Stage 2 on Fractions: out[r] = z[r] . u[r]."""
         return np.matmul(z, u)
-
-    pairwise = _pairwise
 
     @property
     def spec(self) -> str:

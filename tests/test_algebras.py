@@ -262,8 +262,9 @@ def chein12_quotient(field):
 @pytest.mark.parametrize("name, p", [("zorn", 3), ("zorn", P_MID), ("zorn", P_CAP),
                                      ("chein12", 7), ("chein12", None)])
 def test_mul_rows_both_orders(name, p):
-    # mul_rows contracts the shorter operand with the tensor first: C.b then
-    # a.(C.b) when |b| < |a|, a.C then (a.C).b otherwise
+    # mul_rows applies the left operators of a to all of b, whichever operand
+    # is the shorter; the multiplication matrices contract the identity
+    # through u's left or right operator
     field = lf.QQ if p is None else lf.PrimeField(p)
     alg = lf.zorn_algebra(field) if name == "zorn" else chein12_quotient(field)
     rng = np.random.default_rng(p or 0)
@@ -288,18 +289,20 @@ def test_mul_rows_both_orders(name, p):
         assert right[:, j].tolist() == oracle(e, u)
 
 
-# -- the pairwise kernel at each switch of its bound -------------------------------
+# -- the two product stages at each switch of their bound ---------------------------
 
 def rows_oracle(c, p):
-    """tensor_oracle on every row pair at once, in Python ints (object arrays)."""
+    """tensor_oracle on every row pair at once, in Python ints (object arrays);
+    zero constants are skipped, and nothing is reduced when p is None."""
     c = c.tolist()
     d = len(c)
 
     def oracle(a, b):
         a, b = a.astype(object), b.astype(object)
-        cols = [sum((a[:, i] * b[:, j] * c[i][j][k] for i in range(d) for j in range(d)),
-                    np.zeros(len(a), dtype=object)) for k in range(d)]
-        return np.stack(cols, axis=1) % p
+        cols = [sum((a[:, i] * b[:, j] * c[i][j][k] for i in range(d) for j in range(d)
+                     if c[i][j][k]), np.zeros(len(a), dtype=object)) for k in range(d)]
+        out = np.stack(cols, axis=1)
+        return out if p is None else out % p
     return oracle
 
 
@@ -372,6 +375,68 @@ def test_pairwise_one_row_past_the_chunk_step(p):
     alg = algebras.TensorAlgebra(lf.PrimeField(p), top_rows(rng, p, (d, d, d)), ["x0", "x1"])
     a, b = top_rows(rng, p, (step + 1, d)), top_rows(rng, p, (step + 1, d))
     assert np.array_equal(alg.mul_pairwise(a, b), rows_oracle(alg.c, p)(a, b))
+
+
+def zorn_sum(field, copies=8):
+    """The direct sum of ``copies`` Zorn algebras, one 8 x 8 x 8 block each."""
+    d = 8 * copies
+    c = field.zeros((d, d, d))
+    for s in range(0, d, 8):
+        c[s:s + 8, s:s + 8, s:s + 8] = lf.zorn_algebra(field).c
+    return algebras.TensorAlgebra(field, c, [f"x{i}" for i in range(d)])
+
+
+def assert_products_past_blocks(alg, a, b, p):
+    """mul_rows(a, b) and mul_pairwise(a, b') for b' = b repeated, against rows_oracle."""
+    oracle = rows_oracle(alg.c, p)
+    expected = oracle(np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1)))
+    assert alg.mul_rows(a, b).tolist() == expected.tolist()
+    b = np.resize(b, a.shape)
+    assert alg.mul_pairwise(a, b).tolist() == oracle(a, b).tolist()
+
+
+# d = 64, where a block holds 256 rows, so 300 rows of a cross its boundary
+# (rows 255-257); at d = 64, d^2 (p-1)^3 crosses 2^24 between p = 13
+# (float32) and p = 17 (float64)
+@pytest.mark.parametrize("p", [13, 17])
+def test_products_across_a_block_boundary(p):
+    alg = zorn_sum(lf.PrimeField(p))
+    assert alg.block_rows(1) == 256
+    rng = np.random.default_rng(p)
+    assert_products_past_blocks(alg, rng.integers(0, p, size=(300, 64)),
+                                rng.integers(0, p, size=(2, 64)), p)
+
+
+def test_products_across_a_block_boundary_over_q(monkeypatch):
+    # 300 rows at d = 64 would take minutes of Fraction GEMM in stage 1
+    # (300 * 64^3 products), so over Q the blocks shrink to 4 rows at d = 16
+    monkeypatch.setattr(algebras, "PAIRWISE_CHUNK_ENTRIES", 2**10)
+    alg = zorn_sum(lf.QQ, copies=2)
+    assert alg.block_rows(1) == 4
+    rng = np.random.default_rng(16)
+    frac = np.vectorize(lambda x, y: Fraction(int(x), int(y)), otypes=[object])
+    a, b = (frac(rng.integers(-9, 10, size=(k, 16)), rng.integers(1, 6, size=(k, 16)))
+            for k in (10, 2))
+    assert_products_past_blocks(alg, a, b, None)
+
+
+@pytest.mark.parametrize("alg", [lf.zorn_algebra(lf.PrimeField(3)), lf.zorn_algebra(lf.QQ),
+                                 lf.loop_algebra(lf.PrimeField(3), lf.s3())])
+def test_mul_rows_of_empty_operands(alg):
+    rows = alg.field.zeros((3, alg.dim))
+    for a, b in ((rows[:0], rows), (rows, rows[:0])):
+        assert alg.mul_rows(a, b).shape == (0, alg.dim)
+
+
+def test_tensor_actions_are_basis_products():
+    # left action g is v -> e_g v and right action g is v -> v e_g, read from
+    # the two halves of the converted tensor
+    alg = zorn_sum(lf.PrimeField(5), copies=2)
+    rows = np.random.default_rng(5).integers(0, 5, size=(4, alg.dim))
+    for g, (left, right) in enumerate(zip(alg.left_actions(), alg.right_actions())):
+        e = alg.basis_vec(g)[None]
+        assert np.array_equal(left(rows), alg.mul_rows(e, rows))
+        assert np.array_equal(right(rows), alg.mul_rows(rows, e))
 
 
 def test_pairwise_over_q():
@@ -870,11 +935,11 @@ def test_sum_classes_over_q():
 
 @pytest.mark.parametrize("p", [4093, 4099])
 def test_mul_pairwise_dense_at_operand_width(p):
-    # operands are float32 while (p-1)^2 < 2^24 (p <= 4093) and float64 above,
-    # so the product of two canonical entries is exact in the operand type;
-    # (p-2)^2 is odd, and at p = 4099 it is above 2^24, where float32 would
-    # round it.  mul_pairwise picks its own type from d^2 (p-1)^3 (float64
-    # at both p here)
+    # matmul operands (``operand``, used by carrier enumeration and the
+    # circle loops) are float32 while (p-1)^2 < 2^24 (p <= 4093) and float64
+    # above; (p-2)^2 is odd, and at p = 4099 it is above 2^24, where float32
+    # would round it.  The products take the stages' own type from
+    # d^2 (p-1)^3 (float64 at both p here), on either side of that switch
     f = lf.PrimeField(p)
     alg = algebras.TensorAlgebra(f, np.full((4, 4, 4), p - 1), [f"x{i}" for i in range(4)])
     rows = [[p - 1] * 4, [p - 2] * 4, [p - 1, p - 2, 1, 0]]
