@@ -20,9 +20,11 @@ quotient above whose check samples rather than enumerates its pairs (under
 ``CircleIsoReport.to_json()``.  ``OUTDIR/products.json`` holds, on seeded
 rows, ``mul_rows`` (5 x 3 rows), ``mul_pairwise`` (5 pairs) and the left and
 right multiplication matrices of one row, for the quotient of each bundle
-above, the Zorn algebra over GF(2), GF(3), GF(1048573) and Q, and the
+above, the Zorn algebra over GF(2), GF(3), GF(1048573) and Q, the
 64-dimensional sum of eight Zorn algebras over GF(3), there with 300 x 2
-rows and 300 pairs, past the first block of 256 rows.
+rows and 300 pairs, past the first block of 256 rows, and FQ of s3, chein12
+and cml81 over GF(2), GF(3) and GF(1048573) and of chein12 over Q, with
+200 x 2 rows and 200 pairs for cml81, past its first block of 159 rows.
 The program is imported from the ``src/`` tree next to this script, so two
 trees agree when ``diff -r OUTDIR_A OUTDIR_B`` prints nothing.
 """
@@ -150,6 +152,12 @@ def products() -> dict:
     for spec in ("gf:2", "gf:3", "gf:1048573", "q"):
         out[f"zorn_{spec}"] = product_record(lf.zorn_algebra(lf.field_from_spec(spec)), 5, 3, 7)
     out["zorn_sum_8_gf:3"] = product_record(zorn_sum(8, lf.PrimeField(3)), 300, 2, 8)
+    fq_pairs = [(name, spec) for name in ("s3", "chein12", "cml81")
+                for spec in ("gf:2", "gf:3", "gf:1048573")] + [("chein12", "q")]
+    for i, (name, spec) in enumerate(fq_pairs):
+        fq = lf.loop_algebra(lf.field_from_spec(spec), FQ_LOOPS[name]())
+        ka, kb = (200, 2) if name == "cml81" else (5, 3)
+        out[f"fq_{name}_{spec}"] = product_record(fq, ka, kb, 20 + i)
     return out
 
 

@@ -6,17 +6,17 @@ operation and circle loops, nilpotency of ideals, and the quasiregular
 radical in the supported regimes.
 
 Loop algebras keep their permutation structure (basis products are basis
-elements), so multiplication and the ideal-closure actions are index
-gathers; general algebras carry a dense structure-constant tensor.  Every
+elements); general algebras carry a dense structure-constant tensor.  Every
 product runs through two stages, ``Algebra.operators`` (the left or right
 multiplication operators of a block of rows) and ``Algebra.contract``
-(those operators applied to other rows): for a structure tensor they are
-the field's stages ``operators`` (one GEMM) and ``contract`` (a batched
-product reduced in float), for a loop algebra a table gather.
+(those operators applied to other rows, the field's ``contract``: a batched
+product reduced in float).  Stage 1 is the field's ``operators`` (one GEMM)
+for a structure tensor, and a gather of the rows by the division tables for
+a loop algebra, whose ideal-closure actions are the same gathers.
 ``mul_rows``, ``mul_pairwise``, the multiplication matrices and the sampled
 checks all take this route, so each operand's operators are built once per
 block and serve every product it takes part in.  ``field.matmul`` serves
-only linear algebra and the ideal-closure actions.
+only linear algebra and a structure tensor's ideal-closure actions.
 """
 from __future__ import annotations
 
@@ -94,14 +94,15 @@ class Algebra:
 
     def mul_pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Row-by-row products: out[k] = a[k] * b[k]."""
-        raise NotImplementedError
+        a, b = np.atleast_2d(np.asarray(a)), np.atleast_2d(np.asarray(b))
+        return self._left_products(a, b[:, None])[:, 0]
 
     def _left_products(self, a: np.ndarray, z: np.ndarray) -> np.ndarray:
         """out[r, t] = a[r] z[r, t] for z of shape (k, t, d), or (1, t, d)
         shared by every r: per block of ``block_rows(1)`` rows of a, their
         left operators once, then ``contract``."""
         out = np.empty((len(a), z.shape[1], self.dim), dtype=self.field.dtype)
-        step, ops = self.block_rows(1) or max(len(a), 1), None
+        step, ops = self.block_rows(1), None
         for s in range(0, len(a), step):
             ops = self.operators(a[s:s + step], "l", ops)
             out[s:s + step] = self.contract(z if len(z) == 1 else z[s:s + step], ops, 0)
@@ -110,29 +111,21 @@ class Algebra:
     def operators(self, x: np.ndarray, sides: str, out=None):
         """Stage 1 of the products of each row x[r]: its left (z -> x z) and
         right (z -> z x) multiplication operators, ``sides`` being "l", "r"
-        or "lr", in the form ``contract`` reads; ``out``, operators an
-        earlier block returned, may be reused.  Here, the fallback of an
-        algebra without a structure tensor, an operator is the row itself
-        and ``contract`` a ``mul_pairwise``, so the products are the ones
-        ``mul_pairwise`` makes (a table gather in FQ)."""
-        return x, sides
+        or "lr", as an array of shape (k, len(sides), d, d) in the field's
+        stage type, row j of an operator holding the image of e_j;
+        ``out``, operators an earlier block returned, may be reused."""
+        raise NotImplementedError
 
     def contract(self, z: np.ndarray, ops, side: int) -> np.ndarray:
         """Stage 2: out[r, t] is operator number ``side`` of ``ops[r]`` applied to
         z[r, t], for z of shape (k, t, d) or (1, t, d); operators of one row
         serve every r, and one row of z serves every operator."""
-        x, sides = ops
-        z = np.broadcast_to(z, (len(x),) + z.shape[1:]) if len(z) == 1 else z
-        k, t, d = z.shape
-        x = np.broadcast_to(x[:, None], z.shape).reshape(k * t, d)
-        z = z.reshape(k * t, d)
-        out = self.mul_pairwise(x, z) if sides[side] == "l" else self.mul_pairwise(z, x)
-        return out.reshape(k, t, d)
+        return self.field.contract(z, ops[:, side])
 
-    def block_rows(self, operators: int) -> Optional[int]:
+    def block_rows(self, operators: int) -> int:
         """Rows per block of a product or sampled check holding ``operators``
-        d x d operators per row; None, one block, unless they are arrays."""
-        return None
+        d x d operators per row: at most PAIRWISE_CHUNK_ENTRIES entries."""
+        return max(1, PAIRWISE_CHUNK_ENTRIES // max(operators * self.dim**2, 1))
 
     def basis_vec(self, i: int) -> np.ndarray:
         v = self.field.zeros(self.dim)
@@ -170,20 +163,17 @@ class LoopAlgebra(Algebra):
         """The n x n identity, built on each access so that no bundle keeps it."""
         return _eye(self.field, self.dim)
 
-    def mul_pairwise(self, a, b):
-        # the structure tensor is a permutation (dense, it would have n^3
-        # entries), so the product is a table gather; each output entry adds
-        # n products below p^2, which the PrimeField cap keeps inside int64
-        a = self.field.canon(np.atleast_2d(np.asarray(a)))
-        b = self.field.canon(np.atleast_2d(np.asarray(b)))
-        t = self.loop.table
-        out = self.field.zeros(a.shape)
-        for i in range(self.dim):
-            col = a[:, i]
-            if not col.any():
-                continue
-            out[:, t[i]] = out[:, t[i]] + col[:, None] * b
-        return self.field.canon(out)
+    def operators(self, x, sides, out=None):
+        """The operators of FQ are gathers of the canonical rows, since rows
+        and columns of the table are permutations: x e_j has entry
+        x[rd[k, j]] at k and e_j x has x[ld[j, k]], so L_x is x[rd.T] and
+        R_x is x[ld].  They take the stage type of d = n, whose bound
+        n^2 (p-1)^3 covers stage 2's sums of n products below (p-1)^2."""
+        f, loop = self.field, self.loop
+        x = f.stage_operand(f.canon(np.atleast_2d(np.asarray(x))).T).T
+        tables = {"l": loop.rd_table.T, "r": loop.ld_table}
+        return np.stack([x[:, tables[s]] for s in sides], axis=1,
+                        out=None if out is None else out[:len(x)])
 
     @cached_property
     def associator_projection(self) -> Optional[np.ndarray]:
@@ -205,22 +195,11 @@ class LoopAlgebra(Algebra):
         proj = self.associator_projection
         return None if proj is None else self.dim - int(proj.max()) - 1
 
-    def _perm_actions(self, dests):
-        def make(dest):
-            def act(m):
-                out = np.empty_like(m)
-                out[:, dest] = m
-                return out
-            return act
-        return [make(d) for d in dests]
+    def left_actions(self):     # e_g v = v[ld[g]], the table built on first use
+        return [lambda m, g=g: m[:, self.loop.ld_table[g]] for g in range(self.dim)]
 
-    def left_actions(self):
-        t = self.loop.table
-        return self._perm_actions([t[g] for g in range(self.dim)])
-
-    def right_actions(self):
-        t = self.loop.table
-        return self._perm_actions([t[:, g] for g in range(self.dim)])
+    def right_actions(self):    # v e_g = v[rd[:, g]]
+        return [lambda m, g=g: m[:, self.loop.rd_table[:, g]] for g in range(self.dim)]
 
 
 class TensorAlgebra(Algebra):
@@ -235,10 +214,6 @@ class TensorAlgebra(Algebra):
             raise DimensionMismatch("structure tensor must be cubic")
         self.names = tuple(names)
         self.unit = None if unit is None else field.canon(np.asarray(unit))
-
-    def mul_pairwise(self, a, b):
-        a, b = np.atleast_2d(np.asarray(a)), np.atleast_2d(np.asarray(b))
-        return self._left_products(a, b[:, None])[:, 0]
 
     @cached_property
     def _sides(self) -> np.ndarray:
@@ -259,13 +234,6 @@ class TensorAlgebra(Algebra):
         if out is not None:
             out = out[:k].reshape(k, w)
         return self.field.operators(x, self._sides[:, cols], out).reshape(k, len(sides), d, d)
-
-    def contract(self, z, ops, side):
-        return self.field.contract(z, ops[:, side])
-
-    def block_rows(self, operators):
-        """Blocks whose operators hold at most PAIRWISE_CHUNK_ENTRIES entries."""
-        return max(1, PAIRWISE_CHUNK_ENTRIES // max(operators * self.dim**2, 1))
 
     def mul_basis(self, i: int, j: int) -> np.ndarray:
         return self.c[i, j].copy()
@@ -393,13 +361,13 @@ def alternator_ideal(alg: LoopAlgebra) -> Subspace:
     """The alternator ideal I(Q): the least ideal of FQ with alternative quotient.
 
     Seeds the linearised alternators (a,b,c)+(b,a,c) and (a,b,c)+(a,c,b)
-    of a few seeded pairs (a, b) over every c, closes under the 2n
-    translations, then checks every alternator family on the quotient
-    basis.  Failures lift to alternators of FQ and the closure is rerun with
-    them until the quotient is alternative or the unit lies in the ideal.
-    Only alternators are added, so the result lies in I(Q); the final check
-    makes FQ/I alternative, so it contains I(Q).  Zero output (associative
-    loop) is valid.
+    of a few seeded pairs (a, b) over every c, each built when the closure
+    draws it, closes under the 2n translations, then checks every alternator
+    family on the quotient basis.  Failures lift to alternators of FQ and
+    the closure is rerun with them until the quotient is alternative or the
+    unit lies in the ideal.  Only alternators are added, so the result
+    lies in I(Q); the final check makes FQ/I alternative, so it contains
+    I(Q).  Zero output (associative loop) is valid.
 
     The closures stop at a ceiling.  When Light's test certifies Q/A(Q)
     associative at any order (``LoopAlgebra.associator_projection``),
@@ -413,8 +381,8 @@ def alternator_ideal(alg: LoopAlgebra) -> Subspace:
     f, t, n = alg.field, alg.loop.table, alg.dim
     eye = alg.basis_images
     pairs = np.random.default_rng(DEFAULT_SEED).integers(0, n, size=(ALTERNATOR_SEED_PAIRS, 2))
-    seeds = [f.canon(_alternators(t, eye, fam, a, b, np.arange(n)))
-             for a, b in pairs for fam in (0, 1)]
+    seeds = (f.canon(_alternators(t, eye, fam, a, b, np.arange(n)))
+             for a, b in pairs for fam in (0, 1))
     left, right = alg.left_actions(), alg.right_actions()
     proj, ceiling = alg.associator_projection, alg.alternator_ceiling
     while True:
@@ -631,7 +599,7 @@ def alternative_check(alg: Algebra, mode: str = "auto", samples: int = 10**4,
     rng = np.random.default_rng(seed)
     xs = _random_rows(alg.field, rng, samples, alg.dim)
     ys = _random_rows(alg.field, rng, samples, alg.dim)
-    step, ox, oy = alg.block_rows(4) or samples, None, None
+    step, ox, oy = alg.block_rows(4), None, None
     for s in range(0, samples, step):
         x, y = xs[s:s + step], ys[s:s + step]
         ox, oy = alg.operators(x, "lr", ox), alg.operators(y, "lr", oy)
@@ -694,7 +662,7 @@ def associative_check_sampled(alg: Algebra, samples: int = 10**4,
     _check_samples(samples)
     rng = np.random.default_rng(seed)
     xs, ys, zs = (_random_rows(alg.field, rng, samples, alg.dim) for _ in range(3))
-    step, lx, rz = alg.block_rows(2) or samples, None, None
+    step, lx, rz = alg.block_rows(2), None, None
     for s in range(0, samples, step):
         lx, rz = alg.operators(xs[s:s + step], "l", lx), alg.operators(zs[s:s + step], "r", rz)
         y = ys[s:s + step, None]
@@ -785,10 +753,12 @@ def unitize(ambient: Algebra, carrier: Subspace) -> UnitizedAlgebra:
 # -- inverses, quasiinverses, circle ----------------------------------------
 
 def _mult_matrix(alg: Algebra, u: np.ndarray, side: str) -> np.ndarray:
-    """Matrix with column j = u * e_j (side "l") or e_j * u (side "r"): the
-    identity contracted through u's operator on that side."""
-    ops = alg.operators(np.asarray(u).reshape(1, -1), side)
-    return alg.contract(_eye(alg.field, alg.dim)[None], ops, 0)[0].T
+    """Matrix with column j = u * e_j (side "l") or e_j * u (side "r"): u's
+    operator on that side, whose stage-1 values are exact integers below
+    2^53, so the cast to the field's type is exact."""
+    f = alg.field
+    return f.canon(np.asarray(alg.operators(np.asarray(u).reshape(1, -1), side)[0, 0],
+                              f.dtype)).T
 
 
 def left_mult_matrix(alg: Algebra, u: np.ndarray) -> np.ndarray:
@@ -1060,7 +1030,7 @@ def circle_iso_check(alg: Algebra, carrier: Subspace, samples: int = 10**5,
     basis = f.operand(carrier.basis_matrix())
     le = alg.operators(e[None, :], "l")
     eta_ok = phi_ok = True
-    step, la = alg.block_rows(1) or pairs, None
+    step, la = alg.block_rows(1), None
     for s in range(0, pairs, step):
         a, b = (f.canon(f.matmul(m[s:s + step], basis)) for m in (ca, cb))
         la = alg.operators(a, "l", la)

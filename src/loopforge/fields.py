@@ -27,8 +27,8 @@ import numpy as np
 from .errors import EnumerationUnsupported
 
 # Largest modulus accepted.  Below it every kernel is exact: field.matmul and
-# the two stages bound their float sums (PrimeField.matmul, _stages), and a
-# loop algebra's int64 gather adds at most LOOP_ALGEBRA_DIM_BOUND products,
+# the two stages bound their float sums (PrimeField.matmul, _stages); a loop
+# algebra's stage 2 sums at most LOOP_ALGEBRA_DIM_BOUND products,
 # n*(p-1)^2 < 2^51.
 MAX_PRIME = 2**20
 

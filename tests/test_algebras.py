@@ -386,9 +386,9 @@ def zorn_sum(field, copies=8):
     return algebras.TensorAlgebra(field, c, [f"x{i}" for i in range(d)])
 
 
-def assert_products_past_blocks(alg, a, b, p):
-    """mul_rows(a, b) and mul_pairwise(a, b') for b' = b repeated, against rows_oracle."""
-    oracle = rows_oracle(alg.c, p)
+def assert_products_past_blocks(alg, a, b, oracle):
+    """mul_rows(a, b) and mul_pairwise(a, b') for b' = b repeated, against
+    ``oracle``, a row-by-row product (``rows_oracle`` or ``rows_mul``)."""
     expected = oracle(np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1)))
     assert alg.mul_rows(a, b).tolist() == expected.tolist()
     b = np.resize(b, a.shape)
@@ -404,7 +404,7 @@ def test_products_across_a_block_boundary(p):
     assert alg.block_rows(1) == 256
     rng = np.random.default_rng(p)
     assert_products_past_blocks(alg, rng.integers(0, p, size=(300, 64)),
-                                rng.integers(0, p, size=(2, 64)), p)
+                                rng.integers(0, p, size=(2, 64)), rows_oracle(alg.c, p))
 
 
 def test_products_across_a_block_boundary_over_q(monkeypatch):
@@ -417,7 +417,34 @@ def test_products_across_a_block_boundary_over_q(monkeypatch):
     frac = np.vectorize(lambda x, y: Fraction(int(x), int(y)), otypes=[object])
     a, b = (frac(rng.integers(-9, 10, size=(k, 16)), rng.integers(1, 6, size=(k, 16)))
             for k in (10, 2))
-    assert_products_past_blocks(alg, a, b, None)
+    assert_products_past_blocks(alg, a, b, rows_oracle(alg.c, None))
+
+
+# at n = 120 a block holds 72 rows, so 100 rows of a cross its boundary, and
+# n^2 (p-1)^3 crosses 2^24 between p = 11 (float32) and p = 13 (float64);
+# paige2 is not commutative, so its two division tables differ
+@pytest.mark.parametrize("p, dtype", [(11, np.float32), (13, np.float64),
+                                      (P_CAP, np.float64)])
+def test_fq_products_across_a_block_boundary(paige2, p, dtype):
+    fq = lf.loop_algebra(lf.PrimeField(p), paige2)
+    assert fq.block_rows(1) == 72 and fq.operators(fq.unit, "lr").dtype == dtype
+    rng = np.random.default_rng(p)
+    a, b = top_rows(rng, p, (100, 120)), top_rows(rng, p, (2, 120))
+    assert_products_past_blocks(fq, a, b, rows_mul(fq))
+    # operands far outside 0..p-1 are reduced before the gather
+    assert np.array_equal(fq.mul_rows(a - p * 2**30, b + p * 2**30), fq.mul_rows(a, b))
+
+
+def test_fq_products_across_a_block_boundary_over_q(monkeypatch, chein12):
+    # a block at n = 12 holds 7,281 rows; Fractions are slow, so it shrinks to 4
+    monkeypatch.setattr(algebras, "PAIRWISE_CHUNK_ENTRIES", 4 * 12**2)
+    fq = lf.loop_algebra(lf.QQ, chein12)
+    assert fq.block_rows(1) == 4
+    rng = np.random.default_rng(12)
+    frac = np.vectorize(lambda x, y: Fraction(int(x), int(y)), otypes=[object])
+    a, b = (frac(rng.integers(-9, 10, size=(k, 12)), rng.integers(1, 6, size=(k, 12)))
+            for k in (10, 2))
+    assert_products_past_blocks(fq, a, b, rows_mul(fq))
 
 
 @pytest.mark.parametrize("alg", [lf.zorn_algebra(lf.PrimeField(3)), lf.zorn_algebra(lf.QQ),
@@ -437,6 +464,17 @@ def test_tensor_actions_are_basis_products():
         e = alg.basis_vec(g)[None]
         assert np.array_equal(left(rows), alg.mul_rows(e, rows))
         assert np.array_equal(right(rows), alg.mul_rows(rows, e))
+
+
+def test_fq_actions_are_basis_products(chein12):
+    # left action g is v -> e_g v and right action g is v -> v e_g; chein12
+    # is not commutative, so the two division tables differ
+    fq = lf.loop_algebra(lf.PrimeField(5), chein12)
+    rows = np.random.default_rng(5).integers(0, 5, size=(4, fq.dim))
+    for g, (left, right) in enumerate(zip(fq.left_actions(), fq.right_actions())):
+        e = fq.basis_vec(g)[None]
+        assert np.array_equal(left(rows), fq.mul_rows(e, rows))
+        assert np.array_equal(right(rows), fq.mul_rows(rows, e))
 
 
 def test_pairwise_over_q():
@@ -671,12 +709,15 @@ def test_sampled_witness_across_blocks(monkeypatch, check, operators, spec, bloc
 
 @pytest.mark.parametrize("check", ["alternative", "associative"])
 def test_sampled_witness_on_fq_matches_oracle(monkeypatch, chein12, check):
-    # FQ multiplies by table gathers in one block; samples supported on the
-    # group generated by two elements pass, as its group algebra is associative
+    # FQ's operators are table gathers, in blocks of 3 rows here, so the 20
+    # samples cross six block boundaries; samples supported on the group
+    # generated by two elements pass, as its group algebra is associative
     fq = lf.loop_algebra(lf.PrimeField(3), chein12)
+    operators = 4 if check == "alternative" else 2
+    monkeypatch.setattr(algebras, "PAIRWISE_CHUNK_ENTRIES", 3 * operators * fq.dim**2)
     group = lf.loops.subloop_generated(chein12, [1, 2]).members
     outside = [i for i in range(fq.dim) if i not in group]
-    assert fq.block_rows(4) is None and 1 < len(group) < fq.dim
+    assert fq.block_rows(operators) == 3 and 1 < len(group) < fq.dim
     samples, seed = 20, 5
     for planted in ([samples - 1], [0], []):
         plant(monkeypatch, outside, planted)
