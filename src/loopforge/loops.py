@@ -95,16 +95,18 @@ class Loop:
 
     @property
     def ld_table(self) -> np.ndarray:
-        # ld[a, b] = x with a*x = b (each table row is a permutation)
+        # ld[a, b] = x with a*x = b (each table row is a permutation: one scatter)
         if self._ld is None:
-            self._ld = np.argsort(self.table, axis=1)
+            idx, self._ld = np.arange(self.order), np.empty(self.table.shape, dtype=np.intp)
+            self._ld[idx[:, None], self.table] = idx
         return self._ld
 
     @property
     def rd_table(self) -> np.ndarray:
-        # rd[b, a] = x with x*a = b
+        # rd[b, a] = x with x*a = b, each column inverted the same way
         if self._rd is None:
-            self._rd = np.argsort(self.table, axis=0)
+            idx, self._rd = np.arange(self.order), np.empty(self.table.shape, dtype=np.intp)
+            self._rd[self.table, idx] = idx[:, None]
         return self._rd
 
     def ldiv(self, a: int, b: int) -> int:

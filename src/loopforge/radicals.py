@@ -281,21 +281,25 @@ def circle_embedding(loop: Loop, field,
                      bundle: Optional[AlternativeLoopAlgebra] = None) -> CircleEmbeddingReport:
     """Verify q -> e - image(q) lands in the circle loop multiplicatively.
 
-    Checks (e - q) ∘ (e - q') = e - qq' on every pair of loop elements.
+    Checks (e - q) ∘ (e - q') = e - qq' on every pair of loop elements, one
+    block of ``block_rows(1)`` left elements at a time.
     """
     if bundle is None:
         bundle = alternative_loop_algebra(field, loop)
-    quot = bundle.algebra
-    images = bundle.images
-    n = images.shape[0]
-    f, e = quot.field, quot.unit[None, :]
+    quot, images = bundle.algebra, bundle.images
+    (n, d), k = images.shape, quot.block_rows(1)
+    f, e = quot.field, quot.unit
     b = f.canon(e - images)
-    # row i n + j of each side is the pair (q_i, q_j); e - q is 0 exactly at
-    # q = e, where the ∘-identity matches
-    lhs = f.canon((b[:, None] + b[None, :]).reshape(n * n, quot.dim) - quot.mul_rows(b, b))
-    rhs = f.canon(e - quot.mul_rows(images, images))
-    ok = bool(np.array_equal(lhs, rhs))
-    ok = ok and bool(np.array_equal(lhs, b[loop.table.reshape(-1)]))
+
+    def block_ok(s):
+        # row i n + j of each side is the pair (q_{s+i}, q_j); e - q is 0
+        # exactly at q = e, where the ∘-identity matches
+        bs = b[s:s + k]
+        lhs = f.canon((bs[:, None] + b[None, :]).reshape(-1, d) - quot.mul_rows(bs, b))
+        rhs = f.canon(e - quot.mul_rows(images[s:s + k], images))
+        return (np.array_equal(lhs, rhs)
+                and np.array_equal(lhs, b[loop.table[s:s + k]].reshape(-1, d)))
+    ok = all(block_ok(s) for s in range(0, n, k))
     return CircleEmbeddingReport(ok=ok, pairs=n * n)
 
 

@@ -455,6 +455,43 @@ def test_mul_rows_of_empty_operands(alg):
         assert alg.mul_rows(a, b).shape == (0, alg.dim)
 
 
+def sides_oracle(alg):
+    """``_sides`` built as C beside its (1, 0, 2) transpose in int64, then
+    converted to the stage type."""
+    d, c = alg.dim, alg.c
+    return alg.field.stage_operand(np.concatenate(
+        [c.reshape(d, d * d), c.transpose(1, 0, 2).reshape(d, d * d)], axis=1))
+
+
+# the eight-Zorn sum either side of the 2^24 switch at d = 64 (float32 at
+# p = 13, float64 at p = 17), Zorn over Q (Fractions) and a loop-backed quotient
+@pytest.mark.parametrize("make, dtype", [
+    (lambda request: zorn_sum(lf.PrimeField(13)), np.float32),
+    (lambda request: zorn_sum(lf.PrimeField(17)), np.float64),
+    (lambda request: lf.zorn_algebra(lf.QQ), object),
+    (lambda request: request.getfixturevalue("cml81_gf3").algebra, np.float32),
+], ids=["zorn8-13", "zorn8-17", "zorn-q", "cml81-gf3"])
+def test_sides_matches_concatenation_oracle(request, make, dtype):
+    alg = make(request)
+    got, want = alg._sides, sides_oracle(alg)
+    assert got.dtype == want.dtype == dtype and got.shape == (alg.dim, 2 * alg.dim**2)
+    assert got.tolist() == want.tolist()
+
+
+# _sides is written in its stage type: the peak of building it is its own
+# 2 d^3 entries, where the int64 concatenation added 2 d^3 int64 entries
+@pytest.mark.parametrize("p", [13, 17])
+def test_sides_memory_peak(p):
+    alg = zorn_sum(lf.PrimeField(p))
+    tracemalloc.start()
+    try:
+        sides = alg._sides
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sides.size == 2 * 64**3 and peak < 1.05 * sides.nbytes, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_tensor_actions_are_basis_products():
     # left action g is v -> e_g v and right action g is v -> v e_g, read from
     # the two halves of the converted tensor
@@ -1052,10 +1089,8 @@ def first_closure(alg, ceiling):
     """alternator_ideal's first closure, over the same seeds."""
     f, t, n = alg.field, alg.loop.table, alg.dim
     eye = algebras._eye(f, n)
-    pairs = np.random.default_rng(lf.DEFAULT_SEED).integers(
-        0, n, size=(algebras.ALTERNATOR_SEED_PAIRS, 2))
     seeds = [f.canon(algebras._alternators(t, eye, fam, a, b, np.arange(n)))
-             for a, b in pairs for fam in (0, 1)]
+             for a, b in algebras._seed_pairs(n) for fam in (0, 1)]
     return lf.ideal_closure(seeds, alg.left_actions(), alg.right_actions(), field=f,
                             ambient_dim=n, ceiling=ceiling)
 

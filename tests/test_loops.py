@@ -520,6 +520,20 @@ def test_is_group_type_matches_composition_factors(name, request):
         assert_group_type_matches_oracle(loop)
 
 
+@pytest.mark.parametrize("name", ["s3", "c6", "chein12", "cml81", "paige2", "paige2_x_c2",
+                                  "order5", "order5_x_s3", "order5_x_chein12", "chein12_x_c3",
+                                  "c3_x_s3", "c4_x_chein12", "paige2_x_c3", "cml81_x_c5"])
+def test_division_tables_invert_rows_and_columns(name, request):
+    base = request.getfixturevalue(name)
+    rng = np.random.default_rng(21)
+    for loop in (base, relabelled(base, rng)):
+        t, ld, rd, idx = loop.table, loop.ld_table, loop.rd_table, np.arange(loop.order)
+        assert np.array_equal(ld, np.argsort(t, axis=1))
+        assert np.array_equal(rd, np.argsort(t, axis=0))
+        assert (t[idx[:, None], ld] == idx).all()        # a (a \ b) = b
+        assert (t[rd, idx] == idx[:, None]).all()        # (b / a) a = b
+
+
 def random_normalised_latin_square(n, rng):
     """A Latin square with row and column 0 equal to 0..n-1, so that 0 is the
     identity of a loop, filled depth-first trying each cell's symbols in a

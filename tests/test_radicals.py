@@ -1,10 +1,15 @@
+import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import loopforge as lf
-from loopforge import radicals
+from loopforge import algebras, radicals
 from loopforge.errors import DimensionBoundExceeded, OrderBoundExceeded
 from loopforge.radicals import embedding_promised, in_class_s
 
@@ -332,3 +337,57 @@ def test_quotient_entry_bound_raises_before_gathering():
     finally:
         tracemalloc.stop()
     assert peak < d**3
+
+
+def whole_product_checks(bundle, table):
+    """embedding_checks' multiplicativity and circle_embedding's verdict, each
+    on every pair at once, as one n^2 x d product per side."""
+    quot, images = bundle.algebra, bundle.images
+    n, f, e = len(images), quot.field, quot.unit
+    prods = quot.mul_rows(images, images)
+    b = f.canon(e - images)
+    lhs = f.canon((b[:, None] + b[None, :]).reshape(n * n, -1) - quot.mul_rows(b, b))
+    return (np.array_equal(prods, images[table.reshape(-1)]),
+            np.array_equal(lhs, f.canon(e - prods)) and np.array_equal(lhs, b[table.reshape(-1)]))
+
+
+def blocked_product_checks(bundle, table):
+    loop = SimpleNamespace(table=table, inverses=bundle.loop.inverses)
+    checks = algebras.AlternativeLoopAlgebra.embedding_checks.func(
+        dataclasses.replace(bundle, loop=loop))
+    return checks[2], lf.circle_embedding(loop, bundle.field, bundle=bundle).ok
+
+
+# blocks of 7 left rows: 81 = 11 * 7 + 4 and 120 = 17 * 7 + 1 rows, so the
+# last block is a short one; a swap in the table's last row is seen only
+# there, and a corrupted image row in every block
+@pytest.mark.parametrize("loop_name, p", [("cml81", 3), ("paige2", 2)])
+def test_product_checks_across_blocks(request, monkeypatch, loop_name, p):
+    bundle = lf.alternative_loop_algebra(lf.PrimeField(p), request.getfixturevalue(loop_name))
+    n, table = bundle.loop.order, bundle.loop.table
+    swapped = table.copy()
+    swapped[n - 1, [1, 2]] = swapped[n - 1, [2, 1]]
+    corrupt = bundle.images.copy()
+    corrupt[n - 1, 0] = (corrupt[n - 1, 0] + 1) % p
+    cases = [(bundle, table, True), (bundle, swapped, False),
+             (dataclasses.replace(bundle, images=corrupt), table, False)]
+    whole = [whole_product_checks(b, t) for b, t, _ in cases]
+    assert whole == [(ok, ok) for _, _, ok in cases]
+    assert bundle.algebra.block_rows(1) >= n          # one block at the real size
+    monkeypatch.setattr(algebras, "PAIRWISE_CHUNK_ENTRIES", 7 * bundle.dim**2)
+    assert bundle.algebra.block_rows(1) == 7
+    assert [blocked_product_checks(b, t) for b, t, _ in cases] == whole
+
+
+def test_verdicts_leave_numpy_random_unimported():
+    # nothing is sampled in these verdicts; alternator_ideal's seed pairs
+    # come from the stdlib's generator
+    code = ("import sys, loopforge as lf\n"
+            "lf.embeddability(lf.cml81(), lf.PrimeField(3))\n"
+            "lf.wedderburn_report(lf.s3(), lf.PrimeField(7))\n"
+            "print('numpy.random' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(lf.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
