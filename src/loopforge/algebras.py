@@ -60,6 +60,9 @@ LOOP_ALGEBRA_DIM_BOUND = 2048
 QUOTIENT_ENTRY_BOUND = 2**24
 CIRCLE_TABLE_BOUND = 4096
 CIRCLE_CHUNK_ENTRIES = 2**20  # product entries per block of a circle table
+# product entries per block of the image checks (embedding_checks,
+# circle_embedding): 512 KiB of int64, whatever n and d
+PRODUCT_CHUNK_ENTRIES = 2**16
 CIRCLE_ENUM_BOUND = 2**20
 RADICAL_ENUM_BOUND = 2**20
 
@@ -123,10 +126,16 @@ class Algebra:
         serve every r, and one row of z serves every operator."""
         return self.field.contract(z, ops[:, side])
 
-    def block_rows(self, operators: int) -> int:
+    def block_rows(self, operators: int, width: int = 0) -> int:
         """Rows per block of a product or sampled check holding ``operators``
-        d x d operators per row: at most PAIRWISE_CHUNK_ENTRIES entries."""
-        return max(1, PAIRWISE_CHUNK_ENTRIES // max(operators * self.dim**2, 1))
+        d x d operators per row, at most PAIRWISE_CHUNK_ENTRIES entries, and,
+        given a ``width``, that many d-wide products per row, at most
+        PRODUCT_CHUNK_ENTRIES entries."""
+        d = max(self.dim, 1)
+        rows = PAIRWISE_CHUNK_ENTRIES // (operators * d * d)
+        if width:
+            rows = min(rows, PRODUCT_CHUNK_ENTRIES // (width * d))
+        return max(1, rows)
 
     def basis_vec(self, i: int) -> np.ndarray:
         v = self.field.zeros(self.dim)
@@ -518,23 +527,29 @@ class AlternativeLoopAlgebra:
     def embedding_checks(self) -> tuple[bool, bool, bool]:
         """Injectivity, invertibility and multiplicativity of q -> image(q).
 
-        An image with a two-sided inverse, the image of q^-1, is invertible;
-        only the images failing that check are solved for an inverse.
-        Products are compared per block of ``block_rows(1)`` left rows.
+        One pass over the products of all pairs, a block of
+        ``block_rows(1, n)`` left rows at a time, compares each block with
+        the images of the table and reads off it which images have the image
+        of q^-1 as a two-sided inverse.  Two-sided inverses are an involution
+        of the elements that have one, so q q^-1 = e, read in row q, and
+        q^-1 q = e, read in row q^-1, decide it.  An element whose one-sided
+        inverses differ (-1 in ``inverses()``) counts as not two-sided; only
+        the images failing the check are solved for an inverse.
         """
         quot, images = self.algebra, self.images
-        distinct = _first_duplicate_rows(images) is None
-        inv_images = images[self.loop.inverses()]
-        e = quot.unit
-        two_sided = ((quot.mul_pairwise(images, inv_images) == e).all(axis=1)
-                     & (quot.mul_pairwise(inv_images, images) == e).all(axis=1))
+        t, inv = self.loop.table, self.loop.inverses()
+        n = len(images)
+        unit = np.zeros(n, dtype=bool)        # image(q) image(q^-1) = e
+        multiplicative, k = True, quot.block_rows(1, n)
+        for s in range(0, n, k):
+            prods = quot.mul_rows(images[s:s + k], images).reshape(-1, n, quot.dim)
+            multiplicative = multiplicative and np.array_equal(prods, images[t[s:s + k]])
+            rows = np.flatnonzero(inv[s:s + k] >= 0)
+            unit[s + rows] = (prods[rows, inv[s + rows]] == quot.unit).all(axis=1)
+        two_sided = unit & unit[inv]          # unit is False wherever inv is -1
         all_invertible = all(invert(quot, images[i]) is not None
                              for i in np.flatnonzero(~two_sided))
-        t, k = self.loop.table, quot.block_rows(1)
-        multiplicative = all(np.array_equal(quot.mul_rows(images[s:s + k], images),
-                                            images[t[s:s + k]].reshape(-1, quot.dim))
-                             for s in range(0, len(images), k))
-        return distinct, all_invertible, multiplicative
+        return _first_duplicate_rows(images) is None, all_invertible, multiplicative
 
 
 def alternative_loop_algebra(field, loop: Loop) -> AlternativeLoopAlgebra:
@@ -650,15 +665,28 @@ def _associator_witness(alg: TensorAlgebra) -> Optional[tuple]:
     return (a, a, k - d * d) if k < d * d + d else (k - d * d - d, a, a)
 
 
+_DRAW_ENTRIES = 2**16    # int64 entries per chunk of a sampled check's draw
+
+
 def _check_samples(samples: int) -> None:
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
 
 
 def _random_rows(field, rng, k: int, n: int) -> np.ndarray:
-    """k random rows of width n: residues over GF(p), integers in -9..9 over Q."""
+    """k random rows of width n: residues over GF(p), integers in -9..9 over Q.
+
+    Over GF(p) the residues are the values of one int64 draw of all k n,
+    drawn in chunks of _DRAW_ENTRIES (the generator's stream does not depend
+    on the chunking) and stored in the narrowest unsigned type holding p-1;
+    the stages cast them to their float type.
+    """
     if isinstance(field, PrimeField):
-        return rng.integers(0, field.p, size=(k, n), dtype=np.int64)
+        out = np.empty(k * n, dtype=np.min_scalar_type(field.p - 1))
+        for s in range(0, k * n, _DRAW_ENTRIES):
+            chunk = out[s:s + _DRAW_ENTRIES]
+            chunk[:] = rng.integers(0, field.p, size=chunk.size, dtype=np.int64)
+        return out.reshape(k, n)
     raw = rng.integers(-9, 10, size=(k, n))
     out = np.empty((k, n), dtype=object)
     out[...] = [[Fraction(int(x)) for x in row] for row in raw]
@@ -1023,7 +1051,8 @@ def circle_iso_check(alg: Algebra, carrier: Subspace, samples: int = 10**5,
     ``samples`` >= 1 random pairs, drawn as ``alternative_check`` draws its
     vectors, in carrier coordinates.  Per block of pairs the one stage-1
     operator is L_a: ab = b L_a and (e-a)(e-b) = (e-b) L_e - (e-b) L_a, with
-    L_e made once.
+    L_e made once.  A block holds ``block_rows(2)`` pairs, half the operator
+    budget, since it also keeps several d-wide int64 rows per pair.
     """
     f, e = alg.field, alg.unit
     if e is None:
@@ -1043,7 +1072,7 @@ def circle_iso_check(alg: Algebra, carrier: Subspace, samples: int = 10**5,
     basis = f.operand(carrier.basis_matrix())
     le = alg.operators(e[None, :], "l")
     eta_ok = phi_ok = True
-    step, la = alg.block_rows(1), None
+    step, la = alg.block_rows(2), None
     for s in range(0, pairs, step):
         a, b = (f.canon(f.matmul(m[s:s + step], basis)) for m in (ca, cb))
         la = alg.operators(a, "l", la)

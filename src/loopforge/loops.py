@@ -30,7 +30,7 @@ MOUFANG_EXHAUSTIVE_ORDER = 300
 PROPERTY_SAMPLES = 10**6
 ORDER_BOUND = 2000  # largest order for lattices, group type and radicals
 DENSE_PRODUCT_BOUND = 4096
-_BLOCK_CHUNK_ENTRIES = 1 << 17  # labels per block-closure chunk, table entries per merge
+_BLOCK_CHUNK_ENTRIES = 1 << 15  # labels per block-closure chunk, table entries per merge
 
 
 def validate_table(table: np.ndarray) -> None:

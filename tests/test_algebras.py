@@ -671,6 +671,26 @@ def left_unit(field):
     return matrices_beside(field, {(0, 4): 4, (0, 5): 5}, unit=[1, 0, 0, 1, 0, 0])
 
 
+# k n = 3,711 * 53 is odd and spans four chunks of the draw, the last short
+@pytest.mark.parametrize("p, dtype", [(2, np.uint8), (251, np.uint8), (257, np.uint16),
+                                      (65537, np.uint32), (P_CAP, np.uint32)])
+def test_random_rows_store_the_int64_draw_narrow(p, dtype):
+    k, n = 3 * algebras._DRAW_ENTRIES // 53 + 2, 53
+    assert (k * n) % 2 == 1 and 3 * algebras._DRAW_ENTRIES < k * n
+    rng, ref = np.random.default_rng(p), np.random.default_rng(p)
+    for _ in range(2):              # the second draw continues the same stream
+        got = algebras._random_rows(lf.PrimeField(p), rng, k, n)
+        assert got.dtype == dtype == np.min_scalar_type(p - 1)
+        assert np.array_equal(got, ref.integers(0, p, size=(k, n), dtype=np.int64))
+
+
+def test_random_rows_over_q_stay_fractions():
+    got = algebras._random_rows(lf.QQ, np.random.default_rng(3), 5, 7)
+    raw = np.random.default_rng(3).integers(-9, 10, size=(5, 7))
+    assert got.dtype == object and {type(x) for x in got.ravel()} == {Fraction}
+    assert got.tolist() == [[Fraction(int(x)) for x in row] for row in raw]
+
+
 RANDOM_ROWS = algebras._random_rows
 
 

@@ -585,6 +585,31 @@ def test_cached_element_closures_equal_fresh_ones(name, request):
     assert [s.members for s in cached] == [s.members for s in fresh]
 
 
+def block_closures(loop):
+    """Element closures, normal subloops, the quotient by each of the first
+    four proper nontrivial ones and the A(Q) labels, on a cold copy."""
+    loop = cold(loop)
+    closures = [s.members for s in _element_closures(loop)]
+    subs = lf.normal_subloops(loop)
+    proper = [s for s in subs if not s.is_trivial() and not s.is_full()][:4]
+    quotients = [(q.table.tolist(), proj.tolist())
+                 for q, proj in (lf.quotient_loop(loop, s) for s in proper)]
+    return (closures, [s.members for s in subs], quotients,
+            lf.loops._associator_labels(loop).tolist())
+
+
+# a chunk of 2^8 labels holds three rows of cml81 and one of paige2 x C2;
+# one of 2^17 holds every row the closures of either loop seed
+@pytest.mark.parametrize("name", ["cml81", "paige2_x_c2"])
+def test_block_closures_do_not_depend_on_the_chunk_size(monkeypatch, name, request):
+    loop = request.getfixturevalue(name)
+    default = block_closures(loop)
+    assert default[2]
+    for entries in (2**8, 2**17):
+        monkeypatch.setattr(lf.loops, "_BLOCK_CHUNK_ENTRIES", entries)
+        assert block_closures(loop) == default
+
+
 def naive_associator_subloop(loop):
     """Normal closure of every associator (x(yz))\\((xy)z), from the table."""
     t, ld = loop.table, loop.ld_table

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -377,6 +378,126 @@ def test_product_checks_across_blocks(request, monkeypatch, loop_name, p):
     monkeypatch.setattr(algebras, "PAIRWISE_CHUNK_ENTRIES", 7 * bundle.dim**2)
     assert bundle.algebra.block_rows(1) == 7
     assert [blocked_product_checks(b, t) for b, t, _ in cases] == whole
+
+
+def run_embedding_checks(bundle, images, chunk=None):
+    """embedding_checks on ``bundle`` with its images replaced, optionally with
+    PRODUCT_CHUNK_ENTRIES set to ``chunk``; also the rows it solved for an
+    inverse, as tuples, in order."""
+    calls, real = [], algebras.invert
+
+    def counting(alg, u):
+        calls.append(tuple(int(x) for x in u))
+        return real(alg, u)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebras, "invert", counting)
+        if chunk is not None:
+            mp.setattr(algebras, "PRODUCT_CHUNK_ENTRIES", chunk)
+            assert bundle.algebra.block_rows(1, len(images)) == chunk // (len(images) * bundle.dim)
+        checks = algebras.AlternativeLoopAlgebra.embedding_checks.func(
+            dataclasses.replace(bundle, images=images))
+    return checks, calls
+
+
+def brute_embedding_checks(bundle, images):
+    """Python-int oracle of embedding_checks on a quotient small enough to
+    enumerate: every pair multiplied through the structure constants, every
+    element of the quotient tried as an inverse.  Also the rows that are not
+    two-sided: those of elements without a two-sided inverse in the loop,
+    and those whose image of q^-1 is not a two-sided inverse of it."""
+    quot, p, t, inv = bundle.algebra, bundle.field.p, bundle.loop.table, bundle.loop.inverses()
+    consts = [(i, j, k, int(quot.c[i, j, k])) for i, j, k in zip(*np.nonzero(quot.c))]
+
+    def mul(u, v):
+        out = [0] * quot.dim
+        for i, j, k, c in consts:
+            out[k] += u[i] * v[j] * c
+        return tuple(x % p for x in out)
+    rows = [tuple(int(x) for x in r) for r in images]
+    e, n = tuple(int(x) for x in quot.unit), len(rows)
+    elems = list(itertools.product(range(p), repeat=quot.dim))
+    checks = (len(set(rows)) == n,
+              all(any(mul(u, v) == e == mul(v, u) for v in elems) for u in rows),
+              all(mul(rows[a], rows[b]) == rows[t[a, b]] for a in range(n) for b in range(n)))
+    not_two_sided = [rows[r] for r in range(n)
+                     if inv[r] < 0 or not mul(rows[r], rows[inv[r]]) == e == mul(rows[inv[r]], rows[r])]
+    return checks, not_two_sided
+
+
+# a loop of order 5 in which 1, 2 and 3 have distinct left and right
+# inverses and 4 is its own; beside C3 its alternative quotient is F[C3]
+# (d = 3), the nine elements (x, c) with x in {1, 2, 3} have no two-sided
+# inverse, and the last element (4, 2) has one, so a row read against
+# images[-1] would meet an invertible image
+NON_IP5 = [[0, 1, 2, 3, 4], [1, 3, 0, 4, 2], [2, 4, 1, 0, 3], [3, 0, 4, 2, 1], [4, 2, 3, 1, 0]]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_embedding_checks_on_a_non_ip_loop_match_brute_force(p):
+    loop = lf.direct_product(lf.Loop(list("01234"), NON_IP5), lf.cyclic(3))
+    assert (loop.inverses() == -1).sum() == 9
+    bundle = lf.alternative_loop_algebra(lf.PrimeField(p), loop)
+    assert bundle.dim == 3
+    images, e = bundle.images, bundle.algebra.unit
+    moved, in_omega = images.copy(), images.copy()
+    moved[14] = images[1]                              # invertible, not q^-1's inverse
+    in_omega[13] = (images[13] - e) % p                # coefficient sum 0: not invertible
+    for imgs in (images, moved, in_omega):
+        checks, solved = run_embedding_checks(bundle, imgs)
+        want, not_two_sided = brute_embedding_checks(bundle, imgs)
+        assert checks == want
+        # exactly the rows without a two-sided inverse are solved for one,
+        # until one fails; a row whose one-sided inverses differ is read as
+        # itself, never against images[-1]
+        assert solved == not_two_sided[:len(solved)]
+        assert len(solved) == len(not_two_sided) or not checks[1]
+    assert brute_embedding_checks(bundle, in_omega)[0][1] is False
+
+
+def test_embedding_checks_read_inverses_across_blocks(cml81_gf3):
+    # blocks of 7 left rows: row 80 and its inverse fall in different blocks
+    bundle, n = cml81_gf3, cml81_gf3.loop.order
+    inv, images, e = bundle.loop.inverses(), bundle.images, bundle.algebra.unit
+    r = n - 1
+    assert inv[r] // 7 != r // 7
+    doubled, in_omega = images.copy(), images.copy()
+    doubled[r] = images[r] * 2 % 3                     # invertible, not q^-1's inverse
+    in_omega[r] = (images[r] - e) % 3                  # not invertible
+    # (images, the three checks, the rows solved for an inverse in order)
+    cases = [(images, (True, True, True), []),
+             (doubled, (True, True, False), [doubled[inv[r]], doubled[r]]),
+             (in_omega, (True, False, False), [in_omega[inv[r]], in_omega[r]])]
+    for imgs, want, solved_rows in cases:
+        whole = run_embedding_checks(bundle, imgs)
+        assert whole == (want, [tuple(int(x) for x in row) for row in solved_rows])
+        assert run_embedding_checks(bundle, imgs, chunk=7 * n * bundle.dim) == whole
+
+
+# every per-call temporary of these checks is bounded by a block budget, not
+# by n^2 d or samples x d, which on the d = 54 bundle would take 9-14 MiB
+CHECK_PEAK_BYTES = 6 * 2**20
+
+
+def test_check_peaks_on_cml81_gf3(cml81, cml81_gf3):
+    bundle = cml81_gf3
+    quot, omega = bundle.algebra, bundle.omega
+    checks = {
+        "alternative_check": lambda: lf.alternative_check(quot, mode="sampled", samples=10**4),
+        "circle_iso_check": lambda: lf.circle_iso_check(quot, omega, samples=10**4),
+        "circle_embedding": lambda: lf.circle_embedding(cml81, bundle.field, bundle=bundle),
+        "embedding_checks": lambda: algebras.AlternativeLoopAlgebra.embedding_checks.func(bundle),
+        "group_type_radical": lambda: lf.group_type_radical(lf.Loop(cml81.names, cml81.table)),
+    }
+    lf.alternative_check(quot, mode="sampled", samples=10)   # numpy.random, imported once
+    peaks = {}
+    for name, check in checks.items():
+        tracemalloc.start()
+        try:
+            check()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert {name: peak for name, peak in peaks.items() if peak > CHECK_PEAK_BYTES} == {}
 
 
 def test_verdicts_leave_numpy_random_unimported():
