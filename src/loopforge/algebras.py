@@ -13,10 +13,11 @@ multiplication operators of a block of rows) and ``Algebra.contract``
 product reduced in float).  Stage 1 is the field's ``operators`` (one GEMM)
 for a structure tensor, and a gather of the rows by the division tables for
 a loop algebra, whose ideal-closure actions are the same gathers.
-``mul_rows``, ``mul_pairwise``, the multiplication matrices and the sampled
-checks all take this route, so each operand's operators are built once per
-block and serve every product it takes part in.  ``field.matmul`` serves
-only linear algebra and a structure tensor's ideal-closure actions.
+``mul_rows``, ``mul_pairwise``, the multiplication matrices, the sampled
+checks and a structure tensor's ideal-closure actions (stage 2 on the
+operators of e_g) all take this route, so each operand's operators are built
+once per block and serve every product it takes part in.  ``field.matmul``
+serves only linear algebra.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from .errors import (
     SidedInverseMismatch,
     UnsupportedRadical,
 )
-from .fields import PAIRWISE_CHUNK_ENTRIES, PrimeField
+from .fields import PrimeField
 from .linalg import Subspace
 from .loops import (
     DEFAULT_SEED,
@@ -59,9 +60,10 @@ LOOP_ALGEBRA_DIM_BOUND = 2048
 # so d <= 256 and 128 MiB of int64 (the fixture quotients have d <= 81)
 QUOTIENT_ENTRY_BOUND = 2**24
 CIRCLE_TABLE_BOUND = 4096
-CIRCLE_CHUNK_ENTRIES = 2**20  # product entries per block of a circle table
-# product entries per block of the image checks (embedding_checks,
-# circle_embedding): 512 KiB of int64, whatever n and d
+# ``block_rows``'s two budgets, in entries per block of rows: its stage-1
+# operators (4 MiB in float32) and, given a width, its products (512 KiB of
+# int64), whatever n and d
+PAIRWISE_CHUNK_ENTRIES = 2**20
 PRODUCT_CHUNK_ENTRIES = 2**16
 CIRCLE_ENUM_BOUND = 2**20
 RADICAL_ENUM_BOUND = 2**20
@@ -247,20 +249,18 @@ class TensorAlgebra(Algebra):
             out = out[:k].reshape(k, w)
         return self.field.operators(x, self._sides[:, cols], out).reshape(k, len(sides), d, d)
 
-    def mul_basis(self, i: int, j: int) -> np.ndarray:
-        return self.c[i, j].copy()
+    def left_actions(self):     # e_g v = v C[g]
+        return self._actions(0)
 
-    def left_actions(self):
-        return [_matrix_action(self.field, g.reshape(2, self.dim, -1)[0]) for g in self._sides]
+    def right_actions(self):    # v e_g = v C[:, g]
+        return self._actions(1)
 
-    def right_actions(self):
-        return [_matrix_action(self.field, g.reshape(2, self.dim, -1)[1]) for g in self._sides]
-
-
-def _matrix_action(field, w):
-    def act(m):
-        return field.canon(field.matmul(m, w))
-    return act
+    def _actions(self, side: int):
+        """Stage 2 with the operators of e_g, row g of ``_sides``: C[g] is
+        canonical, so each sum stays within the bound that chose its type."""
+        d = self.dim
+        ops = self._sides.reshape(d, 2, d, d)
+        return [lambda m, g=g: self.contract(m[None], ops[g:g + 1], side)[0] for g in range(d)]
 
 
 def loop_algebra(field, loop: Loop) -> LoopAlgebra:
@@ -439,6 +439,11 @@ class QuotientAlgebra(TensorAlgebra):
     reduce-then-restrict (``Subspace.residues``) is a well-defined projection
     with a linear section.  A quotient whose d^3 structure constants exceed
     QUOTIENT_ENTRY_BOUND raises DimensionBoundExceeded before it gathers them.
+
+    A quotient of a loop-backed parent is an image of FQ, loop-backed too:
+    its basis is the loop elements the parent puts on the free columns, and
+    its tensor is gathered from the Cayley table.  Any other parent's tensor
+    is the residues of the products of the free basis vectors.
     """
 
     def __init__(self, parent: Algebra, ideal: Subspace, verify: bool = True):
@@ -460,21 +465,18 @@ class QuotientAlgebra(TensorAlgebra):
                         raise IdealNotStable((side, k))
         self.parent = parent
         self.ideal = ideal
-        self.section_cols = ideal.free_cols
-        self.basis_images = ideal.residues(_eye(parent.field, parent.dim))
-        if isinstance(parent, LoopAlgebra):
+        cols = ideal.free_cols
+        if parent.loop is not None:
             self.loop = parent.loop
-            t = parent.loop.table
-            tensor = self.basis_images[t[np.ix_(self.section_cols, self.section_cols)]]
-            names = tuple(parent.names[int(j)] for j in self.section_cols)
+            self.basis_images = ideal.residues(parent.basis_images)
+            self.section_cols = sec = parent.section_cols[cols]
+            tensor = self.basis_images[self.loop.table[np.ix_(sec, sec)]]
+            names = tuple(self.loop.names[int(j)] for j in sec)
         else:
-            reps = _eye(parent.field, parent.dim)[self.section_cols]
-            prods = parent.mul_rows(reps, reps)
-            tensor = ideal.residues(prods).reshape(qdim, qdim, qdim)
-            names = tuple(f"q{int(j)}" for j in self.section_cols)
-        unit = None
-        if parent.unit is not None:
-            unit = ideal.reduce(parent.unit)[self.section_cols]
+            reps = _eye(parent.field, parent.dim)[cols]
+            tensor = ideal.residues(parent.mul_rows(reps, reps)).reshape(qdim, qdim, qdim)
+            names = tuple(f"q{int(j)}" for j in cols)
+        unit = None if parent.unit is None else ideal.reduce(parent.unit)[cols]
         super().__init__(parent.field, tensor, names, unit=unit)
 
     def project_rows(self, m: np.ndarray) -> np.ndarray:
@@ -483,7 +485,7 @@ class QuotientAlgebra(TensorAlgebra):
     def lift_rows(self, m: np.ndarray) -> np.ndarray:
         m = np.atleast_2d(np.asarray(m))
         out = self.field.zeros((m.shape[0], self.parent.dim))
-        out[:, self.section_cols] = m
+        out[:, self.ideal.free_cols] = m
         return out
 
 
@@ -995,7 +997,7 @@ def circle_loop(alg: Algebra, carrier: Subspace, name: str = "circle") -> Loop:
     has the base-p digits of i as coefficients over the carrier's echelon
     basis (``enumerate_carrier``'s order), so a product is looked up by its
     entries on the pivot columns; the table is filled from ``mul_rows`` on
-    blocks of rows of at most CIRCLE_CHUNK_ENTRIES entries.
+    blocks of ``block_rows(1, n)`` rows.
     """
     if not isinstance(alg.field, PrimeField):
         raise UnsupportedRadical("circle loops need a finite field carrier")
@@ -1012,7 +1014,7 @@ def circle_loop(alg: Algebra, carrier: Subspace, name: str = "circle") -> Loop:
     n, piv = count, np.asarray(carrier.pivot_cols, dtype=np.int64)
     weights = f.p ** np.arange(carrier.dim - 1, -1, -1, dtype=np.int64)
     table = np.empty((n, n), dtype=np.int64)
-    step = max(1, CIRCLE_CHUNK_ENTRIES // (n * max(alg.dim, 1)))
+    step = alg.block_rows(1, n)
     for i0 in range(0, n, step):
         a = elems[i0:i0 + step]
         circ = f.canon(np.repeat(a, n, axis=0) + np.tile(elems, (len(a), 1))

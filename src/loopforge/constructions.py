@@ -190,39 +190,31 @@ def paige_loop(q: int) -> Loop:
 
     Enumerates all det-1 coordinate tuples, canonicalises m ~ -m to the
     lexicographically smaller tuple, and tabulates the induced product.  The
-    order must equal q^3(q^4-1)/gcd(2, q-1) exactly.
+    order must equal q^3(q^4-1)/gcd(2, q-1) exactly, and every product must
+    land in one of the classes.
     """
-    field = PrimeField(q)
+    PrimeField(q)                       # a non-prime q fails here
     if q > PAIGE_PRIME_BOUND:
         raise OrderBoundExceeded(f"vector-matrix loop bound is q <= {PAIGE_PRIME_BOUND}")
+    # row k of coords is the tuple with base-q key k, so keys order rows
+    # lexicographically and index coords
     coords = np.asarray(list(itertools.product(range(q), repeat=8)), dtype=np.int64)
-    dets = zorn_det(coords) % q
-    units = coords[dets == 1]
-    neg = (-units) % q
-    keep = _lex_le_rows(units, neg)
-    reps = units[keep]
-    # identity first, then lexicographic order
-    ident = np.zeros(8, dtype=np.int64)
-    ident[0] = ident[1] = 1
-    is_ident = (reps == ident).all(axis=1)
-    rest = reps[~is_ident]
-    order_key = np.lexsort(rest.T[::-1])
-    elements = np.vstack([ident, rest[order_key]])
+    classes = np.unique(_class_keys(coords[zorn_det(coords) % q == 1], q))
+    ident = _encode_rows(np.asarray([1, 1, 0, 0, 0, 0, 0, 0]), q)
+    keys = np.concatenate([[ident], classes[classes != ident]])   # identity first
+    elements = coords[keys]
     n = elements.shape[0]
     expected = q**3 * (q**4 - 1) // (2 if q % 2 else 1)
     if n != expected:
         raise GateFailed(f"paige:{q}", f"order {n} != {expected}")
-    keys = _encode_rows(elements, q)
-    lookup = np.argsort(keys)
-    sorted_keys = keys[lookup]
+    index = np.full(q**8, -1, dtype=np.int64)
+    index[keys] = np.arange(n)
     table = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
-        prod = zorn_mul_coords(np.broadcast_to(elements[i], elements.shape), elements) % q
-        negp = (-prod) % q
-        take_neg = _lex_less_rows(negp, prod)
-        canon = np.where(take_neg[:, None], negp, prod)
-        idx = lookup[np.searchsorted(sorted_keys, _encode_rows(canon, q))]
-        table[i] = idx
+        table[i] = index[_class_keys(zorn_mul_coords(elements[i], elements), q)]
+    miss = np.argwhere(table < 0)
+    if miss.size:
+        raise GateFailed(f"paige:{q}", "a product left the classes", tuple(map(int, miss[0])))
     names = ["".join(str(c) for c in row) for row in elements]
     return Loop(names, table, name=f"paige:{q}")
 
@@ -232,15 +224,9 @@ def _encode_rows(rows: np.ndarray, q: int) -> np.ndarray:
     return rows @ powers
 
 
-def _lex_le_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-row a <= b in lexicographic order."""
-    return _encode_rows(a, int(max(a.max(), b.max())) + 1) <= \
-        _encode_rows(b, int(max(a.max(), b.max())) + 1)
-
-
-def _lex_less_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    base = int(max(a.max(initial=0), b.max(initial=0))) + 1
-    return _encode_rows(a, base) < _encode_rows(b, base)
+def _class_keys(m: np.ndarray, q: int) -> np.ndarray:
+    """The key of the smaller of m and -m mod q, per row of integer tuples m."""
+    return np.minimum(_encode_rows(m % q, q), _encode_rows(-m % q, q))
 
 
 def builtin_loop(spec: str) -> Loop:

@@ -5,11 +5,11 @@ for GF(p), reduced ``fractions.Fraction`` for the rationals.  Each field
 object also provides an array layer (``vector``/``zeros``/``canon``) and two
 kinds of product kernel; GF(p) vectors are int64 numpy arrays, rational
 vectors are object arrays of Fractions.  ``matmul`` is the dense matrix
-product of linear algebra and of the ideal-closure actions.  Every product
-of an algebra with a structure tensor runs through two stages of its own,
-``operators`` (u = a.C, one GEMM) and ``contract`` (the batched b[r].u[r]),
-so that products sharing an operand share its stage-1 operators
-(``algebras`` runs them in blocks of rows).
+product of linear algebra.  Every product of an algebra with a structure
+tensor, and each of its ideal-closure actions, runs through two stages of
+its own, ``operators`` (u = a.C, one GEMM) and ``contract`` (the batched
+b[r].u[r]), so that products sharing an operand share its stage-1
+operators (``algebras`` runs them in blocks of rows).
 
 Over GF(p) both kernels run float BLAS, which is exact while every partial
 sum is an integer below 2^24 (float32) or 2^53 (float64).  Each states the
@@ -31,11 +31,6 @@ from .errors import EnumerationUnsupported
 # algebra's stage 2 sums at most LOOP_ALGEBRA_DIM_BOUND products,
 # n*(p-1)^2 < 2^51.
 MAX_PRIME = 2**20
-
-# rows per block of the two stages: a block's stage-1 operators (the left
-# operators of a product in ``algebras``, all operators of a sampled check)
-# hold at most this many entries (4 MiB in float32)
-PAIRWISE_CHUNK_ENTRIES = 2**20
 
 
 def is_prime(n: int) -> bool:

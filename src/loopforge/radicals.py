@@ -377,13 +377,10 @@ def wedderburn_report(loop: Loop, field, bundle: Optional[AlternativeLoopAlgebra
     direct_ok = None
     span = None
     if not quotient_is_field:
-        semi = quotient_algebra(quot_alg, ideal, verify=False)
+        semi = quotient_algebra(quot_alg, ideal, verify=False)    # loop-backed
+        omega_all = augmentation_ideal(semi).is_full()
         # generator images e - q inside the semisimple quotient
-        e_minus_q = quot_alg.field.canon(bundle.images[0][None, :] - bundle.images)
-        gens = semi.project_rows(e_minus_q)
-        omega = linalg.ideal_closure([gens], semi.left_actions(), semi.right_actions(),
-                                     field=semi.field, ambient_dim=semi.dim)
-        omega_all = omega.is_full()
+        gens = semi.field.canon(semi.basis_images[0][None, :] - semi.basis_images)
         rng = np.random.default_rng(seed)
         pick = rng.choice(gens.shape[0], size=min(6, gens.shape[0]), replace=False)
         for k in sorted(int(i) for i in pick):

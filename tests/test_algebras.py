@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loopforge as lf
-from loopforge import algebras, fields, linalg
+from loopforge import algebras, linalg
 from loopforge.algebras import (
     associative_check_sampled,
     enumerate_carrier,
@@ -370,7 +370,7 @@ def test_contract_reduces_exactly_below_each_switch(p, dtype, top):
 @pytest.mark.parametrize("p", [127, 65521, P_CAP])   # float32, float64, reduce-first at d = 2
 def test_pairwise_one_row_past_the_chunk_step(p):
     d = 2
-    step = fields.PAIRWISE_CHUNK_ENTRIES // (d * d)
+    step = algebras.PAIRWISE_CHUNK_ENTRIES // (d * d)
     rng = np.random.default_rng(p)
     alg = algebras.TensorAlgebra(lf.PrimeField(p), top_rows(rng, p, (d, d, d)), ["x0", "x1"])
     a, b = top_rows(rng, p, (step + 1, d)), top_rows(rng, p, (step + 1, d))
@@ -492,15 +492,38 @@ def test_sides_memory_peak(p):
     assert sides.size == 2 * 64**3 and peak < 1.05 * sides.nbytes, f"peak {peak / 2**20:.2f} MiB"
 
 
-def test_tensor_actions_are_basis_products():
-    # left action g is v -> e_g v and right action g is v -> v e_g, read from
-    # the two halves of the converted tensor
+def tensor_action_cases():
+    """(algebra, canonical rows, p or None, stage types or None): two Zorn
+    summands over GF(5); d = 2 constants near p-1 in the float32, float64 and
+    reduce-first stage types; d = 4 fractions over Q."""
+    rng = np.random.default_rng(5)
     alg = zorn_sum(lf.PrimeField(5), copies=2)
-    rows = np.random.default_rng(5).integers(0, 5, size=(4, alg.dim))
-    for g, (left, right) in enumerate(zip(alg.left_actions(), alg.right_actions())):
-        e = alg.basis_vec(g)[None]
-        assert np.array_equal(left(rows), alg.mul_rows(e, rows))
-        assert np.array_equal(right(rows), alg.mul_rows(rows, e))
+    yield alg, rng.integers(0, 5, size=(4, alg.dim)), 5, (np.float32, False)
+    for p, stages in ((127, (np.float32, False)), (65521, (np.float64, False)),
+                      (P_CAP, (np.float64, True))):
+        alg = algebras.TensorAlgebra(lf.PrimeField(p), top_rows(rng, p, (2, 2, 2)), ["x0", "x1"])
+        yield alg, top_rows(rng, p, (4, 2)), p, stages
+    frac = np.vectorize(lambda x, y: Fraction(int(x), int(y)), otypes=[object])
+
+    def fracs(shape):
+        return frac(rng.integers(-9, 10, size=shape), rng.integers(1, 6, size=shape))
+    yield algebras.TensorAlgebra(lf.QQ, fracs((4, 4, 4)), [f"x{i}" for i in range(4)]), \
+        fracs((4, 4)), None, None
+
+
+def test_tensor_actions_are_basis_products():
+    # left action g is v -> e_g v and right action g is v -> v e_g, stage 2
+    # on the two halves of the converted tensor, against Python ints
+    for alg, rows, p, stages in tensor_action_cases():
+        if stages is not None:
+            assert alg.field._stages(alg.dim) == stages
+        oracle = rows_oracle(alg.c, p)
+        for g, (left, right) in enumerate(zip(alg.left_actions(), alg.right_actions())):
+            e = np.repeat(alg.basis_vec(g)[None], len(rows), axis=0)
+            assert left(rows).tolist() == oracle(e, rows).tolist()
+            assert right(rows).tolist() == oracle(rows, e).tolist()
+            assert np.array_equal(left(rows), alg.mul_rows(e[:1], rows))
+            assert np.array_equal(right(rows), alg.mul_rows(rows, e[:1]))
 
 
 def test_fq_actions_are_basis_products(chein12):
@@ -1278,7 +1301,7 @@ def test_quotient_by_zero_ideal(s3):
     quot = lf.quotient_algebra(alg, ideal)
     assert quot.dim == 6
     for i, j in product(range(6), repeat=2):
-        assert np.array_equal(quot.mul_basis(i, j), alg.mul(alg.basis_vec(i), alg.basis_vec(j)))
+        assert np.array_equal(quot.c[i, j], alg.mul(alg.basis_vec(i), alg.basis_vec(j)))
 
 
 def test_quotient_projection_multiplicative(chein12_gf7):
@@ -1289,6 +1312,45 @@ def test_quotient_projection_multiplicative(chein12_gf7):
     prods = quot.mul_rows(imgs, imgs).reshape(n, n, quot.dim)
     expected = imgs[fq.loop.table]
     assert np.array_equal(prods, expected)
+
+
+# the semisimple quotient of paige2/GF(2) as wedderburn_report builds it (the
+# radical is trivial there), and the cml81/GF(3) quotient modulo the
+# principal ideal of a row of its omega
+@pytest.mark.parametrize("case", ["paige2-gf2-wedderburn", "cml81-gf3-principal"])
+def test_quotient_of_a_quotient_is_loop_backed(case, request):
+    if case.startswith("paige2"):
+        bundle = lf.alternative_loop_algebra(GF2, request.getfixturevalue("paige2"))
+        radical = lf.loop_radical(bundle.loop, GF2, bundle=bundle)
+        ideal = lf.augmentation_ideal(bundle.algebra, radical)
+    else:
+        bundle = request.getfixturevalue("cml81_gf3")
+        ideal = lf.principal_ideal(bundle.algebra, bundle.omega.basis_matrix()[-1])
+        assert 0 < ideal.dim < bundle.dim
+    parent, f = bundle.algebra, bundle.field
+    quot = lf.quotient_algebra(parent, ideal)
+    d, n = quot.dim, bundle.loop.order
+    assert quot.loop is bundle.loop and d == parent.dim - ideal.dim
+    # the basis is the loop elements the parent puts on the free columns
+    assert np.array_equal(quot.section_cols, parent.section_cols[ideal.free_cols])
+    assert np.array_equal(quot.basis_images[quot.section_cols], np.eye(d, dtype=np.int64))
+    assert np.array_equal(quot.basis_images, ideal.residues(parent.basis_images))
+    # the gathered tensor is the product route's, and the images multiply as Q
+    reps = np.eye(parent.dim, dtype=np.int64)[ideal.free_cols]
+    assert np.array_equal(quot.c.reshape(d * d, d), ideal.residues(parent.mul_rows(reps, reps)))
+    imgs = quot.basis_images
+    assert np.array_equal(quot.mul_rows(imgs, imgs), imgs[bundle.loop.table].reshape(n * n, d))
+    eye = np.eye(d, dtype=np.int64)
+    assert np.array_equal(quot.unit, imgs[0])
+    assert np.array_equal(quot.mul_rows(quot.unit, eye), eye)
+    assert np.array_equal(quot.mul_rows(eye, quot.unit), eye)
+    rows = f.canon(np.random.default_rng(d).integers(0, f.p, size=(5, d)))
+    assert np.array_equal(quot.project_rows(quot.lift_rows(rows)), rows)
+    assert np.array_equal(quot.lift_rows(quot.unit), f.canon(ideal.reduce(parent.unit)[None]))
+    # the loop scan and the dense associator tensor agree
+    scan = lf.alternative_check(quot, mode="exhaustive")
+    dense = algebras._associator_witness(lf.TensorAlgebra(f, quot.c, quot.names))
+    assert scan.ok and dense is None
 
 
 def test_quotient_rejects_unit_ideal(s3):
@@ -1306,7 +1368,8 @@ def test_quotient_rejects_unstable_subspace(s3, monkeypatch):
     with pytest.raises(IdealNotStable):
         lf.quotient_algebra(alg, not_ideal)
     # the witness is the first failing action, lefts before rights, for any
-    # chunking of the images: one chunk, one action per chunk, one row per chunk
+    # chunking of the images: one chunk, one action per chunk, one row per chunk;
+    # FQ written as a structure tensor, whose actions are stage 2, gives the same
     e_minus = [f3.canon(alg.basis_vec(0) - alg.basis_vec(h)) for h in (1, 3, 4)]
     cases = [(span_rows(f3, 6, e_minus[0].reshape(1, -1)), ("left", 1)),
              (span_rows(f3, 6, np.vstack([act(e_minus[1][None, :])
@@ -1314,11 +1377,14 @@ def test_quotient_rejects_unstable_subspace(s3, monkeypatch):
              (span_rows(f3, 6, np.vstack([act(e_minus[2][None, :])
                                           for act in alg.right_actions()])), ("left", 1)),
              (span_rows(f3, 6, np.eye(6, dtype=np.int64)[3:]), ("left", 3))]   # the coset <r>s
+    tensor = np.zeros((6, 6, 6), dtype=np.int64)
+    tensor[np.arange(6)[:, None], np.arange(6), s3.table] = 1
+    tensor_alg = algebras.TensorAlgebra(f3, tensor, s3.names, unit=alg.unit)
     for chunk in (linalg.IMAGE_CHUNK_ENTRIES, 12, 6):
         monkeypatch.setattr(linalg, "IMAGE_CHUNK_ENTRIES", chunk)
-        for sub, witness in cases:
+        for parent, (sub, witness) in product((alg, tensor_alg), cases):
             with pytest.raises(IdealNotStable) as err:
-                lf.quotient_algebra(alg, sub)
+                lf.quotient_algebra(parent, sub)
             assert err.value.witness == witness
 
 
@@ -1784,33 +1850,39 @@ def generated_subalgebra(alg, rows):
             return sub
 
 
-def test_circle_loop_matches_per_pair_table(cml81_gf3):
+def test_circle_loop_matches_per_pair_table(cml81_gf3, monkeypatch):
     # every row on omega of GF(2)[C8] (128 elements); on the subalgebra of the
-    # cml81/GF(3) quotient generated by two elements of omega^4, 16 rows
+    # cml81/GF(3) quotient generated by two elements of omega^4, 16 rows;
+    # blocks of block_rows(1, n) rows, then of one row each
     alg = lf.loop_algebra(GF2, lf.cyclic(8))
     omega = lf.augmentation_ideal(alg)
-    cl = lf.circle_loop(alg, omega)
-    assert cl.order == 128
-    assert np.array_equal(cl.table, per_pair_circle_rows(alg, omega, range(128)))
     quot = cml81_gf3.algebra
     omega4 = lf.subspace_power(cml81_gf3.omega, quot.mul_rows, 4)
     rng = np.random.default_rng(lf.DEFAULT_SEED)
     gens = GF3.canon(rng.integers(0, 3, (2, omega4.dim)) @ omega4.basis_matrix())
     carrier = generated_subalgebra(quot, gens)
     assert 2 < carrier.dim <= 7         # the generators have nonzero products
-    cl = lf.circle_loop(quot, carrier)
-    rows = np.sort(rng.choice(cl.order, 16, replace=False))
-    want = per_pair_circle_rows(quot, carrier, rows)
-    assert np.array_equal(cl.table[rows], want)
+    rows = np.sort(rng.choice(3**carrier.dim, 16, replace=False))
+    want = per_pair_circle_rows(alg, omega, range(128)), per_pair_circle_rows(quot, carrier, rows)
+    for chunk in (algebras.PRODUCT_CHUNK_ENTRIES, 1):
+        monkeypatch.setattr(algebras, "PRODUCT_CHUNK_ENTRIES", chunk)
+        cl = lf.circle_loop(alg, omega)
+        assert cl.order == 128 and np.array_equal(cl.table, want[0])
+        assert np.array_equal(lf.circle_loop(quot, carrier).table[rows], want[1])
 
 
 def test_circle_loop_rejects_a_carrier_not_closed(monkeypatch):
-    # e - g spans no subalgebra of GF(3)[C3]: (e-g)^2 = e + g + g^2 - 3g
+    # e - g spans no subalgebra of GF(3)[C3]: (e-g)^2 = e + g + g^2 - 3g, so
+    # the first pair off the carrier is (e-g, e-g), elements (1, 1), whether
+    # a block holds every row or one
     alg = lf.loop_algebra(GF3, lf.cyclic(3))
     line = span_rows(GF3, 3, GF3.vector([1, -1, 0]).reshape(1, -1))
     monkeypatch.setattr(algebras, "quasiinverse", lambda alg, v: v)
-    with pytest.raises(IdealNotStable):
-        lf.circle_loop(alg, line)
+    for chunk in (algebras.PRODUCT_CHUNK_ENTRIES, 1):
+        monkeypatch.setattr(algebras, "PRODUCT_CHUNK_ENTRIES", chunk)
+        with pytest.raises(IdealNotStable) as err:
+            lf.circle_loop(alg, line)
+        assert err.value.witness == (1, 1)
 
 
 # -- nilpotency and radicals --------------------------------------------------------

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loopforge as lf
-from loopforge.errors import InputNotGroup, OrderBoundExceeded, UnknownName
+from loopforge import constructions
+from loopforge.errors import GateFailed, InputNotGroup, OrderBoundExceeded, UnknownName
 
 
 def test_builtin_groups():
@@ -117,6 +118,17 @@ def test_paige_orders():
     assert lf.paige_loop(3).order == 1080
     with pytest.raises(OrderBoundExceeded):
         lf.paige_loop(5)
+    with pytest.raises(ValueError, match="4 is not prime"):    # the field is checked first
+        lf.paige_loop(4)
+
+
+def test_paige_gate_rejects_a_product_off_the_classes(monkeypatch):
+    # every product the zero matrix (determinant 0): the lookup must fail the
+    # gate at the first pair, not land on a neighbouring class
+    monkeypatch.setattr(constructions, "zorn_mul_coords", lambda a, b: np.zeros_like(b))
+    with pytest.raises(GateFailed) as err:
+        constructions.paige_loop.__wrapped__(2)
+    assert err.value.witness == (0, 0)
 
 
 def test_paige2_structure(paige2):
