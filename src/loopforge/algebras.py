@@ -17,7 +17,7 @@ a loop algebra, whose ideal-closure actions are the same gathers.
 checks and a structure tensor's ideal-closure actions (stage 2 on the
 operators of e_g) all take this route, so each operand's operators are built
 once per block and serve every product it takes part in.  ``field.matmul``
-serves only linear algebra.
+serves only linear algebra.  Blocks take at most ``linalg.BLOCK_BYTES``.
 """
 from __future__ import annotations
 
@@ -60,11 +60,6 @@ LOOP_ALGEBRA_DIM_BOUND = 2048
 # so d <= 256 and 128 MiB of int64 (the fixture quotients have d <= 81)
 QUOTIENT_ENTRY_BOUND = 2**24
 CIRCLE_TABLE_BOUND = 4096
-# ``block_rows``'s two budgets, in entries per block of rows: its stage-1
-# operators (4 MiB in float32) and, given a width, its products (512 KiB of
-# int64), whatever n and d
-PAIRWISE_CHUNK_ENTRIES = 2**20
-PRODUCT_CHUNK_ENTRIES = 2**16
 CIRCLE_ENUM_BOUND = 2**20
 RADICAL_ENUM_BOUND = 2**20
 
@@ -128,16 +123,14 @@ class Algebra:
         serve every r, and one row of z serves every operator."""
         return self.field.contract(z, ops[:, side])
 
-    def block_rows(self, operators: int, width: int = 0) -> int:
-        """Rows per block of a product or sampled check holding ``operators``
-        d x d operators per row, at most PAIRWISE_CHUNK_ENTRIES entries, and,
-        given a ``width``, that many d-wide products per row, at most
-        PRODUCT_CHUNK_ENTRIES entries."""
+    def block_rows(self, operators: int, products: int = 0, rows: int = 0) -> int:
+        """Rows per block of linalg.BLOCK_BYTES, a row holding ``operators``
+        d x d stage-1 operators, ``products`` d-wide products as ``contract``
+        makes them (float sum and quotient, int64) and ``rows`` int64 rows."""
         d = max(self.dim, 1)
-        rows = PAIRWISE_CHUNK_ENTRIES // (operators * d * d)
-        if width:
-            rows = min(rows, PRODUCT_CHUNK_ENTRIES // (width * d))
-        return max(1, rows)
+        stage = self.field.stage_operand(np.zeros((d, 0), dtype=np.int64)).itemsize
+        row_bytes = d * (operators * d * stage + products * (2 * stage + 8) + rows * 8)
+        return max(1, linalg.BLOCK_BYTES // row_bytes)
 
     def basis_vec(self, i: int) -> np.ndarray:
         v = self.field.zeros(self.dim)
@@ -279,7 +272,6 @@ _ALTERNATOR_FORMS = (
     ((2, 0, 0),),               # (c,a,a)
 )
 ALTERNATOR_SEED_PAIRS = 4
-_SCAN_ENTRIES = 2**18
 
 
 def _associators(t, fam: int, a, b, c) -> list:
@@ -341,10 +333,9 @@ def _alternator_failures(t, img, elems, field):
     Scans every family on the canonical triples of ``elems`` (positions
     index it), in lexicographic order: family 0 is symmetric in (a, b) and
     family 1 in (b, c), so they scan a <= b and b <= c; a partner lifts to the
-    same vector and the least failing triple is canonical.  Blocks of pairs
-    (a, b) run over their c and hold at most 2^18 entries counted at the loop
-    algebra's width n >= d, so a block of failures lifted into FQ is no
-    larger than the block scanned.
+    same vector and the least failing triple is canonical.  A block of pairs
+    (a, b) over their c takes at most linalg.BLOCK_BYTES if every triple
+    fails (``_alternators`` lifts each to four n-wide int64 rows).
 
     Each alternator is img[u1] - img[u2] + img[u3] - img[u4] for the loop
     elements u of its associators (``_associators``; a one-associator family
@@ -354,7 +345,7 @@ def _alternator_failures(t, img, elems, field):
     """
     n, m = t.shape[0], len(elems)
     ids = _sum_classes(img, field)
-    step = max(1, _SCAN_ENTRIES // (m * n))
+    step = max(1, linalg.BLOCK_BYTES // (4 * 8 * m * n))
     diag = np.arange(m)
     pairs = (np.triu_indices(m), np.divmod(np.arange(m * m), m), (diag, diag), (diag, diag))
     for fam, (pa, pb) in enumerate(pairs):
@@ -530,7 +521,7 @@ class AlternativeLoopAlgebra:
         """Injectivity, invertibility and multiplicativity of q -> image(q).
 
         One pass over the products of all pairs, a block of
-        ``block_rows(1, n)`` left rows at a time, compares each block with
+        ``block_rows(1, n, n)`` left rows at a time, compares each block with
         the images of the table and reads off it which images have the image
         of q^-1 as a two-sided inverse.  Two-sided inverses are an involution
         of the elements that have one, so q q^-1 = e, read in row q, and
@@ -542,7 +533,7 @@ class AlternativeLoopAlgebra:
         t, inv = self.loop.table, self.loop.inverses()
         n = len(images)
         unit = np.zeros(n, dtype=bool)        # image(q) image(q^-1) = e
-        multiplicative, k = True, quot.block_rows(1, n)
+        multiplicative, k = True, quot.block_rows(1, n, n)
         for s in range(0, n, k):
             prods = quot.mul_rows(images[s:s + k], images).reshape(-1, n, quot.dim)
             multiplicative = multiplicative and np.array_equal(prods, images[t[s:s + k]])
@@ -667,9 +658,6 @@ def _associator_witness(alg: TensorAlgebra) -> Optional[tuple]:
     return (a, a, k - d * d) if k < d * d + d else (k - d * d - d, a, a)
 
 
-_DRAW_ENTRIES = 2**16    # int64 entries per chunk of a sampled check's draw
-
-
 def _check_samples(samples: int) -> None:
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
@@ -679,14 +667,14 @@ def _random_rows(field, rng, k: int, n: int) -> np.ndarray:
     """k random rows of width n: residues over GF(p), integers in -9..9 over Q.
 
     Over GF(p) the residues are the values of one int64 draw of all k n,
-    drawn in chunks of _DRAW_ENTRIES (the generator's stream does not depend
-    on the chunking) and stored in the narrowest unsigned type holding p-1;
-    the stages cast them to their float type.
+    drawn in chunks of linalg.BLOCK_BYTES (the stream does not depend on the
+    chunking) and stored in the narrowest unsigned type holding p-1; the
+    stages cast them to their float type.
     """
     if isinstance(field, PrimeField):
-        out = np.empty(k * n, dtype=np.min_scalar_type(field.p - 1))
-        for s in range(0, k * n, _DRAW_ENTRIES):
-            chunk = out[s:s + _DRAW_ENTRIES]
+        out, step = np.empty(k * n, dtype=np.min_scalar_type(field.p - 1)), linalg.BLOCK_BYTES // 8
+        for s in range(0, k * n, step):
+            chunk = out[s:s + step]
             chunk[:] = rng.integers(0, field.p, size=chunk.size, dtype=np.int64)
         return out.reshape(k, n)
     raw = rng.integers(-9, 10, size=(k, n))
@@ -997,7 +985,7 @@ def circle_loop(alg: Algebra, carrier: Subspace, name: str = "circle") -> Loop:
     has the base-p digits of i as coefficients over the carrier's echelon
     basis (``enumerate_carrier``'s order), so a product is looked up by its
     entries on the pivot columns; the table is filled from ``mul_rows`` on
-    blocks of ``block_rows(1, n)`` rows.
+    blocks of ``block_rows(1, n, 2 n)`` rows (products, pair sums, output).
     """
     if not isinstance(alg.field, PrimeField):
         raise UnsupportedRadical("circle loops need a finite field carrier")
@@ -1014,7 +1002,7 @@ def circle_loop(alg: Algebra, carrier: Subspace, name: str = "circle") -> Loop:
     n, piv = count, np.asarray(carrier.pivot_cols, dtype=np.int64)
     weights = f.p ** np.arange(carrier.dim - 1, -1, -1, dtype=np.int64)
     table = np.empty((n, n), dtype=np.int64)
-    step = alg.block_rows(1, n)
+    step = alg.block_rows(1, n, 2 * n)
     for i0 in range(0, n, step):
         a = elems[i0:i0 + step]
         circ = f.canon(np.repeat(a, n, axis=0) + np.tile(elems, (len(a), 1))
@@ -1053,8 +1041,8 @@ def circle_iso_check(alg: Algebra, carrier: Subspace, samples: int = 10**5,
     ``samples`` >= 1 random pairs, drawn as ``alternative_check`` draws its
     vectors, in carrier coordinates.  Per block of pairs the one stage-1
     operator is L_a: ab = b L_a and (e-a)(e-b) = (e-b) L_e - (e-b) L_a, with
-    L_e made once.  A block holds ``block_rows(2)`` pairs, half the operator
-    budget, since it also keeps several d-wide int64 rows per pair.
+    L_e made once.  A pair holds L_a, three products and four int64 rows (a,
+    b, e-b, a⊗b): a block holds ``block_rows(1, 3, 4)`` pairs.
     """
     f, e = alg.field, alg.unit
     if e is None:
@@ -1074,7 +1062,7 @@ def circle_iso_check(alg: Algebra, carrier: Subspace, samples: int = 10**5,
     basis = f.operand(carrier.basis_matrix())
     le = alg.operators(e[None, :], "l")
     eta_ok = phi_ok = True
-    step, la = alg.block_rows(2), None
+    step, la = alg.block_rows(1, 3, 4), None
     for s in range(0, pairs, step):
         a, b = (f.canon(f.matmul(m[s:s + step], basis)) for m in (ca, cb))
         la = alg.operators(a, "l", la)

@@ -157,15 +157,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "alternative loop algebras")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, loop=True, field=False):
-        if loop:
-            p.add_argument("--loop", required=True,
-                           help="builtin name (cyclic:n, s3, chein:<g>, cml81, paige:q) "
-                                "or a Cayley JSON file")
+    def common(p, field=False, samples=False, seed=True):
+        p.add_argument("--loop", required=True,
+                       help="builtin name (cyclic:n, s3, chein:<g>, cml81, paige:q) "
+                            "or a Cayley JSON file")
         if field:
             p.add_argument("--field", required=True, help="gf:p or q")
-        p.add_argument("--samples", type=_positive_int, default=10**4)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        if samples:
+            p.add_argument("--samples", type=_positive_int, default=10**4)
+        if seed:
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--json", action="store_true",
                        help="accepted for compatibility; output is always JSON")
         p.add_argument("-o", "--output", default=None, help="write JSON here instead of stdout")
@@ -176,18 +177,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser("check", help="check a loop property, exit 1 on violation")
-    common(p)
+    common(p, samples=True)
     p.add_argument("--property", required=True,
                    choices=["moufang", "associative", "commutative", "ip", "identity44"])
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("series", help="upper or lower central series")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--kind", choices=["upper", "lower"], default="upper")
     p.set_defaults(fn=cmd_series)
 
     p = sub.add_parser("algebra", help="alternative loop algebra report")
-    common(p, field=True)
+    common(p, field=True, samples=True)
     p.set_defaults(fn=cmd_algebra)
 
     p = sub.add_parser("radical", help="loop radical and class membership")

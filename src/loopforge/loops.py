@@ -15,6 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import linalg
 from .errors import (
     LatinSquareViolation,
     MalformedCayley,
@@ -30,7 +31,6 @@ MOUFANG_EXHAUSTIVE_ORDER = 300
 PROPERTY_SAMPLES = 10**6
 ORDER_BOUND = 2000  # largest order for lattices, group type and radicals
 DENSE_PRODUCT_BOUND = 4096
-_BLOCK_CHUNK_ENTRIES = 1 << 15  # labels per block-closure chunk, table entries per merge
 
 
 def validate_table(table: np.ndarray) -> None:
@@ -575,6 +575,11 @@ def _merge(lab: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
             lab[:] = lab[lab]
 
 
+def _label_rows(n: int) -> int:
+    """Rows per chunk of linalg.BLOCK_BYTES of a label pass, 81 bytes a label."""
+    return max(1, linalg.BLOCK_BYTES // (81 * n))  # it and its copy, the merge's arrays
+
+
 def _block_labels(loop: Loop, seeds: np.ndarray) -> np.ndarray:
     """Class minima of the least congruence merging each seed row with e.
 
@@ -583,12 +588,12 @@ def _block_labels(loop: Loop, seeds: np.ndarray) -> np.ndarray:
     union-find on rows·n points.  Each round merges (xi, x·lab[i]) and
     (ix, lab[i]·x) for all x and every i whose label changed last round; the
     merges are forced, and at the fixpoint translations map classes into
-    classes.  Chunks and scan slices stay under _BLOCK_CHUNK_ENTRIES.
+    classes.  Chunks of ``_label_rows(n)`` rows merge as many points at once.
     """
     if not loop.has_table():
         raise OrderBoundExceeded("normal closure needs a dense table")
     t, (k, n) = loop.table, seeds.shape
-    step = max(1, _BLOCK_CHUNK_ENTRIES // n)
+    step = _label_rows(n)
     out = np.empty((k, n), dtype=np.int64)
     for r0 in range(0, k, step):
         chunk = seeds[r0:r0 + step] & (np.arange(n) > 0)
@@ -624,7 +629,7 @@ def _element_closures(loop: Loop) -> list[SubloopSet]:
         return loop._closures
     n = loop.order
     if loop._class_labels is None:
-        lab, step = np.arange(n), max(1, _BLOCK_CHUNK_ENTRIES // n)
+        lab, step = np.arange(n), _label_rows(n)
         for x0 in range(0, n, step):
             tx = loop.table.T[x0:x0 + step]                              # [x, m]: m x
             images = loop.ld_table[np.arange(x0, x0 + len(tx))[:, None], tx]  # x \ (m x)

@@ -282,12 +282,12 @@ def circle_embedding(loop: Loop, field,
     """Verify q -> e - image(q) lands in the circle loop multiplicatively.
 
     Checks (e - q) ∘ (e - q') = e - qq' on every pair of loop elements, one
-    block of ``block_rows(1, n)`` left elements at a time.
+    block of ``block_rows(1, n, 2 n)`` left elements at a time.
     """
     if bundle is None:
         bundle = alternative_loop_algebra(field, loop)
     quot, images = bundle.algebra, bundle.images
-    (n, d), k = images.shape, quot.block_rows(1, len(images))
+    (n, d), k = images.shape, quot.block_rows(1, len(images), 2 * len(images))
     f, e = quot.field, quot.unit
     b = f.canon(e - images)
 

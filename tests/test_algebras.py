@@ -370,9 +370,10 @@ def test_contract_reduces_exactly_below_each_switch(p, dtype, top):
 @pytest.mark.parametrize("p", [127, 65521, P_CAP])   # float32, float64, reduce-first at d = 2
 def test_pairwise_one_row_past_the_chunk_step(p):
     d = 2
-    step = algebras.PAIRWISE_CHUNK_ENTRIES // (d * d)
     rng = np.random.default_rng(p)
     alg = algebras.TensorAlgebra(lf.PrimeField(p), top_rows(rng, p, (d, d, d)), ["x0", "x1"])
+    step = alg.block_rows(1)
+    assert step == linalg.BLOCK_BYTES // (d * d * stage_bytes(alg))
     a, b = top_rows(rng, p, (step + 1, d)), top_rows(rng, p, (step + 1, d))
     assert np.array_equal(alg.mul_pairwise(a, b), rows_oracle(alg.c, p)(a, b))
 
@@ -386,6 +387,11 @@ def zorn_sum(field, copies=8):
     return algebras.TensorAlgebra(field, c, [f"x{i}" for i in range(d)])
 
 
+def stage_bytes(alg):
+    """Bytes of one entry of ``alg``'s stage-1 operators."""
+    return alg.operators(alg.field.zeros((1, alg.dim)), "l").itemsize
+
+
 def assert_products_past_blocks(alg, a, b, oracle):
     """mul_rows(a, b) and mul_pairwise(a, b') for b' = b repeated, against
     ``oracle``, a row-by-row product (``rows_oracle`` or ``rows_mul``)."""
@@ -395,13 +401,13 @@ def assert_products_past_blocks(alg, a, b, oracle):
     assert alg.mul_pairwise(a, b).tolist() == oracle(a, b).tolist()
 
 
-# d = 64, where a block holds 256 rows, so 300 rows of a cross its boundary
-# (rows 255-257); at d = 64, d^2 (p-1)^3 crosses 2^24 between p = 13
-# (float32) and p = 17 (float64)
+# d = 64, where a block holds 256 rows in float32 and 128 in float64, so 300
+# rows of a cross a boundary (rows 255-257); at d = 64, d^2 (p-1)^3 crosses
+# 2^24 between p = 13 (float32) and p = 17 (float64)
 @pytest.mark.parametrize("p", [13, 17])
 def test_products_across_a_block_boundary(p):
     alg = zorn_sum(lf.PrimeField(p))
-    assert alg.block_rows(1) == 256
+    assert alg.block_rows(1) == {13: 256, 17: 128}[p]
     rng = np.random.default_rng(p)
     assert_products_past_blocks(alg, rng.integers(0, p, size=(300, 64)),
                                 rng.integers(0, p, size=(2, 64)), rows_oracle(alg.c, p))
@@ -410,8 +416,8 @@ def test_products_across_a_block_boundary(p):
 def test_products_across_a_block_boundary_over_q(monkeypatch):
     # 300 rows at d = 64 would take minutes of Fraction GEMM in stage 1
     # (300 * 64^3 products), so over Q the blocks shrink to 4 rows at d = 16
-    monkeypatch.setattr(algebras, "PAIRWISE_CHUNK_ENTRIES", 2**10)
     alg = zorn_sum(lf.QQ, copies=2)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 4 * 16**2 * stage_bytes(alg))
     assert alg.block_rows(1) == 4
     rng = np.random.default_rng(16)
     frac = np.vectorize(lambda x, y: Fraction(int(x), int(y)), otypes=[object])
@@ -420,14 +426,16 @@ def test_products_across_a_block_boundary_over_q(monkeypatch):
     assert_products_past_blocks(alg, a, b, rows_oracle(alg.c, None))
 
 
-# at n = 120 a block holds 72 rows, so 100 rows of a cross its boundary, and
-# n^2 (p-1)^3 crosses 2^24 between p = 11 (float32) and p = 13 (float64);
-# paige2 is not commutative, so its two division tables differ
+# at n = 120 a block holds 72 rows in float32 and 36 in float64, so 100 rows
+# of a cross a boundary, and n^2 (p-1)^3 crosses 2^24 between p = 11
+# (float32) and p = 13 (float64); paige2 is not commutative, so its two
+# division tables differ
 @pytest.mark.parametrize("p, dtype", [(11, np.float32), (13, np.float64),
                                       (P_CAP, np.float64)])
 def test_fq_products_across_a_block_boundary(paige2, p, dtype):
     fq = lf.loop_algebra(lf.PrimeField(p), paige2)
-    assert fq.block_rows(1) == 72 and fq.operators(fq.unit, "lr").dtype == dtype
+    rows = 72 if dtype == np.float32 else 36
+    assert fq.block_rows(1) == rows and fq.operators(fq.unit, "lr").dtype == dtype
     rng = np.random.default_rng(p)
     a, b = top_rows(rng, p, (100, 120)), top_rows(rng, p, (2, 120))
     assert_products_past_blocks(fq, a, b, rows_mul(fq))
@@ -436,9 +444,9 @@ def test_fq_products_across_a_block_boundary(paige2, p, dtype):
 
 
 def test_fq_products_across_a_block_boundary_over_q(monkeypatch, chein12):
-    # a block at n = 12 holds 7,281 rows; Fractions are slow, so it shrinks to 4
-    monkeypatch.setattr(algebras, "PAIRWISE_CHUNK_ENTRIES", 4 * 12**2)
+    # a block at n = 12 holds 3,640 rows; Fractions are slow, so it shrinks to 4
     fq = lf.loop_algebra(lf.QQ, chein12)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 4 * 12**2 * stage_bytes(fq))
     assert fq.block_rows(1) == 4
     rng = np.random.default_rng(12)
     frac = np.vectorize(lambda x, y: Fraction(int(x), int(y)), otypes=[object])
@@ -694,12 +702,14 @@ def left_unit(field):
     return matrices_beside(field, {(0, 4): 4, (0, 5): 5}, unit=[1, 0, 0, 1, 0, 0])
 
 
-# k n = 3,711 * 53 is odd and spans four chunks of the draw, the last short
+# chunks of 2^16 int64 draws; k n = 3,711 * 53 is odd and spans four of
+# them, the last short
 @pytest.mark.parametrize("p, dtype", [(2, np.uint8), (251, np.uint8), (257, np.uint16),
                                       (65537, np.uint32), (P_CAP, np.uint32)])
-def test_random_rows_store_the_int64_draw_narrow(p, dtype):
-    k, n = 3 * algebras._DRAW_ENTRIES // 53 + 2, 53
-    assert (k * n) % 2 == 1 and 3 * algebras._DRAW_ENTRIES < k * n
+def test_random_rows_store_the_int64_draw_narrow(monkeypatch, p, dtype):
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 8 * 2**16)
+    k, n = 3 * 2**16 // 53 + 2, 53
+    assert (k * n) % 2 == 1 and 3 * 2**16 < k * n
     rng, ref = np.random.default_rng(p), np.random.default_rng(p)
     for _ in range(2):              # the second draw continues the same stream
         got = algebras._random_rows(lf.PrimeField(p), rng, k, n)
@@ -768,16 +778,17 @@ def run_check(alg, check, samples, seed):
     return associative_check_sampled(alg, samples=samples, seed=seed)
 
 
-# blocks of a few rows (a small PAIRWISE_CHUNK_ENTRIES) or of the real size;
-# over Q only the few-row blocks, as Fraction products are slow
+# blocks of a few rows (a small BLOCK_BYTES) or of the real size; over Q
+# only the few-row blocks, as Fraction products are slow
 @pytest.mark.parametrize("spec, blocks", [("gf:3", "few"), ("gf:3", "real"), ("q", "few")])
 @pytest.mark.parametrize("check, operators", [("alternative", 4), ("associative", 2)])
 def test_sampled_witness_across_blocks(monkeypatch, check, operators, spec, blocks):
     alg = m2_plus_n(lf.field_from_spec(spec))
+    row_bytes = operators * alg.dim**2 * stage_bytes(alg)
     if blocks == "few":
-        monkeypatch.setattr(algebras, "PAIRWISE_CHUNK_ENTRIES", 3 * operators * alg.dim**2)
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", 3 * row_bytes)
     step = alg.block_rows(operators)
-    assert step == (3 if blocks == "few" else 2**20 // (operators * alg.dim**2))
+    assert step == (3 if blocks == "few" else 4 * 2**20 // row_bytes)
     samples, seed = 2 * step + 2, 3                 # the last block holds two rows
     for planted in ([samples - 1], [0, samples - 1], []):
         plant(monkeypatch, [4], planted)
@@ -794,7 +805,7 @@ def test_sampled_witness_on_fq_matches_oracle(monkeypatch, chein12, check):
     # generated by two elements pass, as its group algebra is associative
     fq = lf.loop_algebra(lf.PrimeField(3), chein12)
     operators = 4 if check == "alternative" else 2
-    monkeypatch.setattr(algebras, "PAIRWISE_CHUNK_ENTRIES", 3 * operators * fq.dim**2)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 3 * operators * fq.dim**2 * stage_bytes(fq))
     group = lf.loops.subloop_generated(chein12, [1, 2]).members
     outside = [i for i in range(fq.dim) if i not in group]
     assert fq.block_rows(operators) == 3 and 1 < len(group) < fq.dim
@@ -807,14 +818,23 @@ def test_sampled_witness_on_fq_matches_oracle(monkeypatch, chein12, check):
         assert (got.ok, got.witness) == (first is None, None if first is None else (first,))
 
 
+def circle_iso_row_bytes(alg):
+    """Bytes of a pair of ``circle_iso_check``: L_a, three products as
+    ``contract`` makes them (float sum and quotient, int64) and four int64
+    rows."""
+    d, s = alg.dim, stage_bytes(alg)
+    return d * d * s + 3 * d * (2 * s + 8) + 4 * d * 8
+
+
 @pytest.mark.parametrize("spec, blocks", [("gf:3", "few"), ("gf:3", "real"), ("q", "few")])
 def test_circle_iso_sampled_across_blocks(monkeypatch, spec, blocks):
     f = lf.field_from_spec(spec)
     alg = left_unit(f)
     carrier = span_rows(f, alg.dim, algebras._eye(f, alg.dim))
     if blocks == "few":
-        monkeypatch.setattr(algebras, "PAIRWISE_CHUNK_ENTRIES", 3 * alg.dim**2)
-    step = alg.block_rows(1)
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", 3 * circle_iso_row_bytes(alg))
+    step = alg.block_rows(1, 3, 4)
+    assert step == 3 if blocks == "few" else step > 3
     samples, seed = 2 * step + 2, 4
     mul, e = rows_mul(alg), alg.unit.astype(object)
     for planted in ([samples - 1], [0], []):
@@ -945,7 +965,7 @@ def dwide_scan(t, img, elems, field):
     blocks and canonical triples, each alternator summed from four d-wide
     image rows and tested for a nonzero entry."""
     m = len(elems)
-    step = max(1, algebras._SCAN_ENTRIES // (m * t.shape[0]))
+    step = max(1, linalg.BLOCK_BYTES // (4 * 8 * m * t.shape[0]))
     diag = np.arange(m)
     pairs = (np.triu_indices(m), np.divmod(np.arange(m * m), m), (diag, diag), (diag, diag))
     for fam, (pa, pb) in enumerate(pairs):
@@ -1806,10 +1826,12 @@ def test_circle_iso_sampled_over_q(chein12):
 
 
 def test_sampled_checks_over_q_across_blocks(monkeypatch, chein12):
-    # the chein12/Q quotient in blocks of three rows against Fraction oracles
+    # the chein12/Q quotient against Fraction oracles, in blocks of three
+    # rows for the associative check and of one pair for circle_iso_check
     bundle = lf.alternative_loop_algebra(lf.QQ, chein12)
     quot, omega = bundle.algebra, bundle.omega
-    monkeypatch.setattr(algebras, "PAIRWISE_CHUNK_ENTRIES", 3 * 2 * quot.dim**2)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 3 * 2 * quot.dim**2 * stage_bytes(quot))
+    assert quot.block_rows(2) == 3 and quot.block_rows(1, 3, 4) == 1
     samples, seed = 20, 8
     got = associative_check_sampled(quot, samples=samples, seed=seed)
     first = oracle_witness(quot, "associative", samples, seed)
@@ -1853,7 +1875,7 @@ def generated_subalgebra(alg, rows):
 def test_circle_loop_matches_per_pair_table(cml81_gf3, monkeypatch):
     # every row on omega of GF(2)[C8] (128 elements); on the subalgebra of the
     # cml81/GF(3) quotient generated by two elements of omega^4, 16 rows;
-    # blocks of block_rows(1, n) rows, then of one row each
+    # blocks of block_rows(1, n, 2n) rows, then of one row each
     alg = lf.loop_algebra(GF2, lf.cyclic(8))
     omega = lf.augmentation_ideal(alg)
     quot = cml81_gf3.algebra
@@ -1864,8 +1886,8 @@ def test_circle_loop_matches_per_pair_table(cml81_gf3, monkeypatch):
     assert 2 < carrier.dim <= 7         # the generators have nonzero products
     rows = np.sort(rng.choice(3**carrier.dim, 16, replace=False))
     want = per_pair_circle_rows(alg, omega, range(128)), per_pair_circle_rows(quot, carrier, rows)
-    for chunk in (algebras.PRODUCT_CHUNK_ENTRIES, 1):
-        monkeypatch.setattr(algebras, "PRODUCT_CHUNK_ENTRIES", chunk)
+    for budget in (linalg.BLOCK_BYTES, 1):
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", budget)
         cl = lf.circle_loop(alg, omega)
         assert cl.order == 128 and np.array_equal(cl.table, want[0])
         assert np.array_equal(lf.circle_loop(quot, carrier).table[rows], want[1])
@@ -1878,8 +1900,8 @@ def test_circle_loop_rejects_a_carrier_not_closed(monkeypatch):
     alg = lf.loop_algebra(GF3, lf.cyclic(3))
     line = span_rows(GF3, 3, GF3.vector([1, -1, 0]).reshape(1, -1))
     monkeypatch.setattr(algebras, "quasiinverse", lambda alg, v: v)
-    for chunk in (algebras.PRODUCT_CHUNK_ENTRIES, 1):
-        monkeypatch.setattr(algebras, "PRODUCT_CHUNK_ENTRIES", chunk)
+    for budget in (linalg.BLOCK_BYTES, 1):
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", budget)
         with pytest.raises(IdealNotStable) as err:
             lf.circle_loop(alg, line)
         assert err.value.witness == (1, 1)

@@ -164,6 +164,22 @@ def test_usage_errors(capsys, tmp_path):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_options_only_where_read(capsys):
+    # --samples is read by check and algebra only, --seed by every command but series
+    for argv in (["embed", "--loop", "s3", "--field", "gf:7", "--samples", "5"],
+                 ["radical", "--loop", "s3", "--field", "gf:7", "--samples", "5"],
+                 ["report", "--loop", "s3", "--field", "gf:7", "--samples", "5"],
+                 ["series", "--loop", "cml81", "--samples", "5"],
+                 ["series", "--loop", "cml81", "--seed", "3"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.endswith(
+            f"error: unrecognized arguments: {' '.join(argv[-2:])}\n"), argv
+    # the commands that take --seed record it
+    for command in ("radical", "embed", "report"):
+        code, out = run(capsys, command, "--loop", "s3", "--field", "gf:7", "--seed", "3")
+        assert code == 0 and json.loads(out)["seed"] == 3, command
+
+
 def test_byte_stable_reports(capsys):
     code, first = run(capsys, "embed", "--loop", "cml81", "--field", "gf:3")
     code, second = run(capsys, "embed", "--loop", "cml81", "--field", "gf:3")

@@ -598,15 +598,17 @@ def block_closures(loop):
             lf.loops._associator_labels(loop).tolist())
 
 
-# a chunk of 2^8 labels holds three rows of cml81 and one of paige2 x C2;
-# one of 2^17 holds every row the closures of either loop seed
+# a label pass counts 81 bytes a label: a chunk of 2^8 labels holds three
+# rows of cml81 and one of paige2 x C2; one of 2^17 holds every row the
+# closures of either loop seed
 @pytest.mark.parametrize("name", ["cml81", "paige2_x_c2"])
 def test_block_closures_do_not_depend_on_the_chunk_size(monkeypatch, name, request):
     loop = request.getfixturevalue(name)
     default = block_closures(loop)
     assert default[2]
     for entries in (2**8, 2**17):
-        monkeypatch.setattr(lf.loops, "_BLOCK_CHUNK_ENTRIES", entries)
+        monkeypatch.setattr(lf.linalg, "BLOCK_BYTES", 81 * entries)
+        assert lf.loops._label_rows(loop.order) == entries // loop.order
         assert block_closures(loop) == default
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import loopforge as lf
-from loopforge import algebras, radicals
+from loopforge import algebras, linalg, radicals
 from loopforge.errors import DimensionBoundExceeded, OrderBoundExceeded
 from loopforge.radicals import embedding_promised, in_class_s
 
@@ -359,9 +359,19 @@ def blocked_product_checks(bundle, table):
     return checks[2], lf.circle_embedding(loop, bundle.field, bundle=bundle).ok
 
 
-# blocks of 7 left rows: 81 = 11 * 7 + 4 and 120 = 17 * 7 + 1 rows, so the
-# last block is a short one; a swap in the table's last row is seen only
-# there, and a corrupted image row in every block
+def product_row_bytes(quot, n, rows):
+    """Bytes of a row of a product pass on ``quot``: its left operator, n
+    products as ``contract`` makes them (float sum and quotient, int64) and
+    ``rows`` int64 rows of width d."""
+    d, s = quot.dim, quot.operators(quot.unit[None], "l").itemsize
+    return d * d * s + n * d * (2 * s + 8) + rows * d * 8
+
+
+# blocks of 7 left rows in embedding_checks and 5 in circle_embedding:
+# 81 = 11 * 7 + 4 = 16 * 5 + 1 and 120 = 17 * 7 + 1 = 24 * 5 rows, so the
+# last block is a short one but in circle_embedding on paige2; a swap in
+# the table's last row is seen only there, and a corrupted image row in
+# every block
 @pytest.mark.parametrize("loop_name, p", [("cml81", 3), ("paige2", 2)])
 def test_product_checks_across_blocks(request, monkeypatch, loop_name, p):
     bundle = lf.alternative_loop_algebra(lf.PrimeField(p), request.getfixturevalue(loop_name))
@@ -375,15 +385,15 @@ def test_product_checks_across_blocks(request, monkeypatch, loop_name, p):
     whole = [whole_product_checks(b, t) for b, t, _ in cases]
     assert whole == [(ok, ok) for _, _, ok in cases]
     assert bundle.algebra.block_rows(1) >= n          # one block at the real size
-    monkeypatch.setattr(algebras, "PAIRWISE_CHUNK_ENTRIES", 7 * bundle.dim**2)
-    assert bundle.algebra.block_rows(1) == 7
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 7 * product_row_bytes(bundle.algebra, n, n))
+    assert bundle.algebra.block_rows(1, n, n) == 7 and bundle.algebra.block_rows(1, n, 2 * n) == 5
     assert [blocked_product_checks(b, t) for b, t, _ in cases] == whole
 
 
-def run_embedding_checks(bundle, images, chunk=None):
-    """embedding_checks on ``bundle`` with its images replaced, optionally with
-    PRODUCT_CHUNK_ENTRIES set to ``chunk``; also the rows it solved for an
-    inverse, as tuples, in order."""
+def run_embedding_checks(bundle, images, rows=None):
+    """embedding_checks on ``bundle`` with its images replaced, optionally in
+    blocks of ``rows`` left rows; also the rows it solved for an inverse, as
+    tuples, in order."""
     calls, real = [], algebras.invert
 
     def counting(alg, u):
@@ -391,9 +401,10 @@ def run_embedding_checks(bundle, images, chunk=None):
         return real(alg, u)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(algebras, "invert", counting)
-        if chunk is not None:
-            mp.setattr(algebras, "PRODUCT_CHUNK_ENTRIES", chunk)
-            assert bundle.algebra.block_rows(1, len(images)) == chunk // (len(images) * bundle.dim)
+        if rows is not None:
+            n = len(images)
+            mp.setattr(linalg, "BLOCK_BYTES", rows * product_row_bytes(bundle.algebra, n, n))
+            assert bundle.algebra.block_rows(1, n, n) == rows
         checks = algebras.AlternativeLoopAlgebra.embedding_checks.func(
             dataclasses.replace(bundle, images=images))
     return checks, calls
@@ -470,12 +481,25 @@ def test_embedding_checks_read_inverses_across_blocks(cml81_gf3):
     for imgs, want, solved_rows in cases:
         whole = run_embedding_checks(bundle, imgs)
         assert whole == (want, [tuple(int(x) for x in row) for row in solved_rows])
-        assert run_embedding_checks(bundle, imgs, chunk=7 * n * bundle.dim) == whole
+        assert run_embedding_checks(bundle, imgs, rows=7) == whole
 
 
 # every per-call temporary of these checks is bounded by a block budget, not
 # by n^2 d or samples x d, which on the d = 54 bundle would take 9-14 MiB
 CHECK_PEAK_BYTES = 6 * 2**20
+# a cold bundle build (its closures' image chunks; the alternator scan stops
+# at the ceiling here) and the power sequence of omega peaked at 3.24 and
+# 4.63 MiB before the byte budget; their bounds round those up to 0.1 MiB
+BUILD_PEAK_BYTES = {"cold_bundle": 3.3 * 2**20, "nilpotency_index": 4.7 * 2**20}
+
+
+def tracemalloc_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_check_peaks_on_cml81_gf3(cml81, cml81_gf3):
@@ -487,17 +511,53 @@ def test_check_peaks_on_cml81_gf3(cml81, cml81_gf3):
         "circle_embedding": lambda: lf.circle_embedding(cml81, bundle.field, bundle=bundle),
         "embedding_checks": lambda: algebras.AlternativeLoopAlgebra.embedding_checks.func(bundle),
         "group_type_radical": lambda: lf.group_type_radical(lf.Loop(cml81.names, cml81.table)),
+        "cold_bundle": lambda: lf.alternative_loop_algebra(bundle.field,
+                                                           lf.Loop(cml81.names, cml81.table)),
+        "nilpotency_index": lambda: lf.nilpotency_index(omega, quot),
     }
     lf.alternative_check(quot, mode="sampled", samples=10)   # numpy.random, imported once
+    peaks = {name: tracemalloc_peak(check) for name, check in checks.items()}
+    assert {name: peak for name, peak in peaks.items()
+            if peak > BUILD_PEAK_BYTES.get(name, CHECK_PEAK_BYTES)} == {}
+
+
+def test_sampled_check_peaks_do_not_depend_on_the_stage_type(cml81):
+    # on the cml81 quotient (d = 27) the stages run in float32 over GF(7) and
+    # in float64 over GF(31); a block holds the same bytes, half the rows
     peaks = {}
-    for name, check in checks.items():
-        tracemalloc.start()
-        try:
-            check()
-            peaks[name] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert {name: peak for name, peak in peaks.items() if peak > CHECK_PEAK_BYTES} == {}
+    for p, dtype in ((7, np.float32), (31, np.float64)):
+        quot = lf.alternative_loop_algebra(lf.PrimeField(p), cml81).algebra
+        assert quot.dim == 27 and quot.operators(quot.unit[None], "l").dtype == dtype
+        lf.alternative_check(quot, mode="sampled", samples=10)
+        peaks[p] = tracemalloc_peak(
+            lambda: lf.alternative_check(quot, mode="sampled", samples=10**4))
+    assert max(peaks.values()) <= 1.1 * min(peaks.values()), peaks
+
+
+def test_every_block_site_in_small_blocks_gives_the_default_results(monkeypatch, cml81,
+                                                                   cml81_gf3):
+    # BLOCK_BYTES at 2^15 puts every blocked pass in many blocks on the
+    # cml81/GF(3) bundle: one or two rows of operators or products, draws of
+    # 4,096 entries, label chunks of four rows, one pair per alternator-scan
+    # block; the closures take image chunks of 25 rows
+    def run(bundle):
+        quot, omega = bundle.algebra, bundle.omega
+        return (bundle.alternator.basis_matrix().tolist(), bundle.images.tolist(),
+                omega.basis_matrix().tolist(),
+                lf.alternative_check(quot, mode="sampled", samples=300).to_json(),
+                lf.alternative_check(quot, mode="exhaustive").to_json(),
+                lf.circle_iso_check(quot, omega, samples=300).to_json(),
+                lf.circle_embedding(cml81, bundle.field, bundle=bundle).to_json(),
+                algebras.AlternativeLoopAlgebra.embedding_checks.func(bundle),
+                lf.group_type_radical(lf.Loop(cml81.names, cml81.table)).members)
+    default = run(cml81_gf3)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 2**15)
+    monkeypatch.setattr(linalg, "IMAGE_CHUNK_ENTRIES", 2**11)
+    quot = cml81_gf3.algebra
+    assert (quot.block_rows(4), quot.block_rows(1, 81, 81), quot.block_rows(1, 3, 4)) == (1, 1, 2)
+    assert lf.loops._label_rows(81) == 4
+    assert run(lf.alternative_loop_algebra(cml81_gf3.field, lf.Loop(cml81.names, cml81.table))) \
+        == default
 
 
 def test_verdicts_leave_numpy_random_unimported():
