@@ -12,11 +12,11 @@ every member of the lattice, and the witness of
 paige:2 x C2 and chein12 x C3, each built afresh so that no cache is shared.
 ``OUTDIR/scans.json`` holds ``check_properties`` of the same seven loops,
 of a non-Moufang loop of order 5 and of its products with s3, chein12 and
-cml81, and of cml81 x C5, each also under two seeded relabellings that fix
-the identity, so that the Moufang and associativity witnesses fall in
-different rows.  The two loops of order 405 are above
-``MOUFANG_EXHAUSTIVE_ORDER``, so their checks sample; cml81 x C5 is Moufang,
-so its Moufang check also scans the triples of 2-generated subloops.
+cml81, of cml81 x C5 and of bol8, a left Bol loop that is not Moufang, each
+also under two seeded relabellings that fix the identity, so that the
+Moufang and associativity witnesses fall in different rows.  It also holds
+the report of cml81 x cml81, a product without a table, read off the
+reports of its factors.
 ``OUTDIR/associators.json`` holds the labels of the associator subloop A(Q)
 (the least element of each class) and ``is_group_type`` of paige:2 x C3 and
 cml81 x C5, two loops above that order.
@@ -55,6 +55,10 @@ LOOPS = {
 
 # not left alternative: (11)2 = 2 but 1(12) = 4
 ORDER5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+# left Bol, not Moufang: ((21)2)0 != 2(1(20)); a transversal loop of D8 x C2
+BOL8 = [[0, 1, 2, 3, 4, 5, 6, 7], [1, 0, 3, 2, 5, 4, 7, 6], [2, 3, 0, 1, 6, 7, 4, 5],
+        [3, 2, 5, 4, 7, 6, 1, 0], [4, 5, 6, 7, 0, 1, 2, 3], [5, 4, 7, 6, 1, 0, 3, 2],
+        [6, 7, 4, 5, 2, 3, 0, 1], [7, 6, 1, 0, 3, 2, 5, 4]]
 SCAN_LOOPS = {
     **LOOPS,
     "order5": lambda: lf.Loop("01234", ORDER5),
@@ -62,7 +66,10 @@ SCAN_LOOPS = {
     "order5xchein12": lambda: lf.direct_product(lf.Loop("01234", ORDER5), lf.chein12()),
     "order5xcml81": lambda: lf.direct_product(lf.Loop("01234", ORDER5), lf.cml81()),
     "cml81xC5": lambda: lf.direct_product(lf.cml81(), lf.cyclic(5)),
+    "bol8": lambda: lf.Loop("01234567", BOL8, name="bol8"),
 }
+# no table to relabel
+PRODUCT_SCAN_LOOPS = {"cml81xcml81": lambda: lf.direct_product(lf.cml81(), lf.cml81())}
 RELABEL_SEEDS = (1, 2)
 ASSOCIATOR_LOOPS = {
     "paige2xC3": lambda: lf.direct_product(lf.paige_loop(2), lf.cyclic(3)),
@@ -89,6 +96,8 @@ def scans() -> dict:
         doc[name] = lf.check_properties(loop).to_json()
         for seed in RELABEL_SEEDS:
             doc[f"{name}@{seed}"] = lf.check_properties(_relabelled(loop, seed)).to_json()
+    for name, build in PRODUCT_SCAN_LOOPS.items():
+        doc[name] = lf.check_properties(build()).to_json()
     return doc
 
 

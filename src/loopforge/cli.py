@@ -64,7 +64,7 @@ def cmd_check(args) -> int:
                "samples": args.samples, "seed": args.seed}
         _dump(doc, args.output)
         return 0 if ok else 1
-    report = check_properties(loop, samples=args.samples, seed=args.seed)
+    report = check_properties(loop)
     outcome = getattr(report, args.property)
     doc = {"loop": loop.name, "order": loop.order, "property": args.property}
     doc.update(outcome.to_json())

@@ -72,8 +72,8 @@ def chein_double(g: Loop, name: Optional[str] = None) -> Loop:
     """The order-2|G| loop doubling a group G.
 
     Products: g*h = gh, g*(hu) = (hg)u, (gu)*h = (g h^-1)u, (gu)*(hu) = h^-1 g.
-    Gate: output must be Moufang (exhaustively) and nonassociative exactly
-    when G is nonabelian.
+    Gate: output must be Moufang (an exact check at every order) and
+    nonassociative exactly when G is nonabelian.
     """
     gprops = check_properties(g)
     if not gprops.associative.ok:

@@ -2,9 +2,10 @@
 
 Loops carry their Cayley table as an int64 matrix with the identity fixed at
 index 0.  All heavy checks (Moufang, associativity, closures, centres) run as
-vectorised table gathers; exhaustive triple scans gather one x row of n^2
-cells at a time.  Direct products above the dense-table bound are
-represented structurally and answer multiplication through their components.
+vectorised table gathers; triple scans gather one x row at a time, in blocks
+of y within linalg.BLOCK_BYTES.  Direct products above the dense-table bound
+are represented structurally and answer multiplication through their
+components.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    DimensionBoundExceeded,
     LatinSquareViolation,
     MalformedCayley,
     NoIdentityAtZero,
@@ -27,8 +29,6 @@ from .errors import (
 )
 
 DEFAULT_SEED = 0xA17E41
-MOUFANG_EXHAUSTIVE_ORDER = 300
-PROPERTY_SAMPLES = 10**6
 ORDER_BOUND = 2000  # largest order for lattices, group type and radicals
 DENSE_PRODUCT_BOUND = 4096
 
@@ -79,7 +79,7 @@ class Loop:
         self.name = name
         self.names = names
         self.table = table
-        self._props: dict = {}
+        self._props: Optional[PropertyReport] = None   # check_properties
         self._class_labels: Optional[np.ndarray] = None
         self._closures: Optional[list] = None       # _element_closures
         self._assoc_labels: Optional[np.ndarray] = None   # A(Q), see _associator_labels
@@ -304,153 +304,110 @@ def _strip_prime(o: int, p: int) -> int:
     return o
 
 
-def _moufang_row(t: np.ndarray, x: int):
-    """(x*yx)z and x(y*xz) for one x, as [y, z] arrays."""
+def _moufang_row(t: np.ndarray, x: int, ys: slice):
+    """((xy)x)z and x(y(xz)) for one x and the y of ``ys``, as [y, z] arrays."""
     tx = t[x]
-    return t[tx[t[:, x]]], tx[t[:, tx]]
+    return t[t[tx[ys], x]], tx[t[ys][:, tx]]
 
 
-def _assoc_row(t: np.ndarray, x: int):
-    """(xy)z and x(yz) for one x, as [y, z] arrays."""
+def _assoc_row(t: np.ndarray, x: int, ys: slice):
+    """(xy)z and x(yz) for one x and the y of ``ys``, as [y, z] arrays."""
     tx = t[x]
-    return t[tx], tx[t]
+    return t[tx[ys]], tx[t[ys]]
+
+
+def _first(bad: np.ndarray) -> Optional[tuple]:
+    """Index of the first true entry of ``bad`` in C order, or None."""
+    i = int(np.argmax(bad))
+    return tuple(int(v) for v in np.unravel_index(i, bad.shape)) if bad.flat[i] else None
 
 
 def _scan_triples(t: np.ndarray, row_fn) -> Optional[tuple]:
     """First failing triple (x, y, z) in lexicographic order, or None.
 
-    Rows are scanned x = 0, 1, ... and each [y, z] row is flat in y-major
-    order, so the first mismatch of the first failing row is the
-    lexicographically first witness.  The gathers index the int64 table
-    itself: numpy casts a narrower index array back to intp on every gather,
-    and uint8 to int32 copies measured slower than int64 up to n = 240.
+    Rows are scanned x = 0, 1, ..., each in blocks of y within
+    linalg.BLOCK_BYTES, a [y, z] cell holding lhs, rhs and the column gather
+    (int64) and the mask: 25 bytes.  The first mismatch of the first failing
+    block is the lexicographically first witness.  The gathers index the
+    int64 table itself: numpy casts a narrower index array back to intp on
+    every gather, and uint8 to int32 copies measured slower than int64 up to
+    n = 240.  lhs and rhs stay bound until the next block replaces them:
+    freed at once, they made the scans of n = 240 and 405 up to twice as
+    slow in a fresh process, depending on glibc's heap state.
     """
     n = t.shape[0]
+    step = max(1, linalg.BLOCK_BYTES // (25 * n))
     for x in range(n):
-        lhs, rhs = row_fn(t, x)
-        bad = lhs != rhs
-        first = int(np.argmax(bad))
-        if bad.flat[first]:
-            return (x,) + divmod(first, n)
+        for y0 in range(0, n, step):
+            lhs, rhs = row_fn(t, x, slice(y0, y0 + step))
+            w = _first(lhs != rhs)
+            if w is not None:
+                return x, y0 + w[0], w[1]
     return None
 
 
-def _sample_triples(loop: Loop, violated_fn, samples: int, seed: int) -> Optional[tuple]:
-    rng = np.random.default_rng(seed)
-    n = loop.order
-    left = samples
-    while left > 0:
-        k = min(1 << 16, left)
-        left -= k
-        xyz = rng.integers(0, n, size=(3, k), dtype=np.int64)
-        bad = violated_fn(loop, xyz[0], xyz[1], xyz[2])
-        idx = np.flatnonzero(bad)
-        if idx.size:
-            i = int(idx[0])
-            return int(xyz[0][i]), int(xyz[1][i]), int(xyz[2][i])
-    return None
+_CHECKS = ("moufang", "associative", "commutative", "ip")
 
 
-def _moufang_violated_arr(loop: Loop, x, y, z):
-    lhs = loop.mul_array(loop.mul_array(x, loop.mul_array(y, x)), z)
-    rhs = loop.mul_array(x, loop.mul_array(y, loop.mul_array(x, z)))
-    return lhs != rhs
+def _table_witnesses(loop: Loop) -> tuple:
+    """First witness of each of _CHECKS on a table loop, None where it holds.
 
-
-def _assoc_violated_arr(loop: Loop, x, y, z):
-    lhs = loop.mul_array(loop.mul_array(x, y), z)
-    rhs = loop.mul_array(x, loop.mul_array(y, z))
-    return lhs != rhs
-
-
-def _check_triple_identity(loop: Loop, row_fn, violated_fn, samples: int, seed: int) -> CheckOutcome:
-    n = loop.order
-    if loop.has_table() and n <= MOUFANG_EXHAUSTIVE_ORDER:
-        w = _scan_triples(loop.table, row_fn)
-        return CheckOutcome(ok=w is None, mode="exhaustive", witness=w)
-    w = _sample_triples(loop, violated_fn, samples, seed)
-    if w is None:
-        # additionally exhaust the triples of a few 2-generated subloops
-        rng = np.random.default_rng(seed ^ 0x5EED)
-        for _ in range(8):
-            g = [int(rng.integers(1, n)), int(rng.integers(1, n))]
-            sub = subloop_generated(loop, g, max_order=128)
-            if sub is None:
-                continue
-            ww = _scan_triples(sub.as_loop().table, row_fn)
-            if ww is not None:
-                m = sub.members
-                w = (m[ww[0]], m[ww[1]], m[ww[2]])
-                break
-    return CheckOutcome(ok=w is None, mode="sampled", witness=w, samples=samples, seed=seed)
-
-
-def check_properties(loop: Loop, samples: int = PROPERTY_SAMPLES,
-                     seed: int = DEFAULT_SEED) -> PropertyReport:
-    key = (samples, seed)
-    if key in loop._props:
-        return loop._props[key]
-    n = loop.order
-
-    moufang = _check_triple_identity(loop, _moufang_row, _moufang_violated_arr,
-                                     samples, seed)
-    associative = _check_triple_identity(loop, _assoc_row, _assoc_violated_arr,
-                                         samples, seed)
-
-    if loop.has_table():
-        t = loop.table
-        bad = np.argwhere(t != t.T)
-        cw = (int(bad[0][0]), int(bad[0][1])) if bad.size else None
-        commutative = CheckOutcome(ok=cw is None, mode="exhaustive", witness=cw)
-
-        inv = loop.inverses()
-        if (inv < 0).any():
-            x = int(np.flatnonzero(inv < 0)[0])
-            ip = CheckOutcome(ok=False, mode="exhaustive", witness=(x,))
-        else:
-            ar = np.arange(n)
-            lv = t[inv[:, None], t] != ar[None, :]          # x^{-1}(xy) != y
-            rv = t[t.T, inv[:, None]] != ar[None, :]        # (yx)x^{-1} != y
-            bad = np.argwhere(lv | rv)
-            iw = (int(bad[0][0]), int(bad[0][1])) if bad.size else None
-            ip = CheckOutcome(ok=iw is None, mode="exhaustive", witness=iw)
-    else:
-        rng = np.random.default_rng(seed ^ 0xC0)
-        k = min(samples, 1 << 16)
-        xy = rng.integers(0, n, size=(2, k), dtype=np.int64)
-        bad = loop.mul_array(xy[0], xy[1]) != loop.mul_array(xy[1], xy[0])
-        idx = np.flatnonzero(bad)
-        cw = (int(xy[0][idx[0]]), int(xy[1][idx[0]])) if idx.size else None
-        commutative = CheckOutcome(ok=cw is None, mode="sampled", witness=cw, samples=k, seed=seed)
-        ip = _ip_sampled(loop, samples=k, seed=seed)
-
-    orders = loop.element_orders()
-    exponent = 1
-    for o in orders:
-        exponent = math.lcm(exponent, int(o))
-
-    report = PropertyReport(order=n, moufang=moufang, associative=associative,
-                            commutative=commutative, ip=ip, exponent=exponent,
-                            element_orders=tuple(int(o) for o in orders))
-    loop._props[key] = report
-    return report
-
-
-def _ip_sampled(loop: Loop, samples: int, seed: int) -> CheckOutcome:
-    rng = np.random.default_rng(seed ^ 0x1B)
-    n = loop.order
+    Light's test decides associativity, and only a loop that fails it is
+    scanned: a group is Moufang.  An IP witness is the first element without
+    a two-sided inverse, (x,), or else the first (x, y) with
+    x^{-1}(xy) != y or (yx)x^{-1} != y.
+    """
+    t, n = loop.table, loop.order
+    moufang = assoc = None
+    if not _is_associative(loop):
+        moufang, assoc = _scan_triples(t, _moufang_row), _scan_triples(t, _assoc_row)
     inv = loop.inverses()
-    if (inv < 0).any():
-        x = int(np.flatnonzero(inv < 0)[0])
-        return CheckOutcome(ok=False, mode="exhaustive", witness=(x,))
-    xs = rng.integers(0, n, size=samples, dtype=np.int64)
-    ys = rng.integers(0, n, size=samples, dtype=np.int64)
-    xinv = inv[xs]
-    bad = (loop.mul_array(xinv, loop.mul_array(xs, ys)) != ys) | \
-          (loop.mul_array(loop.mul_array(ys, xs), xinv) != ys)
-    idx = np.flatnonzero(bad)
-    w = (int(xs[idx[0]]), int(ys[idx[0]])) if idx.size else None
-    return CheckOutcome(ok=w is None, mode="sampled", witness=w, samples=samples, seed=seed)
+    ip = _first(inv < 0)
+    if ip is None:
+        ar = np.arange(n)
+        ip = _first((t[inv[:, None], t] != ar) | (t[t.T, inv[:, None]] != ar))
+    return moufang, assoc, _first(t != t.T), ip
+
+
+def _product_witness(left: Optional[tuple], right: Optional[tuple], m: int) -> Optional[tuple]:
+    """The first witness of a check on a product from those of its factors.
+
+    An element (e, x2), index x2 < m = right.order, never fails a check on
+    the left component, so the right factor's witness comes first.  Without
+    one, the left factor's witness (a, b, ...) first fails at (a, e), (b, e),
+    ..., index a*m, b*m, ....  An element without a two-sided inverse (a
+    witness of length 1) precedes every IP pair of either factor.
+    """
+    if right is not None and (left is None or len(right) <= len(left)):
+        return right
+    return None if left is None else tuple(v * m for v in left)
+
+
+def check_properties(loop: Loop) -> PropertyReport:
+    """Exact Moufang, associativity, commutativity and IP checks with their
+    lexicographically first witnesses, cached on the loop.  Moufang is tested
+    as ((xy)x)z = x(y(xz)); each Moufang identity characterises Moufang loops
+    on its own (Bruck 1958).
+
+    A table loop is checked through its table (_table_witnesses), a
+    ProductLoop through the reports of its factors (_product_witness); any
+    other loop raises DimensionBoundExceeded.
+    """
+    if loop._props is None:
+        if isinstance(loop, ProductLoop):
+            left, right = check_properties(loop.left), check_properties(loop.right)
+            witnesses = [_product_witness(getattr(left, c).witness, getattr(right, c).witness,
+                                          loop.right.order) for c in _CHECKS]
+        elif loop.has_table():
+            witnesses = _table_witnesses(loop)
+        else:
+            raise DimensionBoundExceeded(f"{loop.name} has neither a table nor factors to check")
+        orders = tuple(loop.element_orders().tolist())
+        loop._props = PropertyReport(
+            order=loop.order, exponent=math.lcm(*orders), element_orders=orders,
+            **{c: CheckOutcome(ok=w is None, mode="exhaustive", witness=w)
+               for c, w in zip(_CHECKS, witnesses)})
+    return loop._props
 
 
 # -- associators, commutators, subloops ----------------------------------

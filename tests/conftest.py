@@ -47,6 +47,11 @@ def s3():
 
 
 @pytest.fixture(scope="session")
+def c4():
+    return lf.cyclic(4)
+
+
+@pytest.fixture(scope="session")
 def c6():
     return lf.cyclic(6)
 
@@ -79,6 +84,16 @@ def order5():
 
 
 @pytest.fixture(scope="session")
+def bol8():
+    # a left Bol loop, a transversal loop of D8 x C2, that is not Moufang:
+    # (x(yx))z = x(y(xz)) holds, but ((21)2)0 != 2(1(20)) and (12)2^-1 != 1
+    return lf.Loop("01234567", [[0, 1, 2, 3, 4, 5, 6, 7], [1, 0, 3, 2, 5, 4, 7, 6],
+                                [2, 3, 0, 1, 6, 7, 4, 5], [3, 2, 5, 4, 7, 6, 1, 0],
+                                [4, 5, 6, 7, 0, 1, 2, 3], [5, 4, 7, 6, 1, 0, 3, 2],
+                                [6, 7, 4, 5, 2, 3, 0, 1], [7, 6, 1, 0, 3, 2, 5, 4]], name="bol8")
+
+
+@pytest.fixture(scope="session")
 def order5_x_s3(order5, s3):
     return lf.direct_product(order5, s3)
 
@@ -104,7 +119,8 @@ def c4_x_chein12(chein12):
     return lf.direct_product(lf.cyclic(4), chein12)
 
 
-# above MOUFANG_EXHAUSTIVE_ORDER (300), where check_properties samples
+# above order 300, where check_properties sampled before it was exact at
+# every order; Light's test and the row scans now check them like the rest
 @pytest.fixture(scope="session")
 def paige2_x_c3(paige2):
     return lf.direct_product(paige2, lf.cyclic(3))

@@ -1855,6 +1855,17 @@ def test_circle_oracle_loop(cml81_gf3):
     assert cl.rdiv(p, y) == x
 
 
+def test_check_properties_refuses_loops_without_a_table(cml81_gf3):
+    """The circle loops of ω on cml81/GF(3) (3^53 elements) and on C9/GF(3)
+    (6,561 elements) have no table to scan and no factors to read."""
+    c9 = lf.loop_algebra(GF3, lf.cyclic(9))
+    for alg, carrier in ((cml81_gf3.algebra, cml81_gf3.omega), (c9, lf.augmentation_ideal(c9))):
+        cl = lf.circle_loop(alg, carrier)
+        assert isinstance(cl, algebras.CircleOracleLoop)
+        with pytest.raises(DimensionBoundExceeded):
+            lf.check_properties(cl)
+
+
 def per_pair_circle_rows(alg, carrier, rows):
     """Rows of the circle table, one circle() call and one tuple lookup per pair."""
     elems = [v for _, v in enumerate_carrier(alg, carrier)]

@@ -2,6 +2,7 @@ import json
 
 
 from loopforge.cli import main
+from loopforge.loops import loop_to_cayley
 
 
 def run(capsys, *argv):
@@ -57,6 +58,16 @@ def test_check_identity44(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["ok"] and doc["seed"] == 7 and doc["samples"] == 25
+
+
+def test_bol8_is_not_moufang(tmp_path, capsys, bol8):
+    """A left Bol loop fails the Moufang check, and embed refuses it in one line."""
+    path = tmp_path / "bol8.json"
+    path.write_text(json.dumps(loop_to_cayley(bol8)))
+    code, out = run(capsys, "check", "--loop", str(path), "--property", "moufang")
+    assert code == 1 and json.loads(out)["witness"] == [2, 1, 0]
+    assert main(["embed", "--loop", str(path), "--field", "gf:2"]) == 2
+    assert capsys.readouterr().err == "error: bol8 is not Moufang: witness (2, 1, 0)\n"
 
 
 def test_series_json(capsys):

@@ -143,6 +143,10 @@ def test_paige3_validates():
     # construction validated the Latin square; identity really is index 0
     assert p3.names[0] == "11000000"
     assert np.array_equal(p3.table[0], np.arange(1080))
+    # exact at every order: the Moufang row scan passes, Light's test fails
+    r = lf.check_properties(lf.Loop(p3.names, p3.table, name="paige:3"))
+    assert r.moufang.ok and r.moufang.mode == "exhaustive"
+    assert r.associative.witness == (1, 2, 4)
 
 
 def test_builtin_loop_resolution():

@@ -22,7 +22,7 @@ from loopforge.loops import _element_closures, is_group_type
 def naive_moufang(loop):
     n = loop.order
     for x, y, z in product(range(n), repeat=3):
-        if loop.mul(loop.mul(x, loop.mul(y, x)), z) != \
+        if loop.mul(loop.mul(loop.mul(x, y), x), z) != \
                 loop.mul(x, loop.mul(y, loop.mul(x, z))):
             return False
     return True
@@ -155,6 +155,17 @@ def test_moufang_implies_ip(s3, c6, chein12, cml81, paige2):
         r = lf.check_properties(loop)
         assert r.moufang.ok
         assert r.ip.ok and r.ip.mode == "exhaustive"
+
+
+def test_bol8_is_left_bol_but_not_moufang(bol8):
+    """bol8 satisfies the left Bol law (x(yx))z = x(y(xz)), which is not a
+    Moufang identity on its own; ((xy)x)z = x(y(xz)) fails at (2, 1, 0)."""
+    t = bol8.table
+    assert all(t[t[x, t[y, x]], z] == t[x, t[y, t[x, z]]]
+               for x, y, z in product(range(8), repeat=3))
+    r = lf.check_properties(bol8)
+    assert (r.moufang.ok, r.moufang.witness) == (False, (2, 1, 0)) and not naive_moufang(bol8)
+    assert (r.ip.ok, r.ip.witness) == (False, (2, 1))
 
 
 def test_element_order_divides_loop_order(s3, chein12, cml81, paige2):
@@ -450,9 +461,48 @@ def test_direct_product_with_trivial(s3):
 def test_direct_product_structural(cml81):
     big = lf.direct_product(cml81, cml81)
     assert big.order == 6561 and not big.has_table()
-    r = lf.check_properties(big, samples=20000)
+    r = lf.check_properties(big)
     assert r.moufang.ok and r.commutative.ok and not r.associative.ok
+    assert {o.mode for o in (r.moufang, r.associative, r.commutative, r.ip)} == {"exhaustive"}
     assert r.exponent == 3
+
+
+PRODUCT_FACTORS = ["s3", "c4", "c6", "chein12", "cml81", "order5", "bol8"]
+
+
+# every ordered pair but cml81 x cml81, of order 6561 > DENSE_PRODUCT_BOUND
+@pytest.mark.parametrize("left, right", [(a, b) for a in PRODUCT_FACTORS for b in PRODUCT_FACTORS
+                                         if (a, b) != ("cml81", "cml81")])
+def test_product_checks_equal_the_table_checks(left, right, request):
+    """A ProductLoop's report, read off its factors' reports, is the report of
+    the materialised product, witnesses included."""
+    a, b = request.getfixturevalue(left), request.getfixturevalue(right)
+    table = lf.direct_product(a, b)
+    assert table.has_table()
+    assert lf.check_properties(lf.loops.ProductLoop(a, b)).to_json() == \
+        lf.check_properties(table).to_json()
+
+
+def test_product_reports_a_missing_inverse_before_any_ip_pair(bol8):
+    """In noinv, 1*4 = 0 but 4*1 = 2, so 1 has no two-sided inverse; the table
+    check reports that before bol8's IP pair (2, 1), with either factor first."""
+    noinv = lf.Loop("01234", [[0, 1, 2, 3, 4], [1, 4, 3, 2, 0], [2, 3, 0, 4, 1],
+                              [3, 0, 4, 1, 2], [4, 2, 1, 0, 3]])
+    for a, b in ((noinv, bol8), (bol8, noinv)):
+        report = lf.check_properties(lf.loops.ProductLoop(a, b))
+        assert len(report.ip.witness) == 1
+        assert report.to_json() == lf.check_properties(lf.direct_product(a, b)).to_json()
+
+
+def test_groups_above_order_300_need_no_scan(monkeypatch):
+    """Light's test decides a group, and a group is Moufang."""
+    def scan(t, row_fn):
+        raise AssertionError("a group was scanned")
+    monkeypatch.setattr(lf.loops, "_scan_triples", scan)
+    for m in (5, 31):
+        r = lf.check_properties(lf.direct_product(lf.cyclic(64), lf.cyclic(m)))
+        for outcome in (r.moufang, r.associative):
+            assert (outcome.ok, outcome.mode) == (True, "exhaustive")
 
 
 def test_paige2_x_c2(paige2_x_c2):
@@ -681,10 +731,10 @@ def test_light_test_matches_the_row_scan(name, request):
 
 
 def chunk_moufang_first(t, xs):
-    """(x*yx)z = x(y*xz) for x in xs, as the former 3-D chunk kernel."""
-    lhs = t[t[xs[None, :], t[:, xs]]]                      # [y, xi, z]
-    rhs = t[xs[None, :, None], t[:, t[xs, :]]]
-    return first_in_xyz(xs, lhs.transpose(1, 0, 2), rhs.transpose(1, 0, 2))
+    """((xy)x)z = x(y(xz)) for x in xs, in the form of the former 3-D chunk kernel."""
+    lhs = t[t[t[xs], xs[:, None]]]                          # [xi, y, z]
+    rhs = t[xs[None, :, None], t[:, t[xs, :]]]              # [y, xi, z]
+    return first_in_xyz(xs, lhs, rhs.transpose(1, 0, 2))
 
 
 def chunk_assoc_first(t, xs):
@@ -742,8 +792,22 @@ def test_scan_triples_finds_the_first_witness(name, first, request):
         planted = t.copy()
         planted[r, [1, n - 1]] = planted[r, [n - 1, 1]]
         for (row_fn, _), w in zip(SCANS, assert_scans_match_oracle(planted, first)):
-            lhs, rhs = row_fn(planted, r)
+            lhs, rhs = row_fn(planted, r, slice(None))
             assert (lhs != rhs).any() and w[0] <= r
+
+
+@pytest.mark.parametrize("name", [f for f in FIXTURES if f != "paige2_x_c2"] + ["bol8"])
+def test_scan_triples_in_small_blocks_finds_the_same_witness(monkeypatch, name, request):
+    """Blocks of one or three y rows give the witnesses of whole rows, on the
+    loop and with a failure planted in its last row."""
+    t = request.getfixturevalue(name).table
+    n = t.shape[0]
+    planted = t.copy()
+    planted[n - 1, [1, n - 1]] = planted[n - 1, [n - 1, 1]]
+    want = [assert_scans_match_oracle(table) for table in (t, planted)]
+    for rows in (1, 3):
+        monkeypatch.setattr(lf.linalg, "BLOCK_BYTES", 25 * n * rows)
+        assert [assert_scans_match_oracle(table) for table in (t, planted)] == want
 
 
 @settings(max_examples=40, deadline=None)

@@ -539,7 +539,8 @@ def test_every_block_site_in_small_blocks_gives_the_default_results(monkeypatch,
     # BLOCK_BYTES at 2^15 puts every blocked pass in many blocks on the
     # cml81/GF(3) bundle: one or two rows of operators or products, draws of
     # 4,096 entries, label chunks of four rows, one pair per alternator-scan
-    # block; the closures take image chunks of 25 rows
+    # block, triple-scan blocks of 16 y rows; the closures take image chunks
+    # of 25 rows
     def run(bundle):
         quot, omega = bundle.algebra, bundle.omega
         return (bundle.alternator.basis_matrix().tolist(), bundle.images.tolist(),
@@ -549,7 +550,8 @@ def test_every_block_site_in_small_blocks_gives_the_default_results(monkeypatch,
                 lf.circle_iso_check(quot, omega, samples=300).to_json(),
                 lf.circle_embedding(cml81, bundle.field, bundle=bundle).to_json(),
                 algebras.AlternativeLoopAlgebra.embedding_checks.func(bundle),
-                lf.group_type_radical(lf.Loop(cml81.names, cml81.table)).members)
+                lf.group_type_radical(lf.Loop(cml81.names, cml81.table)).members,
+                lf.check_properties(lf.Loop(cml81.names, cml81.table)).to_json())
     default = run(cml81_gf3)
     monkeypatch.setattr(linalg, "BLOCK_BYTES", 2**15)
     monkeypatch.setattr(linalg, "IMAGE_CHUNK_ENTRIES", 2**11)
