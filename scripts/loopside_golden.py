@@ -18,8 +18,9 @@ Moufang and associativity witnesses fall in different rows.  It also holds
 the report of cml81 x cml81, a product without a table, read off the
 reports of its factors.
 ``OUTDIR/associators.json`` holds the labels of the associator subloop A(Q)
-(the least element of each class) and ``is_group_type`` of paige:2 x C3 and
-cml81 x C5, two loops above that order.
+(the least element of each class), ``is_group_type`` and the group-type
+radical of four loops above that order: paige:2 x C3, cml81 x C5 and the
+Chein doubles M(S3 x C25, 2) and M(S3 x C32, 2) (orders 300 and 384).
 The program is imported from the ``src/`` tree next to this script, so the
 loop sides of two trees are identical when ``diff -r OUTDIR_A OUTDIR_B``
 prints nothing.
@@ -74,6 +75,8 @@ RELABEL_SEEDS = (1, 2)
 ASSOCIATOR_LOOPS = {
     "paige2xC3": lambda: lf.direct_product(lf.paige_loop(2), lf.cyclic(3)),
     "cml81xC5": lambda: lf.direct_product(lf.cml81(), lf.cyclic(5)),
+    "chein:S3xC25": lambda: lf.chein_double(lf.direct_product(lf.s3(), lf.cyclic(25))),
+    "chein:S3xC32": lambda: lf.chein_double(lf.direct_product(lf.s3(), lf.cyclic(32))),
 }
 
 
@@ -106,7 +109,8 @@ def associators() -> dict:
     for name, build in ASSOCIATOR_LOOPS.items():
         loop = build()
         doc[name] = {"labels": loops._associator_labels(loop).tolist(),
-                     "is_group_type": loops.is_group_type(loop)}
+                     "is_group_type": loops.is_group_type(loop),
+                     "group_type_radical": list(lf.group_type_radical(loop).members)}
     return doc
 
 

@@ -199,7 +199,10 @@ def paige_loop(q: int) -> Loop:
     # row k of coords is the tuple with base-q key k, so keys order rows
     # lexicographically and index coords
     coords = np.asarray(list(itertools.product(range(q), repeat=8)), dtype=np.int64)
-    classes = np.unique(_class_keys(coords[zorn_det(coords) % q == 1], q))
+    # the sorted distinct keys; np.unique would import numpy.ma (about 20 ms)
+    seen = np.zeros(q**8, dtype=bool)
+    seen[_class_keys(coords[zorn_det(coords) % q == 1], q)] = True
+    classes = np.flatnonzero(seen)
     ident = _encode_rows(np.asarray([1, 1, 0, 0, 0, 0, 0, 0]), q)
     keys = np.concatenate([[ident], classes[classes != ident]])   # identity first
     elements = coords[keys]

@@ -3,7 +3,8 @@
 Loops carry their Cayley table as an int64 matrix with the identity fixed at
 index 0.  All heavy checks (Moufang, associativity, closures, centres) run as
 vectorised table gathers; triple scans gather one x row at a time, in blocks
-of y within linalg.BLOCK_BYTES.  Direct products above the dense-table bound
+of y, and the other n x n passes and the closures run in blocks of rows, all
+within linalg.BLOCK_BYTES.  Direct products above the dense-table bound
 are represented structurally and answer multiplication through their
 components.
 """
@@ -84,6 +85,7 @@ class Loop:
         self._closures: Optional[list] = None       # _element_closures
         self._assoc_labels: Optional[np.ndarray] = None   # A(Q), see _associator_labels
         self._normal_lattice = None
+        self._radical: Optional[SubloopSet] = None   # group_type_radical
         self._subloops: dict = {}   # SubloopSet.as_loop copies
 
     # -- basic operations ------------------------------------------------
@@ -116,10 +118,18 @@ class Loop:
         return int(self.rd_table[b, a])
 
     def inverses(self) -> np.ndarray:
-        """Two-sided inverses; -1 where the one-sided inverses differ."""
+        """Two-sided inverses; -1 where the one-sided inverses differ.
+
+        Read off the identity's place in each row and column, in _row_blocks,
+        without the division tables."""
         if self._inv is None:
-            right = self.ld_table[:, 0]
-            left = self.rd_table[0, :]
+            t, n = self.table, self.order
+            right, left = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+            for xs in _row_blocks(n):
+                x, y = np.nonzero(t[xs] == 0)                  # x y = e
+                right[xs.start + x] = y
+                x, y = np.nonzero(t[:, xs] == 0)
+                left[xs.start + y] = x
             self._inv = np.where(right == left, right, -1)
         return self._inv
 
@@ -322,27 +332,45 @@ def _first(bad: np.ndarray) -> Optional[tuple]:
     return tuple(int(v) for v in np.unravel_index(i, bad.shape)) if bad.flat[i] else None
 
 
+def _row_blocks(n: int) -> list[slice]:
+    """Blocks of rows of an [n, n] pass within linalg.BLOCK_BYTES, a cell
+    holding two int64 operands, an int64 index gather and the mask: 25 bytes.
+    Up to n = 400 that is one block."""
+    step = max(1, linalg.BLOCK_BYTES // (25 * n))
+    return [slice(r0, r0 + step) for r0 in range(0, n, step)]
+
+
+def _first_in_rows(n: int, bad_rows) -> Optional[tuple]:
+    """First true (x, y) in C order of an [x, y] mask, built by bad_rows(xs)
+    for one block xs of _row_blocks(n) at a time."""
+    for xs in _row_blocks(n):
+        w = _first(bad_rows(xs))
+        if w is not None:
+            return xs.start + w[0], w[1]
+    return None
+
+
 def _scan_triples(t: np.ndarray, row_fn) -> Optional[tuple]:
     """First failing triple (x, y, z) in lexicographic order, or None.
 
-    Rows are scanned x = 0, 1, ..., each in blocks of y within
-    linalg.BLOCK_BYTES, a [y, z] cell holding lhs, rhs and the column gather
-    (int64) and the mask: 25 bytes.  The first mismatch of the first failing
-    block is the lexicographically first witness.  The gathers index the
-    int64 table itself: numpy casts a narrower index array back to intp on
-    every gather, and uint8 to int32 copies measured slower than int64 up to
-    n = 240.  lhs and rhs stay bound until the next block replaces them:
-    freed at once, they made the scans of n = 240 and 405 up to twice as
-    slow in a fresh process, depending on glibc's heap state.
+    Rows are scanned x = 0, 1, ..., each in the _row_blocks of y, a [y, z]
+    cell holding lhs, rhs, the column gather and the mask.  The first
+    mismatch of the first failing block is the lexicographically first
+    witness.  The gathers index the int64 table itself: numpy casts a
+    narrower index array back to intp on every gather, and uint8 to int32
+    copies measured slower than int64 up to n = 240.  lhs and rhs stay bound
+    until the next block replaces them: freed at once, they made the scans
+    of n = 240 and 405 up to twice as slow in a fresh process, depending on
+    glibc's heap state.
     """
     n = t.shape[0]
-    step = max(1, linalg.BLOCK_BYTES // (25 * n))
+    blocks = _row_blocks(n)
     for x in range(n):
-        for y0 in range(0, n, step):
-            lhs, rhs = row_fn(t, x, slice(y0, y0 + step))
+        for ys in blocks:
+            lhs, rhs = row_fn(t, x, ys)
             w = _first(lhs != rhs)
             if w is not None:
-                return x, y0 + w[0], w[1]
+                return x, ys.start + w[0], w[1]
     return None
 
 
@@ -355,7 +383,7 @@ def _table_witnesses(loop: Loop) -> tuple:
     Light's test decides associativity, and only a loop that fails it is
     scanned: a group is Moufang.  An IP witness is the first element without
     a two-sided inverse, (x,), or else the first (x, y) with
-    x^{-1}(xy) != y or (yx)x^{-1} != y.
+    x^{-1}(xy) != y or (yx)x^{-1} != y.  Every pass runs in _row_blocks.
     """
     t, n = loop.table, loop.order
     moufang = assoc = None
@@ -365,8 +393,9 @@ def _table_witnesses(loop: Loop) -> tuple:
     ip = _first(inv < 0)
     if ip is None:
         ar = np.arange(n)
-        ip = _first((t[inv[:, None], t] != ar) | (t[t.T, inv[:, None]] != ar))
-    return moufang, assoc, _first(t != t.T), ip
+        ip = _first_in_rows(n, lambda xs: (t[inv[xs, None], t[xs]] != ar)
+                            | (t[t.T[xs], inv[xs, None]] != ar))
+    return moufang, assoc, _first_in_rows(n, lambda xs: t[xs] != t[:, xs].T), ip
 
 
 def _product_witness(left: Optional[tuple], right: Optional[tuple], m: int) -> Optional[tuple]:
@@ -472,20 +501,27 @@ class SubloopSet:
         return hash((id(self.parent), self.members))
 
 
-def _mul_closure(loop: Loop, mask: np.ndarray,
-                 max_order: Optional[int] = None) -> Optional[np.ndarray]:
+def _mul_closure(loop: Loop, mask: np.ndarray, max_order: Optional[int] = None,
+                 frontier: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
     """Closure of a boolean element mask under multiplication.
 
     Each round multiplies the members added last round by every member, on
-    both sides.  Returns None once the closure exceeds max_order.
+    both sides, in chunks of those rows within linalg.BLOCK_BYTES: a cell
+    holds a product and, on a ProductLoop, the three arrays it is summed
+    from (32 bytes).  The first round's rows are ``frontier`` (default every
+    member): products of two members outside it must already lie in the
+    mask.  Returns None once the closure exceeds max_order.
     """
     mask = mask.copy()
-    frontier = np.flatnonzero(mask)
+    frontier = np.flatnonzero(mask) if frontier is None else frontier
     while frontier.size:
         current = np.flatnonzero(mask)
         new = np.zeros_like(mask)
-        new[loop.mul_array(frontier[:, None], current[None, :])] = True
-        new[loop.mul_array(current[:, None], frontier[None, :])] = True
+        step = max(1, linalg.BLOCK_BYTES // (32 * current.size))
+        for f0 in range(0, frontier.size, step):
+            f = frontier[f0:f0 + step]
+            new[loop.mul_array(f[:, None], current[None, :])] = True
+            new[loop.mul_array(current[:, None], f[None, :])] = True
         new &= ~mask
         mask |= new
         if max_order is not None and np.count_nonzero(mask) > max_order:
@@ -638,10 +674,11 @@ def quotient_loop(loop: Loop, sub: SubloopSet,
     congruence whose class of e contains it), numbered by their least
     element.  sub is normal exactly when that class is sub itself; otherwise
     NotNormal carries the least element the closure adds.  Well-definedness
-    of the coset product is then checked on every element pair.
+    of the coset product is then checked on every element pair.  The closure
+    is seeded with a generating set of sub: a class of e holding it holds sub.
     """
     seeds = np.zeros((1, loop.order), dtype=bool)
-    seeds[0, list(sub.members)] = True
+    seeds[0, [0, *_generators(loop, sub.members)]] = True
     lab = _block_labels(loop, seeds)[0]
     if np.count_nonzero(lab == 0) > sub.order():
         raise NotNormal(int(np.setdiff1d(np.flatnonzero(lab == 0), sub.members)[0]))
@@ -873,15 +910,19 @@ def composition_factors(loop: Loop) -> list[Loop]:
     return composition_factors(top.as_loop()) + [factor]
 
 
-def _generators(loop: Loop) -> list[int]:
-    """A greedy generating set: the least element outside the subloop generated
-    so far, until that subloop is the loop.  Adding g outside a subloop H adds
-    the coset gH, disjoint from H, so the set has at most log2(n) elements."""
+def _generators(loop: Loop, members: Optional[Sequence[int]] = None) -> list[int]:
+    """A greedy generating set of the subloop on ``members`` (default the
+    loop): the least member outside the subloop generated so far, until that
+    subloop holds every member.  Adding g outside a subloop H adds the coset
+    gH, disjoint from H, so the set has at most log2(n) elements.  Each step
+    closes H ∪ {g} from g alone, since H is closed."""
+    todo = np.zeros(loop.order, dtype=bool)
+    todo[slice(None) if members is None else list(members)] = True
     gens, mask = [], np.arange(loop.order) == 0
-    while not mask.all():
-        gens.append(int(np.argmin(mask)))
+    while (rest := todo & ~mask).any():
+        gens.append(int(np.argmax(rest)))
         mask[gens[-1]] = True
-        mask = _mul_closure(loop, mask)
+        mask = _mul_closure(loop, mask, frontier=np.asarray(gens[-1:]))
     return gens
 
 
@@ -889,9 +930,11 @@ def _is_associative(loop: Loop) -> bool:
     """Light's test (Clifford & Preston I): (xg)y = x(gy) for all x, y and each
     g of _generators.  The g that pass, the middle nucleus, are closed under
     products, (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y), so they form
-    a subloop, and it is the loop exactly when every generator passes."""
-    t = loop.table
-    return all(np.array_equal(t[t[:, g]], t[:, t[g]]) for g in _generators(loop))
+    a subloop, and it is the loop exactly when every generator passes.  Each
+    generator is tested in the _row_blocks of x."""
+    t, blocks = loop.table, _row_blocks(loop.order)
+    return all(np.array_equal(t[t[xs, g]], t[xs][:, t[g]])
+               for g in _generators(loop) for xs in blocks)
 
 
 def _associator_labels(loop: Loop) -> np.ndarray:
@@ -932,25 +975,37 @@ def is_group_type(loop: Loop) -> bool:
 
 
 def group_type_radical(loop: Loop) -> SubloopSet:
-    """Largest normal subloop whose composition factors are all groups.
+    """Largest normal subloop whose composition factors are all groups, cached
+    on the loop.
 
-    Join of the group-type single-element normal closures (the product of two
-    group-type normal subloops is again group-type).  The radical property
-    Gr(L/Gr(L)) = {e} is re-verified on the output.
+    A group-type loop (is_group_type) is a normal subloop of itself with group
+    composition factors, so it is its own radical, and no element closure is
+    built.  Otherwise the radical is the join of the group-type single-element
+    normal closures (the product of two group-type normal subloops is again
+    group-type), re-verified group-type and idempotent, Gr(L/Gr(L)) = {e}.
     """
     _check_order(loop)
+    if not loop.has_table():
+        raise OrderBoundExceeded("normal closure needs a dense table")
+    if loop._radical is None:
+        loop._radical = (SubloopSet(loop, tuple(range(loop.order))) if is_group_type(loop)
+                         else _closure_join_radical(loop))
+    return loop._radical
+
+
+def _closure_join_radical(loop: Loop) -> SubloopSet:
+    """group_type_radical of a loop that is not group-type."""
     distinct = {n.members: n for n in _element_closures(loop)}
     good: set[int] = {0}
     for members, sub in sorted(distinct.items()):
-        target = loop if sub.is_full() else sub.as_loop()
-        if is_group_type(target):
+        if not sub.is_full() and is_group_type(sub.as_loop()):
             good.update(members)
     result = normal_closure(loop, good)
-    if not is_group_type(loop if result.is_full() else result.as_loop()):
+    if result.is_full() or not is_group_type(result.as_loop()):
         raise SeriesMismatch("join of group-type closures is not group-type")
     # idempotence: the quotient must have trivial radical (tautological when
     # the radical is trivial, since the quotient is the loop itself)
-    if not result.is_full() and not result.is_trivial():
+    if not result.is_trivial():
         q, _ = quotient_loop(loop, result)
         if not group_type_radical(q).is_trivial():
             raise SeriesMismatch("group-type radical is not idempotent")

@@ -131,6 +131,12 @@ def cml81_x_c5(cml81):
     return lf.direct_product(cml81, lf.cyclic(5))
 
 
+# M(S3 x C25, 2), order 300: the Chein double of a solvable group is group-type
+@pytest.fixture(scope="session")
+def chein_s3_c25(s3):
+    return lf.chein_double(lf.direct_product(s3, lf.cyclic(25)))
+
+
 # alternative loop algebra bundles are the expensive objects; build each once
 @pytest.fixture(scope="session")
 def cml81_gf3(cml81):

@@ -1,6 +1,7 @@
 import functools
 import json
 import time
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -728,6 +729,169 @@ def test_light_test_matches_the_row_scan(name, request):
     for q in cases:
         scan = lf.loops._scan_triples(q.table, lf.loops._assoc_row)
         assert lf.loops._is_associative(q) == (scan is None)
+
+
+def restarted_generators(loop):
+    """The former _generators: each greedy step closes the whole subloop
+    generated so far again, from every member."""
+    gens, mask = [], np.arange(loop.order) == 0
+    while not mask.all():
+        gens.append(int(np.argmin(mask)))
+        mask[gens[-1]] = True
+        mask = lf.loops._mul_closure(loop, mask)
+    return gens
+
+
+def member_seeded_quotient(loop, sub):
+    """The former quotient_loop: the block closure seeded with every member
+    of sub.  The quotient's table and projection, or the NotNormal witness."""
+    seeds = np.zeros((1, loop.order), dtype=bool)
+    seeds[0, list(sub.members)] = True
+    lab = lf.loops._block_labels(loop, seeds)[0]
+    if np.count_nonzero(lab == 0) > sub.order():
+        return int(np.setdiff1d(np.flatnonzero(lab == 0), sub.members)[0])
+    _, proj, table = lf.loops._class_quotient(loop, lab)
+    return table.tolist(), proj.tolist()
+
+
+def generator_seeded_quotient(loop, sub):
+    try:
+        q, proj = lf.quotient_loop(loop, sub)
+    except NotNormal as err:
+        return err.witness
+    return q.table.tolist(), proj.tolist()
+
+
+@pytest.mark.parametrize("name", LIGHT_LOOPS + ["paige2_x_c3", "cml81_x_c5"])
+def test_generators_equal_the_restarted_closures(name, request):
+    """On the loop and on each normal and cyclic subloop, whose greedy
+    generators are those of its relabelled copy (as_loop keeps the order)."""
+    loop = request.getfixturevalue(name)
+    assert lf.loops._generators(loop) == restarted_generators(loop)
+    subs = lf.normal_subloops(loop) + [lf.subloop_generated(loop, [g])
+                                       for g in range(0, loop.order, 1 + loop.order // 8)]
+    for sub in subs:
+        mem = np.asarray(sub.members)
+        assert lf.loops._generators(loop, sub.members) == \
+            mem[restarted_generators(sub.as_loop())].tolist()
+
+
+@pytest.mark.parametrize("name", QUOTIENT_FIXTURES + ["chein12_x_c3", "cml81_x_c5"])
+def test_quotients_seeded_with_generators_equal_the_member_seeded_ones(name, request):
+    """Same least congruence, so the same quotient or NotNormal witness, on
+    every normal subloop, cyclic subloops and member sets that are no subloop."""
+    loop = request.getfixturevalue(name)
+    rng = np.random.default_rng(38)
+    subs = lf.normal_subloops(loop) + [lf.subloop_generated(loop, [g]) for g in range(loop.order)]
+    subs += [lf.SubloopSet(loop, tuple(sorted({0, *rng.choice(loop.order, k).tolist()})))
+             for k in (1, 2, 5)]
+    rejected = 0
+    for sub in {s.members: s for s in subs}.values():
+        old = member_seeded_quotient(loop, sub)
+        assert generator_seeded_quotient(loop, sub) == old, sub.members
+        rejected += isinstance(old, int)
+    assert rejected
+
+
+def test_closures_in_small_blocks_equal_the_default(monkeypatch, cml81, paige2_x_c2):
+    big = lf.direct_product(cml81, cml81)
+    gens = [[5, 700], [81 * 5 + 7, 6000], [1, 81]]
+    default = [lf.subloop_generated(big, g).members for g in gens]
+    default_gens = [lf.loops._generators(q) for q in (cml81, paige2_x_c2)]
+    for rows in (1, 3):
+        monkeypatch.setattr(lf.linalg, "BLOCK_BYTES", 32 * 81 * rows)
+        assert [lf.subloop_generated(big, g).members for g in gens] == default
+        assert [lf.loops._generators(q) for q in (cml81, paige2_x_c2)] == default_gens
+
+
+# paige2, cml81 and their products with bol8 would take seconds to scan in
+# blocks of one row (cml81's checks run in blocks in test_radicals)
+BLOCKED_CHECK_LOOPS = ["s3", "c6", "chein12", "order5", "order5_x_s3", "order5_x_chein12",
+                       "chein12_x_c3", "bol8", "c3_x_s3"]
+
+
+@pytest.mark.parametrize("name", BLOCKED_CHECK_LOOPS)
+def test_property_checks_in_small_blocks_equal_the_default(monkeypatch, name, request):
+    """Light's test, the IP check and the commutativity check in blocks of one
+    or three x rows, on the loop, a relabelled copy and its product with bol8."""
+    base = request.getfixturevalue(name)
+    bol8 = request.getfixturevalue("bol8")
+    loops = [base, relabelled(base, np.random.default_rng(3)), lf.direct_product(bol8, base)]
+
+    def reports():
+        return [(lf.check_properties(cold(q)).to_json(), cold(q).inverses().tolist())
+                for q in loops]
+
+    default = reports()
+    for rows in (1, 3):
+        monkeypatch.setattr(lf.linalg, "BLOCK_BYTES", 25 * max(q.order for q in loops) * rows)
+        assert reports() == default
+
+
+def test_group_check_stays_within_the_block_budget():
+    """check_properties of a group of order 2048 holds no n x n array (it
+    peaked at 104 MiB with whole-table gathers and closures)."""
+    group = lf.direct_product(lf.cyclic(64), lf.cyclic(32))
+    loop = cold(group)
+    tracemalloc.start()
+    try:
+        report = lf.check_properties(loop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.associative.ok and report.commutative.ok and report.ip.ok
+    assert peak <= lf.linalg.BLOCK_BYTES, peak
+
+
+# -- the group-type radical ------------------------------------------------------
+
+def joined_group_type_closures(loop):
+    """The former group_type_radical: the normal closure of every group-type
+    single-element normal closure, the whole loop's included."""
+    good = {0}
+    for sub in _element_closures(loop):
+        if is_group_type(loop if sub.is_full() else sub.as_loop()):
+            good.update(sub.members)
+    return lf.normal_closure(loop, good).members
+
+
+RADICAL_LOOPS = LIGHT_LOOPS + ["bol8", "paige2_x_c3", "cml81_x_c5", "chein_s3_c25"]
+
+
+@pytest.mark.parametrize("name", RADICAL_LOOPS)
+def test_group_type_radical_is_the_join_of_group_type_closures(name, request):
+    loop = request.getfixturevalue(name)
+    assert lf.group_type_radical(cold(loop)).members == joined_group_type_closures(cold(loop))
+
+
+def test_a_group_type_loop_builds_no_element_closure(monkeypatch, cml81, chein12, chein_s3_c25,
+                                                      paige2_x_c2):
+    def closures(loop):
+        raise AssertionError(f"element closures of {loop.name}")
+    monkeypatch.setattr(lf.loops, "_element_closures", closures)
+    for loop in (cml81, chein12, chein_s3_c25, lf.direct_product(cml81, lf.cyclic(5))):
+        assert lf.group_type_radical(cold(loop)).is_full()
+    assert lf.in_class_s(cold(chein12), lf.PrimeField(7)).r2
+    with pytest.raises(AssertionError, match="element closures of"):
+        lf.group_type_radical(cold(paige2_x_c2))
+
+
+def test_group_type_radical_is_computed_once_per_loop(monkeypatch, chein12, paige2_x_c2):
+    calls = []
+    group_type = lf.loops.is_group_type
+    monkeypatch.setattr(lf.loops, "is_group_type", lambda q: calls.append(q) or group_type(q))
+    loop = cold(chein12)
+    lf.wedderburn_report(loop, lf.PrimeField(7))            # loop_radical, then in_class_s
+    assert sum(q is loop for q in calls) == 1
+    loops = [loop, cold(paige2_x_c2)]
+    first = [lf.group_type_radical(q) for q in loops]
+
+    def recomputed(q):
+        raise AssertionError("recomputed")
+    monkeypatch.setattr(lf.loops, "is_group_type", recomputed)
+    monkeypatch.setattr(lf.loops, "_closure_join_radical", recomputed)
+    assert all(lf.group_type_radical(q) is r for q, r in zip(loops, first))
+    assert [r.order() for r in first] == [12, 2]
 
 
 def chunk_moufang_first(t, xs):

@@ -539,8 +539,10 @@ def test_every_block_site_in_small_blocks_gives_the_default_results(monkeypatch,
     # BLOCK_BYTES at 2^15 puts every blocked pass in many blocks on the
     # cml81/GF(3) bundle: one or two rows of operators or products, draws of
     # 4,096 entries, label chunks of four rows, one pair per alternator-scan
-    # block, triple-scan blocks of 16 y rows; the closures take image chunks
-    # of 25 rows
+    # block, triple-scan blocks of 16 y rows, blocks of 16 x rows for Light's
+    # test and the IP and commutativity checks, multiplicative closures in
+    # chunks of 12 or more rows; the ideal closures take image chunks of 25
+    # rows
     def run(bundle):
         quot, omega = bundle.algebra, bundle.omega
         return (bundle.alternator.basis_matrix().tolist(), bundle.images.tolist(),
@@ -551,13 +553,15 @@ def test_every_block_site_in_small_blocks_gives_the_default_results(monkeypatch,
                 lf.circle_embedding(cml81, bundle.field, bundle=bundle).to_json(),
                 algebras.AlternativeLoopAlgebra.embedding_checks.func(bundle),
                 lf.group_type_radical(lf.Loop(cml81.names, cml81.table)).members,
+                [s.members for s in lf.loops._element_closures(lf.Loop(cml81.names, cml81.table))],
+                lf.loops._generators(lf.Loop(cml81.names, cml81.table)),
                 lf.check_properties(lf.Loop(cml81.names, cml81.table)).to_json())
     default = run(cml81_gf3)
     monkeypatch.setattr(linalg, "BLOCK_BYTES", 2**15)
     monkeypatch.setattr(linalg, "IMAGE_CHUNK_ENTRIES", 2**11)
     quot = cml81_gf3.algebra
     assert (quot.block_rows(4), quot.block_rows(1, 81, 81), quot.block_rows(1, 3, 4)) == (1, 1, 2)
-    assert lf.loops._label_rows(81) == 4
+    assert lf.loops._label_rows(81) == 4 and len(lf.loops._row_blocks(81)) == 6
     assert run(lf.alternative_loop_algebra(cml81_gf3.field, lf.Loop(cml81.names, cml81.table))) \
         == default
 
