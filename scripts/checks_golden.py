@@ -17,14 +17,16 @@ samples, ``alternative_check`` and ``associative_check_sampled`` on each of
 those tensors (under ``tensors``), and ``circle_iso_check`` on the ω of each
 quotient above whose check samples rather than enumerates its pairs (under
 ``omegas``).  Each entry is ``CheckOutcome.to_json()`` or
-``CircleIsoReport.to_json()``.  ``OUTDIR/products.json`` holds, on seeded
-rows, ``mul_rows`` (5 x 3 rows), ``mul_pairwise`` (5 pairs) and the left and
-right multiplication matrices of one row, for the quotient of each bundle
-above, the Zorn algebra over GF(2), GF(3), GF(1048573) and Q, the
-64-dimensional sum of eight Zorn algebras over GF(3), there with 300 x 2
-rows and 300 pairs, past the first block of 256 rows, and FQ of s3, chein12
-and cml81 over GF(2), GF(3) and GF(1048573) and of chein12 over Q, with
-200 x 2 rows and 200 pairs for cml81, past its first block of 159 rows.
+``CircleIsoReport.to_json()``.  ``OUTDIR/circle_embeddings.json`` holds
+``circle_embedding(...).to_json()`` for each bundle above.
+``OUTDIR/products.json`` holds, on seeded rows, ``mul_rows`` (5 x 3 rows),
+``mul_pairwise`` (5 pairs) and the left and right multiplication matrices
+of one row, for the quotient of each bundle above, the Zorn algebra over
+GF(2), GF(3), GF(1048573) and Q, the 64-dimensional sum of eight Zorn
+algebras over GF(3), there with 300 x 2 rows and 300 pairs, past the first
+block of 256 rows, and FQ of s3, chein12 and cml81 over GF(2), GF(3) and
+GF(1048573) and of chein12 over Q, with 200 x 2 rows and 200 pairs for
+cml81, past its first block of 159 rows.
 The program is imported from the ``src/`` tree next to this script, so two
 trees agree when ``diff -r OUTDIR_A OUTDIR_B`` prints nothing.
 """
@@ -117,6 +119,11 @@ def sampled() -> dict:
     return out
 
 
+def circle_embeddings() -> dict:
+    return {name: lf.circle_embedding(b.loop, b.field, bundle=b).to_json()
+            for name, b in bundles().items()}
+
+
 def zorn_sum(copies: int, field) -> lf.TensorAlgebra:
     """The direct sum of ``copies`` Zorn algebras, one 8 x 8 x 8 block each."""
     z, d = lf.zorn_algebra(field).c, 8 * copies
@@ -168,7 +175,8 @@ def main(argv: list[str]) -> int:
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
     for name, record in (("quotients", quotients), ("loop_algebras", loop_algebras),
-                         ("tensors", tensors), ("sampled", sampled), ("products", products)):
+                         ("tensors", tensors), ("sampled", sampled),
+                         ("circle_embeddings", circle_embeddings), ("products", products)):
         doc = record()
         (out / f"{name}.json").write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
         print(f"{name}: {len(doc)} inputs", file=sys.stderr)

@@ -520,6 +520,7 @@ class AlternativeLoopAlgebra:
     def embedding_checks(self) -> tuple[bool, bool, bool]:
         """Injectivity, invertibility and multiplicativity of q -> image(q).
 
+        Injectivity is the bundle's ``collision`` scan of the same images.
         One pass over the products of all pairs, a block of
         ``block_rows(1, n, n)`` left rows at a time, compares each block with
         the images of the table and reads off it which images have the image
@@ -542,7 +543,7 @@ class AlternativeLoopAlgebra:
         two_sided = unit & unit[inv]          # unit is False wherever inv is -1
         all_invertible = all(invert(quot, images[i]) is not None
                              for i in np.flatnonzero(~two_sided))
-        return _first_duplicate_rows(images) is None, all_invertible, multiplicative
+        return self.collision is None, all_invertible, multiplicative
 
 
 def alternative_loop_algebra(field, loop: Loop) -> AlternativeLoopAlgebra:

@@ -13,7 +13,8 @@ whole block with one ``field.matmul``, echelonises only the surviving rows
 (at most n at a time), clears the new pivot columns from the old rows with
 one rank-k product and merges the rows by pivot.  One Gauss-Jordan
 elimination with delayed reduction (``_echelon``) serves both insertion
-and ``solve_matrix``, under one stated int64 bound.
+and ``solve_matrix``, under one stated int64 bound.  ``ideal_closure``
+ends on a clean sweep over the whole basis, its verification of the fixpoint.
 """
 from __future__ import annotations
 
@@ -291,15 +292,18 @@ def ideal_closure(
     stacked chunks of at most ``IMAGE_CHUNK_ENTRIES`` entries, one insertion
     per chunk; the reduction screens a chunk on the d free columns, so a
     chunk that lies in the subspace costs O(rows * dim * d).  Exits early
-    once the closure fills the ambient space.  The action fixpoint is
-    re-verified by a final sweep over every basis row, so the returned basis
-    is action-stable by construction, not by trust in the bookkeeping.
+    once the closure fills the ambient space.  The closure ends on a clean
+    sweep (one that adds nothing) over every basis row, so the returned
+    basis is action-stable by construction, not by trust in the bookkeeping.
+    That sweep is the first one when the seeds already span a stable
+    subspace; otherwise a clean sweep over the rows found last is followed
+    by one over the whole basis.
 
     ``ceiling`` is the dimension of a stable subspace K that the caller
     proves to contain every seed.  The span lies in the closure, which lies
     in K, so once its dimension equals the ceiling it is K and the closure.
     The closure then returns at once (after a seed block, inside a sweep or
-    at the loop test), without the verification sweep; the caller checks
+    at the loop test), without a sweep over the whole basis; the caller checks
     the result against K.  A closure that never reaches the ceiling runs as
     without one.
     """
@@ -324,11 +328,10 @@ def ideal_closure(
                 break
         return np.concatenate(grown) if grown else block[:0]
 
-    fresh = s.basis_matrix()            # no row has been acted on yet
+    fresh, whole = s.basis_matrix(), True       # whole: fresh is every basis row
     while fresh.shape[0] and s.dim not in stop:
-        fresh = sweep(fresh)            # generation: images of the last sweep's rows
-        if not fresh.shape[0] and s.dim not in stop:
-            fresh = sweep(s.basis_matrix())     # verification: a clean pass ends it
+        grown = sweep(fresh)            # images of the rows found last
+        fresh, whole = (grown, False) if grown.shape[0] or whole else (s.basis_matrix(), True)
     return s
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -680,8 +680,10 @@ def quotient_loop(loop: Loop, sub: SubloopSet,
     seeds = np.zeros((1, loop.order), dtype=bool)
     seeds[0, [0, *_generators(loop, sub.members)]] = True
     lab = _block_labels(loop, seeds)[0]
-    if np.count_nonzero(lab == 0) > sub.order():
-        raise NotNormal(int(np.setdiff1d(np.flatnonzero(lab == 0), sub.members)[0]))
+    extra = lab == 0
+    extra[list(sub.members)] = False
+    if extra.any():
+        raise NotNormal(int(np.argmax(extra)))
     reps, proj, qtable = _class_quotient(loop, lab)
     bad = np.argwhere(qtable[proj[:, None], proj[None, :]] != proj[loop.table])
     if bad.size:
@@ -883,8 +885,9 @@ def normal_subloops(loop: Loop) -> list[SubloopSet]:
             for b in existing:
                 if a.member_set() <= b.member_set() or b.member_set() <= a.member_set():
                     continue
-                members = np.unique(loop.table[np.ix_(a.members, b.members)]).tolist()
-                j = SubloopSet(loop, tuple(members))
+                mark = np.zeros(loop.order, dtype=bool)
+                mark[loop.table[np.ix_(a.members, b.members)]] = True
+                j = SubloopSet(loop, tuple(np.flatnonzero(mark).tolist()))
                 if j.members not in seen:
                     seen[j.members] = j
                     fresh.append(j)
@@ -926,15 +929,30 @@ def _generators(loop: Loop, members: Optional[Sequence[int]] = None) -> list[int
     return gens
 
 
+def _associator_cells(loop: Loop) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The failing cells of x(gy) = (xg)y, for each g of _generators and each
+    block of x of _row_blocks in turn: their values x(gy) and (xg)y, for
+    every (g, block) that has one.  The block's [x, y] arrays are freed
+    before the yield, so a consumer's work and the next block do not stack
+    on them."""
+    t = loop.table
+    for g in _generators(loop):
+        for xs in _row_blocks(loop.order):
+            lhs, rhs = t[xs][:, t[g]], t[t[xs, g]]           # [x, y]: x(gy), (xg)y
+            bad = lhs != rhs
+            cells = lhs[bad], rhs[bad]
+            del lhs, rhs, bad
+            if cells[0].size:
+                yield cells
+
+
 def _is_associative(loop: Loop) -> bool:
     """Light's test (Clifford & Preston I): (xg)y = x(gy) for all x, y and each
     g of _generators.  The g that pass, the middle nucleus, are closed under
     products, (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y), so they form
-    a subloop, and it is the loop exactly when every generator passes.  Each
-    generator is tested in the _row_blocks of x."""
-    t, blocks = loop.table, _row_blocks(loop.order)
-    return all(np.array_equal(t[t[xs, g]], t[xs][:, t[g]])
-               for g in _generators(loop) for xs in blocks)
+    a subloop, and it is the loop exactly when every generator passes.  The
+    scan (_associator_cells) stops at the first failing block."""
+    return next(_associator_cells(loop), None) is None
 
 
 def _associator_labels(loop: Loop) -> np.ndarray:
@@ -943,15 +961,13 @@ def _associator_labels(loop: Loop) -> np.ndarray:
     A(Q), the least normal subloop with an associative quotient (Bruck), is
     the normal closure N of the associators (x(gy))\\((xg)y) over all x, y and
     the g of _generators: they lie in A(Q), and in Q/N each g lies in the
-    middle nucleus, so Q/N passes Light's test (_is_associative).
+    middle nucleus, so Q/N passes Light's test (_is_associative).  The
+    division table is read only at the failing cells (_associator_cells).
     """
     if loop._assoc_labels is None:
-        t, seeds = loop.table, np.zeros((1, loop.order), dtype=bool)
-        for g in _generators(loop):
-            lhs, rhs = t[:, t[g]], t[t[:, g]]                  # [x, y]: x(gy), (xg)y
-            bad = lhs != rhs
-            if bad.any():
-                seeds[0, loop.ld_table[lhs[bad], rhs[bad]]] = True
+        seeds = np.zeros((1, loop.order), dtype=bool)
+        for lhs, rhs in _associator_cells(loop):
+            seeds[0, loop.ld_table[lhs, rhs]] = True
         loop._assoc_labels = _block_labels(loop, seeds)[0]
     return loop._assoc_labels
 

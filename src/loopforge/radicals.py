@@ -281,25 +281,17 @@ def circle_embedding(loop: Loop, field,
                      bundle: Optional[AlternativeLoopAlgebra] = None) -> CircleEmbeddingReport:
     """Verify q -> e - image(q) lands in the circle loop multiplicatively.
 
-    Checks (e - q) ∘ (e - q') = e - qq' on every pair of loop elements, one
-    block of ``block_rows(1, n, 2 n)`` left elements at a time.
+    (e - a) ∘ (e - b) = e - ab holds in every unital algebra, so
+    (e - q) ∘ (e - q') = e - qq' holds exactly when image(q) image(q') =
+    image(qq').  That is checked on every pair of elements of ``loop``, by
+    its table, one block of ``block_rows(1, n, n)`` left elements at a time.
     """
     if bundle is None:
         bundle = alternative_loop_algebra(field, loop)
     quot, images = bundle.algebra, bundle.images
-    (n, d), k = images.shape, quot.block_rows(1, len(images), 2 * len(images))
-    f, e = quot.field, quot.unit
-    b = f.canon(e - images)
-
-    def block_ok(s):
-        # row i n + j of each side is the pair (q_{s+i}, q_j); e - q is 0
-        # exactly at q = e, where the ∘-identity matches
-        bs = b[s:s + k]
-        lhs = f.canon((bs[:, None] + b[None, :]).reshape(-1, d) - quot.mul_rows(bs, b))
-        rhs = f.canon(e - quot.mul_rows(images[s:s + k], images))
-        return (np.array_equal(lhs, rhs)
-                and np.array_equal(lhs, b[loop.table[s:s + k]].reshape(-1, d)))
-    ok = all(block_ok(s) for s in range(0, n, k))
+    n, k = len(images), quot.block_rows(1, len(images), len(images))
+    ok = all(np.array_equal(quot.mul_rows(images[s:s + k], images).reshape(-1, n, quot.dim),
+                            images[loop.table[s:s + k]]) for s in range(0, n, k))
     return CircleEmbeddingReport(ok=ok, pairs=n * n)
 
 
@@ -348,9 +340,10 @@ def wedderburn_report(loop: Loop, field, bundle: Optional[AlternativeLoopAlgebra
                       seed: int = DEFAULT_SEED) -> WedderburnReport:
     """Radical ideal, semisimple quotient and its decomposition checks.
 
-    The radical ideal is the augmentation ideal of the loop radical; the
-    dimension of the quotient is cross-checked against the alternative loop
-    algebra of the quotient loop.  On the semisimple quotient: its own
+    The radical ideal is the augmentation ideal of the loop radical (the
+    bundle's ω when the radical is the whole loop); the dimension of the
+    quotient is cross-checked against the alternative loop algebra of the
+    quotient loop.  On the semisimple quotient: its own
     augmentation ideal must be everything, sampled principal ideals must not
     be nilpotent, and (small dimensions only) the principal ideals of the
     generators must split it into a verified direct sum.
@@ -360,7 +353,7 @@ def wedderburn_report(loop: Loop, field, bundle: Optional[AlternativeLoopAlgebra
         bundle = alternative_loop_algebra(field, loop)
     srad = loop_radical(loop, field, bundle=bundle)
     quot_alg = bundle.algebra
-    ideal = augmentation_ideal(quot_alg, srad)
+    ideal = bundle.omega if srad.is_full() else augmentation_ideal(quot_alg, srad)
     qdim = quot_alg.dim - ideal.dim
     if srad.is_full():
         expected_dim = 1

@@ -280,6 +280,43 @@ def test_ideal_closure_stops_at_the_ceiling():
     assert runs[1] == (1, 0)                   # reached after the seed block
 
 
+def counted_actions(alg):
+    """alg's left and right actions, each recording the rows it is applied to."""
+    seen = []
+
+    def wrap(act):
+        seen.append([])
+        return lambda m, rows=seen[-1]: rows.append(np.array(m)) or act(m)
+    return [wrap(a) for a in alg.left_actions()], [wrap(a) for a in alg.right_actions()], seen
+
+
+def test_ideal_closure_ends_on_a_clean_sweep_over_the_whole_basis():
+    # the first sweep grows the seed's span, the second (on the row it
+    # found) is clean, and a third sweep over both rows verifies the fixpoint
+    f = lf.PrimeField(3)
+    left, right, seen = counted_actions(lf.loop_algebra(f, lf.cyclic(3)))
+    s = lf.ideal_closure([f.vector([1, -1, 0]).reshape(1, -1)], left, right,
+                         field=f, ambient_dim=3)
+    assert s.dim == 2
+    for rows in seen:
+        assert [len(m) for m in rows] == [1, 1, 2]
+        assert np.array_equal(rows[-1], s.basis_matrix())
+
+
+def test_augmentation_ideal_acts_once_on_each_basis_row(monkeypatch, cml81_gf3):
+    # the seeds e - q span omega, which is stable: the closure's first sweep
+    # acts on every basis row, adds nothing, and is the verification
+    quot = cml81_gf3.algebra
+    left, right, seen = counted_actions(quot)
+    monkeypatch.setattr(quot, "left_actions", lambda: left)
+    monkeypatch.setattr(quot, "right_actions", lambda: right)
+    s = lf.augmentation_ideal(quot)
+    assert s == cml81_gf3.omega and s.dim == 53
+    assert len(seen) == 2 * quot.dim
+    for rows in seen:
+        assert np.array_equal(np.concatenate(rows), s.basis_matrix())
+
+
 def test_subspace_power():
     f = lf.PrimeField(3)
     alg = lf.loop_algebra(f, lf.cyclic(3))

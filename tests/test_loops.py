@@ -1,5 +1,8 @@
 import functools
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from itertools import product
@@ -841,6 +844,38 @@ def test_group_check_stays_within_the_block_budget():
         tracemalloc.stop()
     assert report.associative.ok and report.commutative.ok and report.ip.ok
     assert peak <= lf.linalg.BLOCK_BYTES, peak
+
+
+def test_associator_series_stays_within_the_block_budget():
+    """Cold is_group_type of a group of order 1984 scans x(gy) = (xg)y in row
+    blocks (it peaked at 124 MiB with n x n gathers per generator)."""
+    loop = cold(lf.direct_product(lf.cyclic(64), lf.cyclic(31)))
+    tracemalloc.start()
+    try:
+        group_type = is_group_type(loop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert group_type
+    assert peak <= lf.linalg.BLOCK_BYTES, peak
+
+
+def test_lattice_and_quotient_witness_leave_numpy_ma_unimported():
+    # np.unique and np.setdiff1d import numpy.ma on first use (about 15 ms)
+    code = ("import sys, loopforge as lf\n"
+            "from loopforge.errors import NotNormal\n"
+            "lf.normal_subloops(lf.direct_product(lf.paige_loop(2), lf.cyclic(2)))\n"
+            "s3 = lf.s3()\n"
+            "t = next(x for x in range(1, 6) if s3.mul(x, x) == 0)\n"
+            "try:\n"
+            "    lf.quotient_loop(s3, lf.subloop_generated(s3, [t]))\n"
+            "except NotNormal:\n"
+            "    print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(lf.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 # -- the group-type radical ------------------------------------------------------

@@ -214,6 +214,30 @@ def test_circle_embedding_reports(cml81, cml81_gf3, chein12):
     assert rep2.ok and rep2.pairs == 144
 
 
+def counted_mul_rows(monkeypatch, alg):
+    """The (left, right) row counts of every ``alg.mul_rows`` call from here on."""
+    calls, real = [], alg.mul_rows
+    monkeypatch.setattr(alg, "mul_rows", lambda a, b: calls.append((len(a), len(b))) or real(a, b))
+    return calls
+
+
+def test_circle_embedding_makes_one_product_per_block(monkeypatch, cml81, cml81_gf3):
+    quot, n = cml81_gf3.algebra, cml81.order
+    k = quot.block_rows(1, n, n)
+    calls = counted_mul_rows(monkeypatch, quot)
+    assert lf.circle_embedding(cml81, GF3, bundle=cml81_gf3).ok
+    assert k < n and calls == [(min(k, n - s), n) for s in range(0, n, k)]
+
+
+def test_embedding_checks_read_distinctness_off_the_collision(monkeypatch, cml81_gf3, cml81_gf5):
+    def rescan(m):
+        raise AssertionError("images scanned again")
+    monkeypatch.setattr(algebras, "_first_duplicate_rows", rescan)
+    assert algebras.AlternativeLoopAlgebra.embedding_checks.func(cml81_gf3) == (True, True, True)
+    assert cml81_gf5.collision is not None
+    assert algebras.AlternativeLoopAlgebra.embedding_checks.func(cml81_gf5)[0] is False
+
+
 # -- structure reports --------------------------------------------------------------
 
 def test_wedderburn_cml81(cml81, cml81_gf3):
@@ -235,6 +259,22 @@ def test_wedderburn_reuses_bundle(cml81, cml81_gf3, monkeypatch):
     rep = lf.wedderburn_report(cml81, GF3, bundle=cml81_gf3)
     assert rep.radical_subloop.is_full()
     assert built == []
+
+
+def test_wedderburn_takes_omega_for_a_full_radical(monkeypatch, cml81, cml81_gf3, paige2_x_c2):
+    calls, real = [], radicals.augmentation_ideal
+
+    def recomputed(alg, sub=None):
+        raise AssertionError("augmentation ideal recomputed")
+    monkeypatch.setattr(radicals, "augmentation_ideal", recomputed)
+    rep = lf.wedderburn_report(cml81, GF3, bundle=cml81_gf3)
+    assert rep.radical_subloop.is_full() and rep.radical_ideal_dim == cml81_gf3.omega.dim
+    # a proper radical (C2 inside paige2 x C2) still closes its own ideal
+    monkeypatch.setattr(radicals, "augmentation_ideal",
+                        lambda alg, sub=None: calls.append(sub) or real(alg, sub))
+    rep = lf.wedderburn_report(paige2_x_c2, GF3)
+    assert rep.radical_subloop.order() == 2 and rep.radical_ideal_dim == 1
+    assert [sub.members for sub in calls] == [rep.radical_subloop.members]
 
 
 def test_wedderburn_s3():
@@ -342,7 +382,8 @@ def test_quotient_entry_bound_raises_before_gathering():
 
 def whole_product_checks(bundle, table):
     """embedding_checks' multiplicativity and circle_embedding's verdict, each
-    on every pair at once, as one n^2 x d product per side."""
+    on every pair at once, as one n^2 x d product per side; the verdict is
+    read off the circle products (e - q) ∘ (e - q') and e - qq' themselves."""
     quot, images = bundle.algebra, bundle.images
     n, f, e = len(images), quot.field, quot.unit
     prods = quot.mul_rows(images, images)
@@ -367,11 +408,10 @@ def product_row_bytes(quot, n, rows):
     return d * d * s + n * d * (2 * s + 8) + rows * d * 8
 
 
-# blocks of 7 left rows in embedding_checks and 5 in circle_embedding:
-# 81 = 11 * 7 + 4 = 16 * 5 + 1 and 120 = 17 * 7 + 1 = 24 * 5 rows, so the
-# last block is a short one but in circle_embedding on paige2; a swap in
-# the table's last row is seen only there, and a corrupted image row in
-# every block
+# blocks of 7 left rows in embedding_checks and circle_embedding alike:
+# 81 = 11 * 7 + 4 and 120 = 17 * 7 + 1 rows, so the last block is a short
+# one on both loops; a swap in the table's last row is seen only there, and
+# a corrupted image row in every block
 @pytest.mark.parametrize("loop_name, p", [("cml81", 3), ("paige2", 2)])
 def test_product_checks_across_blocks(request, monkeypatch, loop_name, p):
     bundle = lf.alternative_loop_algebra(lf.PrimeField(p), request.getfixturevalue(loop_name))
@@ -386,7 +426,7 @@ def test_product_checks_across_blocks(request, monkeypatch, loop_name, p):
     assert whole == [(ok, ok) for _, _, ok in cases]
     assert bundle.algebra.block_rows(1) >= n          # one block at the real size
     monkeypatch.setattr(linalg, "BLOCK_BYTES", 7 * product_row_bytes(bundle.algebra, n, n))
-    assert bundle.algebra.block_rows(1, n, n) == 7 and bundle.algebra.block_rows(1, n, 2 * n) == 5
+    assert bundle.algebra.block_rows(1, n, n) == 7
     assert [blocked_product_checks(b, t) for b, t, _ in cases] == whole
 
 
