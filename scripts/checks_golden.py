@@ -17,7 +17,9 @@ samples, ``alternative_check`` and ``associative_check_sampled`` on each of
 those tensors (under ``tensors``), and ``circle_iso_check`` on the ω of each
 quotient above whose check samples rather than enumerates its pairs (under
 ``omegas``).  Each entry is ``CheckOutcome.to_json()`` or
-``CircleIsoReport.to_json()``.  ``OUTDIR/circle_embeddings.json`` holds
+``CircleIsoReport.to_json()``, whose keys are ``ok`` (the identity
+(e-a)(e-b) = e - a∘b on every pair drawn), ``mode``, ``pairs`` and
+``seed``.  ``OUTDIR/circle_embeddings.json`` holds
 ``circle_embedding(...).to_json()`` for each bundle above.
 ``OUTDIR/products.json`` holds, on seeded rows, ``mul_rows`` (5 x 3 rows),
 ``mul_pairwise`` (5 pairs) and the left and right multiplication matrices

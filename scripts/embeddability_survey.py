@@ -22,7 +22,7 @@ def survey(primes, include_paige):
         ("cml81", lf.cml81()),
     ]
     if include_paige:
-        loops.append(("paige:2", lf.paige_loop(2)))
+        loops += [("paige:2", lf.paige_loop(2)), ("paige:3", lf.paige_loop(3))]
     header = f"{'loop':>10} {'field':>6} {'dim I':>6} {'dim F[Q]':>8} " \
              f"{'faithful':>8} {'verdict':>11} {'time':>7}"
     print(header)
@@ -43,7 +43,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--primes", default="2,3,5,7,11")
     parser.add_argument("--skip-paige", action="store_true",
-                        help="skip the order-120 simple loop (the slow row)")
+                        help="skip the simple loops of order 120 and 1080 (the slow rows)")
     args = parser.parse_args()
     primes = [int(p) for p in args.primes.split(",") if p]
     survey(primes, include_paige=not args.skip_paige)

@@ -39,9 +39,7 @@ def main():
         print(f"{name:>8} {loop.order:>5} {str(cls):>6}", end="")
         for p in primes:
             bundle = lf.alternative_loop_algebra(lf.PrimeField(p), loop)
-            idx = None
-            if not bundle.unit_in_omega:
-                idx = lf.nilpotency_index(bundle.omega, bundle.algebra)
+            idx = lf.nilpotency_index(bundle.omega, bundle.algebra)
             is_p = props.is_p_loop(p)
             mark = f"{idx}" if idx is not None else "-"
             print(f" {mark + ' (p-loop)' if is_p else mark:>13}", end="")

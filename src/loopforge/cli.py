@@ -87,8 +87,7 @@ def cmd_algebra(args) -> int:
     bundle = algebras.alternative_loop_algebra(field, loop)
     alt = algebras.alternative_check(bundle.algebra, mode="sampled",
                                      samples=args.samples, seed=args.seed)
-    nilp = algebras.nilpotency_index(bundle.omega, bundle.algebra) \
-        if not bundle.unit_in_omega else None
+    nilp = algebras.nilpotency_index(bundle.omega, bundle.algebra)
     doc = {
         "loop": loop.name,
         "field": field.spec,

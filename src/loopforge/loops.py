@@ -474,7 +474,8 @@ class SubloopSet:
         return frozenset(self.members)
 
     def as_loop(self, name: Optional[str] = None) -> Loop:
-        """The subloop relabelled 0..k-1 in member order.
+        """The subloop relabelled 0..k-1 in member order: one ``mul_array``
+        on the parent, relabelled by search in the sorted members.
 
         Cached on the parent per members and name, so the copy's own caches
         (properties, conjugacy classes, element closures, associator
@@ -484,11 +485,7 @@ class SubloopSet:
         if key in cache:
             return cache[key]
         mem = np.asarray(self.members, dtype=np.int64)
-        if self.parent.has_table():
-            sub = self.parent.table[np.ix_(mem, mem)]
-        else:
-            sub = np.asarray([[self.parent.mul(int(a), int(b)) for b in mem] for a in mem])
-        table = np.searchsorted(mem, sub)                 # members are sorted
+        table = np.searchsorted(mem, self.parent.mul_array(mem[:, None], mem[None, :]))
         names = [self.parent.element_name(int(m)) for m in mem]
         cache[key] = Loop(names, table, name=name or f"{self.parent.name}<{len(mem)}>")
         return cache[key]

@@ -307,7 +307,6 @@ class WedderburnReport:
     quotient_dim: int
     dim_cross_check: bool
     quotient_is_field: bool
-    omega_quotient_is_all: Optional[bool]
     sampled_principal_nilpotent: list = dc_field(default_factory=list)
     summand_dims: Optional[list] = None
     direct_sum_verified: Optional[bool] = None
@@ -326,7 +325,6 @@ class WedderburnReport:
             "checks": {
                 "dim_cross_check": self.dim_cross_check,
                 "quotient_is_field": self.quotient_is_field,
-                "omega_quotient_is_all": self.omega_quotient_is_all,
                 "sampled_principal_nilpotent": self.sampled_principal_nilpotent,
                 "summand_dims": self.summand_dims,
                 "direct_sum_verified": self.direct_sum_verified,
@@ -343,10 +341,10 @@ def wedderburn_report(loop: Loop, field, bundle: Optional[AlternativeLoopAlgebra
     The radical ideal is the augmentation ideal of the loop radical (the
     bundle's ω when the radical is the whole loop); the dimension of the
     quotient is cross-checked against the alternative loop algebra of the
-    quotient loop.  On the semisimple quotient: its own
-    augmentation ideal must be everything, sampled principal ideals must not
-    be nilpotent, and (small dimensions only) the principal ideals of the
-    generators must split it into a verified direct sum.
+    quotient loop.  On the semisimple quotient, the principal ideals of the
+    generators e - q, each built once: sampled ones must not be nilpotent,
+    and (small dimensions only) all of them must split it into a verified
+    direct sum.
     """
     _require_moufang(loop)
     if bundle is None:
@@ -364,37 +362,34 @@ def wedderburn_report(loop: Loop, field, bundle: Optional[AlternativeLoopAlgebra
         expected_dim = alternative_loop_algebra(field, qloop).dim
     dim_ok = qdim == expected_dim
     quotient_is_field = qdim == 1
-    omega_all = None
     nilpotent_flags: list = []
     summands = None
     direct_ok = None
     span = None
     if not quotient_is_field:
         semi = quotient_algebra(quot_alg, ideal, verify=False)    # loop-backed
-        omega_all = augmentation_ideal(semi).is_full()
         # generator images e - q inside the semisimple quotient
         gens = semi.field.canon(semi.basis_images[0][None, :] - semi.basis_images)
         rng = np.random.default_rng(seed)
-        pick = rng.choice(gens.shape[0], size=min(6, gens.shape[0]), replace=False)
-        for k in sorted(int(i) for i in pick):
-            if not gens[k].any():
-                continue
-            pid = principal_ideal(semi, gens[k])
-            idx = nilpotency_index(pid, semi)
-            nilpotent_flags.append({"generator": k, "nilpotency_index": idx})
-        if semi.dim <= SUMMAND_DIM_BOUND:
-            summands, direct_ok, span = _principal_splitting(semi, gens)
+        pick = sorted(int(i) for i in rng.choice(len(gens), size=min(6, len(gens)), replace=False))
+        split = semi.dim <= SUMMAND_DIM_BOUND
+        ideals = {k: principal_ideal(semi, gens[k])
+                  for k in (range(len(gens)) if split else pick) if gens[k].any()}
+        nilpotent_flags = [{"generator": k, "nilpotency_index": nilpotency_index(ideals[k], semi)}
+                           for k in pick if k in ideals]
+        if split:
+            summands, direct_ok, span = _principal_splitting(semi, list(ideals.values()))
     return WedderburnReport(
         loop_name=loop.name, field_spec=field.spec, radical_subloop=srad,
         radical_ideal_dim=ideal.dim, algebra_dim=quot_alg.dim, quotient_dim=qdim,
         dim_cross_check=dim_ok, quotient_is_field=quotient_is_field,
-        omega_quotient_is_all=omega_all, sampled_principal_nilpotent=nilpotent_flags,
+        sampled_principal_nilpotent=nilpotent_flags,
         summand_dims=summands, direct_sum_verified=direct_ok, summands_span=span,
         seed=seed)
 
 
-def _principal_splitting(alg, gens: np.ndarray):
-    """Minimal principal ideals among the generators' closures.
+def _principal_splitting(alg, principal: list):
+    """Minimal ideals among the principal ideals ``principal``.
 
     Returns (dims of the minimal ideals, direct flag, span label).  The sum
     is direct when its dimension equals the sum of the parts; the label says
@@ -403,10 +398,7 @@ def _principal_splitting(alg, gens: np.ndarray):
     """
     ideals = []
     seen = set()
-    for k in range(gens.shape[0]):
-        if not gens[k].any():
-            continue
-        pid = principal_ideal(alg, gens[k])
+    for pid in principal:
         key = (pid.dim, pid.pivot_cols, tuple(tuple(r.tolist()) for r in pid.rows))
         if key in seen or pid.dim == 0:
             continue

@@ -846,8 +846,24 @@ def test_circle_iso_sampled_across_blocks(monkeypatch, spec, blocks):
         lhs, rhs = mul(e - a, e - b), e - (a + b - mul(a, b))
         fails = ((lhs - rhs) % f.p if f.finite else lhs - rhs).any(axis=1)
         assert fails.tolist() == [r in planted for r in range(samples)]
-        assert (got.mode, got.pairs, got.eta_ok, got.phi_ok) == ("sampled", samples, not planted,
-                                                                 True)
+        assert (got.mode, got.pairs, got.ok) == ("sampled", samples, not planted)
+
+
+def test_circle_iso_returns_at_the_first_failing_block(monkeypatch):
+    """A failure planted at pair 0, blocks of 3 pairs: L_e and the first
+    block's L_a are the only operators made, and ``pairs`` still counts
+    all 8 pairs."""
+    f = lf.field_from_spec("gf:3")
+    alg = left_unit(f)
+    carrier = span_rows(f, alg.dim, algebras._eye(f, alg.dim))
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 3 * circle_iso_row_bytes(alg))
+    assert alg.block_rows(1, 3, 4) == 3
+    plant(monkeypatch, [4, 5], [0])
+    rows, real = [], alg.operators
+    monkeypatch.setattr(alg, "operators", lambda a, *rest: rows.append(len(a)) or real(a, *rest))
+    got = lf.circle_iso_check(alg, carrier, samples=8, seed=4)
+    assert (got.ok, got.mode, got.pairs) == (False, "sampled", 8)
+    assert rows == [1, 3]
 
 
 def test_circle_iso_sampled_on_fq_matches_oracle(chein12):
@@ -1853,6 +1869,35 @@ def test_circle_oracle_loop(cml81_gf3):
     p = cl.mul(x, y)
     assert cl.ldiv(x, p) == y
     assert cl.rdiv(p, y) == x
+
+
+def scalar_closure(loop, gens):
+    """Members generated by gens, one scalar ``loop.mul`` per product."""
+    members = {0, *gens}
+    while True:
+        grown = members | {loop.mul(a, b) for a in members for b in members}
+        if grown == members:
+            return tuple(sorted(members))
+        members = grown
+
+
+def test_circle_oracle_loop_broadcasts_products():
+    """The oracle circle loop of ω in GF(2)[C16] (2^15 elements): closures,
+    subloop tests and subloop copies through ``mul_array`` agree with scalar
+    ``mul`` calls."""
+    c16 = lf.loop_algebra(GF2, lf.cyclic(16))
+    cl = lf.circle_loop(c16, lf.augmentation_ideal(c16))
+    assert isinstance(cl, algebras.CircleOracleLoop) and cl.order == 2**15
+    got = cl.mul_array(np.array([[1], [128]]), np.array([1, 257, 5]))
+    assert got.dtype == np.int64 and got.shape == (2, 3)
+    assert got.tolist() == [[cl.mul(a, b) for b in (1, 257, 5)] for a in (1, 128)]
+    sub = lf.subloop_generated(cl, [1])
+    assert sub.members == scalar_closure(cl, [1]) and sub.order() == 16
+    assert cl.mul(128, 257) == 385
+    assert not lf.is_subloop(cl, [0, 128, 257])
+    assert lf.is_subloop(cl, sub.members)
+    mem = sub.members
+    assert sub.as_loop().table.tolist() == [[mem.index(cl.mul(a, b)) for b in mem] for a in mem]
 
 
 def test_check_properties_refuses_loops_without_a_table(cml81_gf3):

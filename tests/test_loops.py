@@ -217,6 +217,18 @@ def test_subloop_generated_without_table(cml81):
         assert lf.subloop_generated(big, g, max_order=sub.order() - 1) is None
 
 
+def test_product_subloop_copy_matches_the_dense_product(s3):
+    """A subloop of S3 x C4 copied from the ProductLoop's ``mul_array``
+    equals the copy taken from the dense product's table."""
+    prod, dense = lf.loops.ProductLoop(s3, lf.cyclic(4)), lf.direct_product(s3, lf.cyclic(4))
+    assert dense.has_table() and not prod.has_table()
+    for gens in ([3 * 4 + 2], [1 * 4 + 2, 3 * 4]):
+        sub = lf.subloop_generated(dense, gens)
+        assert lf.subloop_generated(prod, gens) == lf.SubloopSet(prod, sub.members)
+        got, want = lf.SubloopSet(prod, sub.members).as_loop(), sub.as_loop()
+        assert np.array_equal(got.table, want.table) and got.names == want.names
+
+
 def test_two_generated_subloops_associative(cml81, paige2):
     rng = np.random.default_rng(lf.DEFAULT_SEED)
     for loop in (cml81, paige2):

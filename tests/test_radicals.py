@@ -15,6 +15,7 @@ from loopforge.errors import DimensionBoundExceeded, OrderBoundExceeded
 from loopforge.radicals import embedding_promised, in_class_s
 
 
+GF2 = lf.PrimeField(2)
 GF3 = lf.PrimeField(3)
 GF7 = lf.PrimeField(7)
 GF11 = lf.PrimeField(11)
@@ -277,6 +278,24 @@ def test_wedderburn_takes_omega_for_a_full_radical(monkeypatch, cml81, cml81_gf3
     assert [sub.members for sub in calls] == [rep.radical_subloop.members]
 
 
+def test_wedderburn_builds_each_principal_ideal_once(monkeypatch, paige2):
+    """paige:2/GF(2): 119 nonzero generators e - q, six of them sampled, and
+    no augmentation ideal of the semisimple quotient."""
+    bundle = lf.alternative_loop_algebra(GF2, paige2)
+    built, aug_algs = [], []
+    real_pid, real_aug = radicals.principal_ideal, radicals.augmentation_ideal
+    monkeypatch.setattr(radicals, "principal_ideal",
+                        lambda alg, v: built.append(alg) or real_pid(alg, v))
+    monkeypatch.setattr(radicals, "augmentation_ideal",
+                        lambda alg, sub=None: aug_algs.append(alg) or real_aug(alg, sub))
+    rep = lf.wedderburn_report(paige2, GF2, bundle=bundle)
+    assert not rep.quotient_is_field and len(rep.sampled_principal_nilpotent) == 6
+    assert rep.summand_dims == [8] and rep.direct_sum_verified
+    assert len(built) == 119
+    assert aug_algs == [bundle.algebra]                  # the trivial radical's ideal only
+    assert "omega_quotient_is_all" not in rep.to_json()["checks"]
+
+
 def test_wedderburn_s3():
     s3 = lf.s3()
     rep = lf.wedderburn_report(s3, GF7)
@@ -301,7 +320,7 @@ def test_principal_splitting_semisimple_group_algebra():
     f5 = lf.PrimeField(5)
     alg = lf.loop_algebra(f5, lf.cyclic(3))
     gens = np.asarray([[1, 4, 0], [1, 0, 4]], dtype=np.int64)   # e-g, e-g^2
-    dims, direct, span = _principal_splitting(alg, gens)
+    dims, direct, span = _principal_splitting(alg, [lf.principal_ideal(alg, g) for g in gens])
     assert dims == [2] and direct and span == "proper"
 
 
@@ -320,7 +339,7 @@ def test_principal_splitting_block_sum():
     gens = np.zeros((2, 16), dtype=np.int64)
     gens[0, 0] = gens[0, 1] = 1         # unit of the first block
     gens[1, 8] = gens[1, 9] = 1         # unit of the second block
-    dims, direct, span = _principal_splitting(alg, gens)
+    dims, direct, span = _principal_splitting(alg, [lf.principal_ideal(alg, g) for g in gens])
     assert dims == [8, 8] and direct and span == "full"
 
 
